@@ -1,11 +1,10 @@
-"""Embedded Dormand-Prince 5(4) stepper, pure-Python reference engine.
+"""Embedded Dormand-Prince 5(4) stepper, the simulator's integrator.
 
-The compiled engine in _kernel.py mirrors this logic; both share the
-tableau below.  The stepper is segment-oriented: the caller guarantees the
-right-hand side is smooth on [t0, t1] (availability is constant there), and
-every accepted step lands exactly on t1 at the end.  Domain violations
-raised by the right-hand side are treated as step rejections, the same as
-a large error estimate.
+The stepper is segment-oriented: the caller guarantees the right-hand side
+is smooth on [t0, t1] (availability is constant there), and every accepted
+step lands exactly on t1 at the end.  Domain violations raised by the
+right-hand side are treated as step rejections, the same as a large error
+estimate.
 """
 
 import math

@@ -24,31 +24,12 @@ import numpy as np
 from . import verify
 from .controller import AvailabilitySchedule
 from .design import FunnelSpec, design_report, synthesize
-from .errors import (
-    AmbiguousZero,
-    CiOverflow,
-    ConfigError,
-    DegenerateCertificate,
-    DeltaTooLarge,
-    EmptyWindow,
-    FunnelViolation,
-    IndefiniteGamma,
-    InfeasibleEtaStar,
-    InfeasibleRefinement,
-    InitialConditionViolated,
-    IntegrationStalled,
-    InvalidQ,
-    NoRelativeDegree,
-    NotHurwitz,
-    SingularMassMatrix,
-    StepUnderflow,
-    TemplateRejected,
-    TransformSingular,
-)
+from .errors import ConfigError, FunnelSimError
 from .reference import ReferenceSignal
 from .simulator import (
     ManualDesign,
     SimOptions,
+    csv_number,
     integrate,
     read_csv,
     write_csv,
@@ -63,16 +44,6 @@ from .sysmodel import (
 )
 
 log = logging.getLogger("funnelsim")
-
-CONFIG_FAILURES = (ConfigError, jsonschema.ValidationError,
-                   json.JSONDecodeError, FileNotFoundError, ValueError)
-SYNTHESIS_FAILURES = (InvalidQ, DeltaTooLarge, InfeasibleEtaStar, EmptyWindow,
-                      CiOverflow, InfeasibleRefinement, TemplateRejected,
-                      DegenerateCertificate, NoRelativeDegree, AmbiguousZero,
-                      TransformSingular, NotHurwitz, IndefiniteGamma,
-                      SingularMassMatrix)
-INTEGRATION_FAILURES = (StepUnderflow, FunnelViolation,
-                        InitialConditionViolated, IntegrationStalled)
 
 # Values the benchmark scenario is commonly quoted with; the reproduce
 # command prints them next to what this implementation computes.
@@ -96,7 +67,6 @@ SCHEMA = {
     "additionalProperties": False,
     "required": ["system"],
     "properties": {
-        "seed": {"type": "integer", "minimum": 0},
         "system": {
             "type": "object",
             "additionalProperties": False,
@@ -113,7 +83,6 @@ SCHEMA = {
                 "A": _MAT, "B": _MAT, "C": _MAT, "x0": _VEC,
                 "R": {"type": "array", "items": _MAT},
                 "S": _MAT, "Gamma": _MAT, "Q": _MAT, "P": _MAT,
-                "sign_known": {"type": "integer", "enum": [-1, 1]},
                 "chain0": _MAT, "eta0": _VEC,
             },
         },
@@ -173,7 +142,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "t_end": _NUM, "rtol": _NUM, "atol": _NUM, "grid_dt": _NUM,
-                "engine": {"enum": ["auto", "python", "numba"]},
             },
         },
         "output": {
@@ -356,13 +324,8 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
 
 def _sim_options(cfg: dict) -> SimOptions:
     sec = cfg.get("sim", {})
-    opts = SimOptions()
-    return SimOptions(
-        rtol=sec.get("rtol", opts.rtol),
-        atol=sec.get("atol", opts.atol),
-        grid_dt=sec.get("grid_dt", opts.grid_dt),
-        engine=sec.get("engine", opts.engine),
-    )
+    return SimOptions(**{key: sec[key] for key in ("rtol", "atol", "grid_dt")
+                         if key in sec})
 
 
 def _horizon(cfg: dict) -> float:
@@ -524,9 +487,7 @@ def cmd_plot_data(trace_path: Path, outdir: Path) -> int:
     """
     trace = read_csv(trace_path)
     m, kdim = trace.m, trace.internal_dim
-
-    def fmt(v):
-        return f"{v:.11e}"
+    fmt = csv_number
 
     def breaks_after(i):
         return i + 1 < trace.samples and trace.a[i] != trace.a[i + 1]
@@ -589,8 +550,6 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--preset", choices=sorted(PRESETS),
                         help="built-in configuration")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed override for randomized checks")
 
     for name, txt in (("synthesize", "run the design pipeline"),
                       ("simulate", "run the closed loop and write the trace"),
@@ -603,7 +562,6 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--preset", choices=sorted(PRESETS), default=None,
                      help="limit to one scenario")
     rep.add_argument("--out", default=".", help="output directory")
-    rep.add_argument("--seed", type=int, default=None)
 
     pd = sub.add_parser("plot-data",
                         help="emit gnuplot-ready columns from a trace")
@@ -629,15 +587,13 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, outdir)
         return cmd_verify(cfg, outdir)
-    except CONFIG_FAILURES as exc:
+    except FunnelSimError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (jsonschema.ValidationError, json.JSONDecodeError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except SYNTHESIS_FAILURES as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except INTEGRATION_FAILURES as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

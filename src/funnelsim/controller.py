@@ -5,7 +5,7 @@ bit a(t), the reset clock tau(t) marking the end of the last dropout, the
 shifted funnel gain phi(t) = phi0(t - tau(t)) (zero while the measurement is
 lost), and the error cascade built from the tracking error and its
 derivatives.  Everything here is derivable from the schedule and the time
-alone; the mutable state object only caches a scan position.
+alone.
 """
 
 import bisect
@@ -14,17 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import FunnelSpec, alpha
-from .errors import ConfigError, FunnelViolation, NonMonotoneTime
+from .errors import ConfigError, FunnelViolation
 
 __all__ = [
     "AvailabilitySchedule",
-    "ControllerState",
-    "availability",
-    "funnel_value",
+    "alpha",
+    "cascade",
     "error_cascade",
     "control_input",
-    "check_initial_conditions",
 ]
 
 
@@ -129,54 +126,31 @@ class AvailabilitySchedule:
         return notes
 
 
-def availability(sched: AvailabilitySchedule, t: float) -> int:
-    return sched.availability(t)
+def alpha(s: float) -> float:
+    """Gain function 1/(1-s), defined for s < 1."""
+    return 1.0 / (1.0 - s)
 
 
-class ControllerState:
-    """Scan position for monotone-time controller queries.
+def cascade(phi, e_derivs):
+    """Cascade stages e_1..e_r and their squared norms, unchecked.
 
-    Holds the reset clock and the funnel in use.  Queries must come at
-    nondecreasing times; use the schedule methods directly for random
-    access.
+    e_derivs stacks e, e', ..., e^(r-1) along its first axis: shape (r, m)
+    for one sample with a scalar phi, or (r, N, m) for N samples with phi of
+    shape (N,).  Stage 1 is phi * e and stage i+1 is
+    phi * e^(i) + alpha(|e_i|^2) e_i.  Returns (stages, n_sq): stages shaped
+    like e_derivs and n_sq[i] = |e_(i+1)|^2.  Nothing is checked against the
+    funnel boundary; stages after one with |e_i| >= 1 are meaningless.
     """
-
-    def __init__(self, funnel: FunnelSpec, sched: AvailabilitySchedule):
-        self.funnel = funnel
-        self.sched = sched
-        self.time = 0.0
-        self.reset = 0.0
-        self._cursor = 0
-
-    def advance(self, t: float) -> float:
-        """Move to time t and return tau(t)."""
-        if t < self.time:
-            raise NonMonotoneTime(
-                f"controller queried at t = {t} after t = {self.time}")
-        self.time = t
-        ends = self.sched._ends
-        starts = self.sched._starts
-        n = len(ends)
-        while self._cursor < n and ends[self._cursor] < t:
-            self._cursor += 1
-        j = self._cursor
-        if j < n and (starts[j] < t <= ends[j]
-                      or (t == 0.0 and starts[j] == 0.0)):
-            self.reset = t
-        elif j > 0:
-            self.reset = ends[j - 1]
-        else:
-            self.reset = 0.0
-        return self.reset
-
-
-def funnel_value(state: ControllerState, sched: AvailabilitySchedule,
-                 funnel: FunnelSpec, t: float) -> float:
-    """Shifted funnel gain phi(t), zero during dropouts."""
-    tau = state.advance(t)
-    if sched.availability(t) == 0:
-        return 0.0
-    return float(funnel.value(t - tau))
+    phi = np.asarray(phi, dtype=float)[..., None]
+    stages = np.empty(np.shape(e_derivs))
+    n_sq = np.empty(stages.shape[:-1])
+    stage = phi * e_derivs[0]
+    for i in range(stages.shape[0]):
+        if i:
+            stage = phi * e_derivs[i] + stage / (1.0 - n_sq[i - 1])[..., None]
+        stages[i] = stage
+        n_sq[i] = np.vecdot(stage, stage)
+    return stages, n_sq
 
 
 def error_cascade(phi: float, e_derivs, limit: float = 1.0) -> np.ndarray:
@@ -188,20 +162,14 @@ def error_cascade(phi: float, e_derivs, limit: float = 1.0) -> np.ndarray:
     as a step rejection.  phi = 0 collapses every stage to zero.
     """
     e_derivs = np.atleast_2d(np.asarray(e_derivs, dtype=float))
-    r, m = e_derivs.shape
-    out = np.zeros((r, m))
     if phi == 0.0:
-        return out
-    lim_sq = limit * limit
-    stage = phi * e_derivs[0]
-    for i in range(r):
-        n_sq = float(stage @ stage)
-        if n_sq >= lim_sq:
-            raise FunnelViolation(i + 1, np.sqrt(n_sq))
-        out[i] = stage
-        if i + 1 < r:
-            stage = phi * e_derivs[i + 1] + alpha(n_sq) * stage
-    return out
+        return np.zeros(e_derivs.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        stages, n_sq = cascade(phi, e_derivs)
+    for i, s in enumerate(n_sq.tolist()):
+        if s >= limit * limit:
+            raise FunnelViolation(i + 1, np.sqrt(s))
+    return stages
 
 
 def control_input(a: int, e_r, sign: int, limit: float = 1.0) -> np.ndarray:
@@ -213,32 +181,3 @@ def control_input(a: int, e_r, sign: int, limit: float = 1.0) -> np.ndarray:
     if n_sq >= limit * limit:
         raise FunnelViolation(0, np.sqrt(n_sq))
     return (-sign * alpha(n_sq)) * e_r
-
-
-def check_initial_conditions(dp, e_derivs0, eta0_norm: float):
-    """Report whether the start state lies inside the feasible set.
-
-    Returns (name, value, bound, ok) rows for each cascade stage at the
-    initial funnel gain and for the internal state ceiling.  Report only;
-    nothing is raised.
-    """
-    e_derivs0 = np.atleast_2d(np.asarray(e_derivs0, dtype=float))
-    r = e_derivs0.shape[0]
-    phi00 = dp.funnel.phi00
-    rows = []
-    stage = phi00 * e_derivs0[0]
-    dead = False
-    for i in range(r):
-        if dead:
-            # stages past a violated one are meaningless, skip evaluation
-            rows.append((f"stage {i + 1}", float("nan"), 1.0, False))
-            continue
-        n = float(np.linalg.norm(stage))
-        rows.append((f"stage {i + 1}", n, 1.0, n < 1.0))
-        if n >= 1.0:
-            dead = True
-        elif i + 1 < r:
-            stage = phi00 * e_derivs0[i + 1] + alpha(n * n) * stage
-    ok = float(eta0_norm) <= dp.internal_cap
-    rows.append(("internal", float(eta0_norm), dp.internal_cap, ok))
-    return rows

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .controller import alpha, cascade
 from .errors import (
     CiOverflow,
     DegenerateCertificate,
@@ -29,21 +30,6 @@ from .reference import ReferenceSignal
 from .sysmodel import ClassConstants, NormalForm, class_constants
 
 Unbounded = math.inf
-
-
-def alpha(s: float) -> float:
-    """Gain function 1/(1-s), defined for s < 1."""
-    return 1.0 / (1.0 - s)
-
-
-def alpha_tilde(s: float) -> float:
-    """Derivative-type gain (1+s)/(1-s)^2, defined for s < 1."""
-    return (1.0 + s) / (1.0 - s) ** 2
-
-
-def ahat_dagger(z: float) -> float:
-    """Inverse of s -> alpha(s) * s on [0, 1), i.e. z/(1+z)."""
-    return z / (1.0 + z)
 
 
 def _check_q(q: float) -> None:
@@ -274,14 +260,14 @@ def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants
         raise ValueError("initial funnel gain must be positive")
     e_derivs0 = np.atleast_2d(np.asarray(e_derivs0, dtype=float))
     r = e_derivs0.shape[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        init, init_sq = cascade(phi00, e_derivs0)
     mu0 = d * (1.0 + phi00) / phi00
     slopes = [mu0]
     caps = [0.0]
     comps = [1.0]
-    e_stage = phi00 * e_derivs0[0]
-    init = [e_stage]
     for k in range(1, r):
-        # pull = c alpha(c^2) and alpha_tilde(c^2), via the complement so
+        # pull = c alpha(c^2) and (1+c^2)/(1-c^2)^2, via the complement so
         # slope demands near the double-precision ceiling stay finite.
         pull = caps[k - 1] / comps[k - 1]
         mu_k = (1.0 + mu0 * (1.0 + pull)
@@ -289,15 +275,12 @@ def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants
                 * (slopes[k - 1] + pull))
         slopes.append(mu_k)
         demand = (1.0 + mu0) if k == 1 else mu_k
-        norm_sq = float(e_stage @ e_stage)
+        norm_sq = float(init_sq[k - 1])
         if norm_sq >= 1.0:
             raise CiOverflow(k, math.sqrt(norm_sq))
         comp = min(1.0 - norm_sq, 1.0 / (1.0 + demand), 1.0 - q * q)
         comps.append(comp)
         caps.append(math.sqrt(1.0 - comp))
-        e_stage = (phi00 * e_derivs0[k]
-                   + alpha(float(init[-1] @ init[-1])) * init[-1])
-        init.append(e_stage)
     level = 1.0 + caps[r - 1] / comps[r - 1]
     for i in range(1, r):
         level += caps[i] + caps[i - 1] / comps[i - 1]
@@ -337,10 +320,6 @@ class FunnelSpec:
     @property
     def phi00(self) -> float:
         return 1.0 / (self.a + self.c)
-
-    @property
-    def terminal_gain(self) -> float:
-        return 1.0 / self.c
 
     @property
     def slope_gain(self) -> float:

@@ -1,18 +1,22 @@
 """Exception hierarchy shared by all funnelsim modules.
 
 Every error carries enough numeric context to diagnose the failure without
-re-running the computation; the CLI maps these onto process exit codes.
+re-running the computation.  Each class names the process exit code the
+CLI returns for it in ``exit_code``: 2 for configuration and input errors,
+3 for model and synthesis failures, 4 for integration failures.
 """
 
 from __future__ import annotations
 
 
 class FunnelSimError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; each subclass sets exit_code."""
 
 
 class ConfigError(FunnelSimError):
     """Malformed configuration, schema violation, or unreadable input file."""
+
+    exit_code = 2
 
 
 # --- system model -----------------------------------------------------------
@@ -21,9 +25,13 @@ class ConfigError(FunnelSimError):
 class NoRelativeDegree(FunnelSimError):
     """No well-defined strict relative degree exists for (A, B, C)."""
 
+    exit_code = 3
+
 
 class AmbiguousZero(FunnelSimError):
     """An early output-chain coefficient sits too close to the zero threshold."""
+
+    exit_code = 3
 
     def __init__(self, k: int, norm: float, tol: float):
         self.k = k
@@ -38,9 +46,13 @@ class AmbiguousZero(FunnelSimError):
 class TransformSingular(FunnelSimError):
     """The coordinate-change matrix could not be completed to full rank."""
 
+    exit_code = 3
+
 
 class NotHurwitz(FunnelSimError):
     """An internal-dynamics matrix has an eigenvalue off the open left half plane."""
+
+    exit_code = 3
 
     def __init__(self, eigenvalue: complex):
         self.eigenvalue = eigenvalue
@@ -50,6 +62,8 @@ class NotHurwitz(FunnelSimError):
 class IndefiniteGamma(FunnelSimError):
     """The symmetrized high-frequency gain matrix is not sign definite."""
 
+    exit_code = 3
+
 
 # --- design -----------------------------------------------------------------
 
@@ -57,17 +71,25 @@ class IndefiniteGamma(FunnelSimError):
 class InvalidQ(FunnelSimError):
     """Design margin q must lie strictly inside (0, 1)."""
 
+    exit_code = 3
+
 
 class DeltaTooLarge(FunnelSimError):
     """Requested dropout duration breaks a feasibility denominator."""
+
+    exit_code = 3
 
 
 class InfeasibleEtaStar(FunnelSimError):
     """No admissible internal-state ceiling exists for the given durations."""
 
+    exit_code = 3
+
 
 class EmptyWindow(FunnelSimError):
     """The admissible interval for the initial funnel value is empty."""
+
+    exit_code = 3
 
     def __init__(self, lo: float, hi: float):
         self.lo = lo
@@ -80,6 +102,8 @@ class EmptyWindow(FunnelSimError):
 class CiOverflow(FunnelSimError):
     """A gain-recursion stage left the open unit interval."""
 
+    exit_code = 3
+
     def __init__(self, k: int, value: float):
         self.k = k
         self.value = value
@@ -89,13 +113,19 @@ class CiOverflow(FunnelSimError):
 class InfeasibleRefinement(FunnelSimError):
     """No funnel of the built-in family satisfies the requested constraints."""
 
+    exit_code = 3
+
 
 class TemplateRejected(FunnelSimError):
     """A user-supplied funnel template violates a design constraint."""
 
+    exit_code = 3
+
 
 class DegenerateCertificate(FunnelSimError):
     """The input-bound certificate collapsed (a cascade constant reached 1)."""
+
+    exit_code = 3
 
     def __init__(self, c_tilde: float, gain_term: float):
         self.c_tilde = c_tilde
@@ -108,6 +138,8 @@ class DegenerateCertificate(FunnelSimError):
 
 class InitialConditionViolated(FunnelSimError):
     """The initial error chain or internal state breaks a start-up condition."""
+
+    exit_code = 4
 
     def __init__(self, index: int | str, value: float, bound: float):
         self.index = index
@@ -122,12 +154,10 @@ class InitialConditionViolated(FunnelSimError):
 # --- controller / simulator -------------------------------------------------
 
 
-class NonMonotoneTime(FunnelSimError):
-    """A stateful controller was queried with a decreasing time stamp."""
-
-
 class FunnelViolation(FunnelSimError):
     """A cascade stage left the open unit ball while the output was available."""
+
+    exit_code = 4
 
     def __init__(self, stage: int, norm: float, t: float | None = None):
         self.stage = stage
@@ -140,6 +170,8 @@ class FunnelViolation(FunnelSimError):
 
 class StepUnderflow(FunnelSimError):
     """Adaptive integration could not proceed with any step above the floor."""
+
+    exit_code = 4
 
     def __init__(self, t: float, e_r_norm: float, phi: float):
         self.t = t
@@ -154,6 +186,10 @@ class StepUnderflow(FunnelSimError):
 class IntegrationStalled(FunnelSimError):
     """The step budget was exhausted before the horizon was reached."""
 
+    exit_code = 4
+
 
 class SingularMassMatrix(FunnelSimError):
     """The benchmark mass matrix is numerically singular."""
+
+    exit_code = 3

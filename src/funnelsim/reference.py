@@ -168,11 +168,6 @@ class ReferenceSignal:
 
     # --- serialization helpers ----------------------------------------------
 
-    def kernel_arrays(self):
-        """Flat coefficient arrays for compiled evaluation."""
-        return (self.offset.copy(), self.amp.copy(), self.omega.copy(),
-                self.phase.copy())
-
     @classmethod
     def from_config(cls, cfg: dict) -> "ReferenceSignal":
         kind = cfg["kind"]

@@ -3,25 +3,19 @@
 Integration is segment-exact: the time axis is split at every dropout
 endpoint, so no step straddles an availability jump and every jump time is
 a sample.  Within a segment availability and the funnel reset offset are
-constant, which keeps the right-hand side smooth; the adaptive stepper
-rejects any step that drives a cascade stage against the funnel boundary.
-
-Two engines produce the rows: a compiled kernel (numba) and a pure-Python
-reference stepper.  They implement the same tableau and step control;
-results agree to integration tolerance but are not bit-identical across
-engines. A given engine is deterministic for fixed inputs.
+constant, which keeps the right-hand side smooth; the adaptive DP45 stepper
+in _rk.py rejects any step that drives a cascade stage against the funnel
+boundary.  Runs are deterministic for fixed inputs.
 """
 
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel
 from ._rk import Underflow, dp45_segment
-from .controller import AvailabilitySchedule, error_cascade
+from .controller import AvailabilitySchedule, cascade, error_cascade
 from .design import FunnelSpec
 from .errors import (
     ConfigError,
@@ -45,8 +39,6 @@ class SimOptions:
     h_min: float = 1e-12
     h_max: float = 1.0
     h0: float = 1e-3
-    engine: str = "auto"      # auto | numba | python
-    chunk_rows: int = 200_000
 
 
 @dataclass(frozen=True)
@@ -118,160 +110,75 @@ def _grid_times(t_end: float, dt: float) -> np.ndarray:
     return g[g < t_end]
 
 
-def _python_rhs(nf, funnel, a, tau, y_ref, lim_sq):
-    """Closure matching the compiled kernel's arithmetic."""
-    r, m, kdim = nf.r, nf.m, nf.internal_dim
+def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
+    """x' = A x + B u on one segment, u the funnel feedback while available.
+
+    (A, B) come from nf.realization(), whose state order is the integration
+    state's: chain, then internal.  A stage with |e_i|^2 >= lim_sq raises
+    FunnelViolation, which the stepper treats as a rejected step.
+    """
+    plant = nf.realization()
+    A, B = plant.A, plant.B
+    if a == 0:
+        return lambda t, x: A @ x
+    r, m = nf.r, nf.m
     rm = r * m
-    R_wide = np.hstack([nf.R[i] for i in range(r)])
     sign = float(nf.sign)
 
     def rhs(t, x):
-        dx = np.empty_like(x)
-        chain = x[:rm]
-        eta = x[rm:]
-        dx[:rm - m] = chain[m:]
-        top = R_wide @ chain + nf.S @ eta
-        if a == 1:
-            phi = float(funnel.value(t - tau))
-            ed = chain.reshape(r, m) - y_ref.derivatives(t, r - 1)
-            stage = phi * ed[0]
-            n_sq = 0.0
-            for i in range(r):
-                n_sq = float(stage @ stage)
-                if n_sq >= lim_sq:
-                    raise FunnelViolation(i + 1, math.sqrt(n_sq), t)
-                if i + 1 < r:
-                    stage = phi * ed[i + 1] + stage / (1.0 - n_sq)
-            u = (-sign / (1.0 - n_sq)) * stage
-            top = top + nf.Gamma @ u
-        dx[rm - m:rm] = top
-        dx[rm:] = nf.Q @ eta + nf.P @ chain[:m]
-        return dx
+        phi = float(funnel.value(t - tau))
+        ed = x[:rm].reshape(r, m) - y_ref.derivatives(t, r - 1)
+        stages, n_sq = cascade(phi, ed)
+        for i, s in enumerate(n_sq.tolist()):
+            if s >= lim_sq:
+                raise FunnelViolation(i + 1, math.sqrt(s), t)
+        u = (-sign / (1.0 - s)) * stages[-1]      # s = |e_r|^2
+        return A @ x + B @ u
 
     return rhs
 
 
 def _diagnose(nf, funnel, a, tau, y_ref, t, x):
     """Last-stage norm and funnel gain at a point, tolerant of blowup."""
-    r, m = nf.r, nf.m
-    rm = r * m
     if a == 0:
         return 0.0, 0.0
+    r, m = nf.r, nf.m
     phi = float(funnel.value(t - tau))
-    ed = x[:rm].reshape(r, m) - y_ref.derivatives(t, r - 1)
-    stage = phi * ed[0]
+    ed = x[:r * m].reshape(r, m) - y_ref.derivatives(t, r - 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(r - 1):
-            n_sq = float(stage @ stage)
-            stage = phi * ed[i + 1] + stage / (1.0 - n_sq)
-    return float(np.linalg.norm(stage)), phi
-
-
-def _zero_reference(m):
-    return ReferenceSignal.constant(np.zeros(m))
-
-
-def _resolve_engine(name: str):
-    if name == "python":
-        return None, "python"
-    kern = _kernel.get_kernel()
-    if kern is None:
-        if name == "numba":
-            raise ConfigError(
-                "engine 'numba' requested but the numba package is not "
-                "installed; install the accel extra or use engine 'auto' "
-                "or 'python'")
-        warnings.warn("compiled engine unavailable, using python stepper")
-        return None, "python"
-    return kern, "numba"
+        _, n_sq = cascade(phi, ed)
+    return math.sqrt(n_sq[-1]), phi
 
 
 def _run_segments(nf, funnel, sched_segments, y_ref, x0, opts):
     """Integrate across smooth segments; returns times, states, stats."""
-    kern, engine = _resolve_engine(opts.engine)
     lim = 1.0 - DOMAIN_MARGIN
     lim_sq = lim * lim
-    n = x0.size
-    r, m, kdim = nf.r, nf.m, nf.internal_dim
     times = [np.array([sched_segments[0][0]])]
     states = [x0.reshape(1, -1).copy()]
     stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-             "segments": len(sched_segments), "engine": engine}
+             "segments": len(sched_segments)}
     x = x0.astype(float).copy()
-
-    if kern is not None:
-        R_wide = np.ascontiguousarray(np.hstack([nf.R[i] for i in range(r)]))
-        S = np.ascontiguousarray(nf.S, dtype=float)
-        G = np.ascontiguousarray(nf.Gamma, dtype=float)
-        Q = np.ascontiguousarray(nf.Q, dtype=float)
-        P = np.ascontiguousarray(nf.P, dtype=float)
-        off, amp, om, ph = (np.ascontiguousarray(v, dtype=float)
-                            for v in y_ref.kernel_arrays())
-        fa, fb, fc = funnel.a, funnel.b, funnel.c
-        headroom = int(opts.h_max / opts.grid_dt) + 8
-        cap = max(opts.chunk_rows, 2 * headroom)
-        out_t = np.empty(cap)
-        out_x = np.empty((cap, n))
-        k1 = np.empty(n)
-
     for (lo, hi, a, tau) in sched_segments:
         grid = _grid_times(hi, opts.grid_dt)
         grid = grid[grid > lo]
-        if kern is not None:
-            gidx = 0
-            t_cur = lo
-            h = min(opts.h0, hi - lo)
-            have_k1 = 0
-            while True:
-                (status, nrows, t_cur, h, gidx, na, nr, ne) = kern(
-                    t_cur, hi, x, k1, have_k1, h,
-                    a, tau, fa, fb, fc, float(nf.sign),
-                    R_wide, S, G, Q, P, off, amp, om, ph,
-                    r, m, kdim,
-                    opts.rtol, opts.atol, opts.h_min, opts.h_max, lim_sq,
-                    grid, gidx, headroom, out_t, out_x)
-                stats["accepted"] += na
-                stats["rejected"] += nr
-                stats["rhs_evals"] += ne
-                if nrows:
-                    times.append(out_t[:nrows].copy())
-                    states.append(out_x[:nrows].copy())
-                if status == _kernel.DONE:
-                    break
-                if status == _kernel.UNDERFLOW:
-                    ern, phi = _diagnose(nf, funnel, a, tau, y_ref, t_cur, x)
-                    raise StepUnderflow(t_cur, ern, phi)
-                if status == _kernel.INFEASIBLE:
-                    # recompute in python for the violated stage index
-                    phi = float(funnel.value(t_cur - tau))
-                    ed = (x[:r * m].reshape(r, m)
-                          - y_ref.derivatives(t_cur, r - 1))
-                    try:
-                        error_cascade(phi, ed, limit=lim)
-                    except FunnelViolation as v:
-                        raise FunnelViolation(v.stage, v.norm,
-                                              t_cur) from None
-                    ern, phi = _diagnose(nf, funnel, a, tau, y_ref, t_cur, x)
-                    raise StepUnderflow(t_cur, ern, phi)
-                have_k1 = 1  # buffer full: resume
-        else:
-            rhs = _python_rhs(nf, funnel, a, tau, y_ref, lim_sq)
-            sink_t, sink_x = [], []
-            try:
-                seg_stats = dp45_segment(
-                    rhs, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
-                    h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max,
-                    grid=grid, sink_t=sink_t, sink_x=sink_x)
-            except Underflow as uf:
-                xs = sink_x[-1] if sink_x else x
-                ern, phi = _diagnose(nf, funnel, a, tau, y_ref, uf.t, xs)
-                raise StepUnderflow(uf.t, ern, phi) from None
-            for key in ("accepted", "rejected", "rhs_evals"):
-                stats[key] += seg_stats[key]
-            if sink_t:
-                times.append(np.array(sink_t))
-                states.append(np.array(sink_x))
-                x = states[-1][-1].copy()
+        rhs = _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq)
+        sink_t, sink_x = [], []
+        try:
+            seg_stats = dp45_segment(
+                rhs, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
+                h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max,
+                grid=grid, sink_t=sink_t, sink_x=sink_x)
+        except Underflow as uf:
+            xs = sink_x[-1] if sink_x else x
+            ern, phi = _diagnose(nf, funnel, a, tau, y_ref, uf.t, xs)
+            raise StepUnderflow(uf.t, ern, phi) from None
+        for key in ("accepted", "rejected", "rhs_evals"):
+            stats[key] += seg_stats[key]
+        if sink_t:
+            times.append(np.array(sink_t))
+            states.append(np.array(sink_x))
+            x = states[-1][-1].copy()
     return np.concatenate(times), np.vstack(states), stats
 
 
@@ -298,22 +205,14 @@ def _build_trace(nf, funnel, sched, y_ref, t, x, stats) -> Trace:
     e = ed[0]
     e_norm = np.linalg.norm(e, axis=1)
 
-    stage_norms = np.zeros((n_samples, r))
-    u = np.zeros((n_samples, m))
-    stage = phi[:, None] * ed[0]
-    n_sq = np.zeros(n_samples)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(r):
-            n_sq = np.einsum("ij,ij->i", stage, stage)
-            stage_norms[:, i] = np.where(avail, np.sqrt(n_sq), 0.0)
-            if i + 1 < r:
-                stage = phi[:, None] * ed[i + 1] + stage / (1.0 - n_sq)[:, None]
-        gain = np.where(avail & (n_sq < 1.0), 1.0 / (1.0 - n_sq), 0.0)
-    u = (-float(nf.sign) * gain)[:, None] * stage
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        stages, n_sq = cascade(phi, ed)
+        gain = np.where(avail & (n_sq[-1] < 1.0), 1.0 / (1.0 - n_sq[-1]), 0.0)
+    stage_norms = np.where(avail[:, None], np.sqrt(n_sq.T), 0.0)
+    u = (-float(nf.sign) * gain)[:, None] * stages[-1]
     u[~avail] = 0.0
-    stage_norms[~avail] = 0.0
     u_norm = np.linalg.norm(u, axis=1)
-    eta_norm = np.linalg.norm(eta, axis=1) if kdim else np.zeros(n_samples)
+    eta_norm = np.linalg.norm(eta, axis=1)
 
     return Trace(t=t, x=x, a=a, tau=tau, phi=phi, psi=psi, y=y, e=e,
                  e_norm=e_norm, stage_norms=stage_norms, u=u, u_norm=u_norm,
@@ -368,32 +267,32 @@ def coasting_run(nf, x0, eta0, t0: float, t1: float,
     """
     if not t1 > t0:
         raise ValueError("coasting interval must have t1 > t0")
-    opts = opts or SimOptions(engine="python")
+    opts = opts or SimOptions()
     r, m, kdim = nf.r, nf.m, nf.internal_dim
     chain0 = np.asarray(x0, dtype=float).reshape(r * m)
     eta0 = np.asarray(eta0, dtype=float).reshape(kdim)
     state0 = np.concatenate([chain0, eta0])
-    # a single unavailable segment forces u = 0; funnel values never used
+    # a single unavailable segment forces u = 0 and needs no funnel or
+    # reference
     segs = [(t0, t1, 0, 0.0)]
-    funnel = FunnelSpec(a=1.0, b=1.0, c=1.0, d=1.0)
-    y_ref = _zero_reference(m)
-    t, x, stats = _run_segments(nf, funnel, segs, y_ref, state0, opts)
+    t, x, stats = _run_segments(nf, None, segs, None, state0, opts)
     n_samples = t.size
-    rm = r * m
-    chain = x[:, :rm].reshape(n_samples, r, m)
-    eta = x[:, rm:]
-    y = chain[:, 0, :]
-    zeros_m = np.zeros((n_samples, m))
+    y = x[:, :m]
+    eta = x[:, r * m:]
     return Trace(
         t=t, x=x, a=np.zeros(n_samples, dtype=np.int64),
         tau=t.copy(), phi=np.zeros(n_samples),
         psi=np.full(n_samples, -1.0), y=y, e=y.copy(),
         e_norm=np.linalg.norm(y, axis=1),
-        stage_norms=np.zeros((n_samples, r)), u=zeros_m,
+        stage_norms=np.zeros((n_samples, r)), u=np.zeros((n_samples, m)),
         u_norm=np.zeros(n_samples), eta=eta,
-        eta_norm=(np.linalg.norm(eta, axis=1) if kdim
-                  else np.zeros(n_samples)),
+        eta_norm=np.linalg.norm(eta, axis=1),
         r=r, m=m, internal_dim=kdim, stats=stats)
+
+
+def csv_number(v) -> str:
+    """A number as the trace CSV writes it: 12 significant digits."""
+    return f"{v:.11e}"
 
 
 def _csv_header(m: int, r: int, kdim: int) -> list:
@@ -412,10 +311,7 @@ def write_csv(trace: Trace, path) -> None:
     """Trace to CSV: 12 significant digits, empty funnel radius on dropouts."""
     m, r, kdim = trace.m, trace.r, trace.internal_dim
     header = _csv_header(m, r, kdim)
-
-    def fmt(v):
-        return f"{v:.11e}"
-
+    fmt = csv_number
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(trace.samples):

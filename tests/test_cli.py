@@ -1,6 +1,5 @@
 """Command-line behavior: configs, schedules, commands, exit codes."""
 
-import importlib.util
 import json
 import math
 
@@ -8,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from funnelsim import cli
+from funnelsim import cli, errors
 from funnelsim.errors import ConfigError
 from funnelsim.simulator import read_csv
 
@@ -198,17 +197,17 @@ class TestSimulateAndVerify:
                        "--out", str(tmp_path)])
         assert rc == 2
 
-    @pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                        reason="numba is installed")
-    def test_numba_engine_without_numba_exits_2(self, tmp_path, capsys):
-        cfg = manual_cfg(t_end=1.0)
-        cfg["sim"]["engine"] = "numba"
-        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
-                       "--out", str(tmp_path)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "ConfigError" in err and "numba" in err
-        assert not (tmp_path / "trace.csv").exists()
+    def test_horizon_past_csv_precision(self, tmp_path):
+        # 0.30000000000000004 needs 17 digits; the CSV keeps 12
+        cfg = manual_cfg(trace_path=str(tmp_path / "trace.csv"),
+                         t_end=0.1 + 0.2)
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path)]) == 0
+        assert cli.main(["verify", "--config", path,
+                         "--out", str(tmp_path)]) == 0
+        assert "global_solution PASS" in (tmp_path
+                                          / "verify_report.txt").read_text()
 
 
 class TestPlotData:
@@ -267,3 +266,24 @@ class TestReproduce:
         assert (tmp_path / "scenario_b" / "trace.csv").exists()
         assert (tmp_path / "scenario_b" / "verify_report.txt").exists()
         assert (tmp_path / "discrepancy_report.txt").exists()
+
+
+# Exit code of every package error, as the CLI returns it.
+EXIT_CODES = {
+    "ConfigError": 2,
+    "NoRelativeDegree": 3, "AmbiguousZero": 3, "TransformSingular": 3,
+    "NotHurwitz": 3, "IndefiniteGamma": 3, "InvalidQ": 3,
+    "DeltaTooLarge": 3, "InfeasibleEtaStar": 3, "EmptyWindow": 3,
+    "CiOverflow": 3, "InfeasibleRefinement": 3, "TemplateRejected": 3,
+    "DegenerateCertificate": 3, "SingularMassMatrix": 3,
+    "InitialConditionViolated": 4, "FunnelViolation": 4,
+    "StepUnderflow": 4, "IntegrationStalled": 4,
+}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values()
+    if isinstance(c, type) and issubclass(c, errors.FunnelSimError)
+    and c is not errors.FunnelSimError], ids=lambda c: c.__name__)
+def test_error_exit_codes(cls):
+    assert cls.exit_code == EXIT_CODES[cls.__name__]

@@ -1,6 +1,5 @@
 """Controller-side semantics: schedules, reset clock, cascade, input law."""
 
-import math
 import warnings
 
 import numpy as np
@@ -8,21 +7,11 @@ import pytest
 
 from funnelsim.controller import (
     AvailabilitySchedule,
-    ControllerState,
-    availability,
-    check_initial_conditions,
+    cascade,
     control_input,
     error_cascade,
-    funnel_value,
 )
-from funnelsim.design import FunnelSpec, synthesize
-from funnelsim.errors import (
-    ConfigError,
-    FunnelViolation,
-    NonMonotoneTime,
-)
-from funnelsim.reference import ReferenceSignal
-from funnelsim.sysmodel import mass_on_car_normal_form
+from funnelsim.errors import ConfigError, FunnelViolation
 
 
 def sched_34(horizon=10.0):
@@ -100,66 +89,6 @@ class TestSchedule:
             assert ok.check_against_design(0.5, 2.0) == []
         assert not caught
 
-    def test_module_level_wrapper(self):
-        assert availability(sched_34(), 3.5) == 0
-
-
-class TestFunnelValue:
-
-    def test_no_dropouts_unshifted(self):
-        f = FunnelSpec(a=2.0, b=1.0, c=0.5, d=1.0)
-        s = AvailabilitySchedule.from_pairs([], 10.0)
-        st = ControllerState(f, s)
-        for t in (0.0, 0.5, 2.0, 7.0):
-            assert funnel_value(st, s, f, t) == pytest.approx(
-                float(f.value(t)), rel=1e-15)
-
-    def test_restart_shift(self):
-        f = FunnelSpec(a=2.0, b=1.0, c=0.5, d=1.0)
-        s = sched_34()
-        st = ControllerState(f, s)
-        assert funnel_value(st, s, f, 2.0) == pytest.approx(float(f.value(2.0)))
-        assert funnel_value(st, s, f, 3.5) == 0.0
-        assert funnel_value(st, s, f, 4.0) == 0.0
-        assert funnel_value(st, s, f, 5.0) == pytest.approx(
-            float(f.value(1.0)), rel=1e-15)
-        assert funnel_value(st, s, f, 6.0) == pytest.approx(
-            float(f.value(2.0)), rel=1e-15)
-
-    def test_two_dropout_piecewise_curve(self):
-        f = FunnelSpec(a=4.0, b=0.7, c=0.2, d=0.7)
-        s = AvailabilitySchedule.from_pairs([(1.0, 1.5), (4.0, 4.25)], 10.0)
-        st = ControllerState(f, s)
-        grid = [0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 3.0, 4.0, 4.2, 4.25, 5.0, 8.0]
-        got = [funnel_value(st, s, f, t) for t in grid]
-        want = []
-        for t in grid:
-            if s.availability(t) == 0:
-                want.append(0.0)
-            else:
-                want.append(float(f.value(t - s.reset_time(t))))
-        assert got == pytest.approx(want, rel=1e-15)
-
-    def test_monotone_time_enforced(self):
-        f = FunnelSpec(a=2.0, b=1.0, c=0.5, d=1.0)
-        s = sched_34()
-        st = ControllerState(f, s)
-        funnel_value(st, s, f, 5.0)
-        with pytest.raises(NonMonotoneTime):
-            funnel_value(st, s, f, 4.9)
-        # equal times are fine
-        funnel_value(st, s, f, 5.0)
-
-    def test_state_matches_pure_recomputation(self):
-        f = FunnelSpec(a=2.0, b=1.0, c=0.5, d=1.0)
-        s = AvailabilitySchedule.from_pairs(
-            [(0.5, 0.75), (2.0, 2.2), (6.0, 7.0)], 10.0)
-        st = ControllerState(f, s)
-        rng = np.random.default_rng(3)
-        ts = np.sort(rng.uniform(0.0, 10.0, 200))
-        for t in ts:
-            assert st.advance(t) == s.reset_time(t)
-
 
 class TestErrorCascade:
 
@@ -195,6 +124,24 @@ class TestErrorCascade:
         assert np.allclose(out[1], e[1] + e[0] / (1.0 - n1), rtol=1e-14)
 
 
+class TestCascade:
+
+    def test_stack_matches_single_samples(self):
+        rng = np.random.default_rng(7)
+        r, n, m = 3, 40, 2
+        e_derivs = rng.normal(size=(r, n, m)) * 0.3
+        phi = rng.uniform(0.2, 1.5, size=n)
+        phi[::5] = 0.0
+        stages, n_sq = cascade(phi, e_derivs)
+        assert stages.shape == (r, n, m) and n_sq.shape == (r, n)
+        for j in range(n):
+            one, one_sq = cascade(float(phi[j]), e_derivs[:, j])
+            assert np.allclose(stages[:, j], one, rtol=1e-14, atol=0.0)
+            assert np.allclose(n_sq[:, j], one_sq, rtol=1e-14, atol=0.0)
+        assert np.all(stages[:, ::5] == 0.0)
+        assert np.allclose(n_sq, np.sum(stages ** 2, axis=-1), rtol=1e-14)
+
+
 class TestControlInput:
 
     def test_dropout_zeroes_input(self):
@@ -216,31 +163,3 @@ class TestControlInput:
     def test_boundary_rejected(self):
         with pytest.raises(FunnelViolation):
             control_input(1, [1.0], 1)
-
-
-@pytest.fixture(scope="module")
-def dp():
-    return synthesize(mass_on_car_normal_form(),
-                      ReferenceSignal.sinusoid(1.0, 1.0), 0.95)
-
-
-class TestCheckInitialConditions:
-
-    def test_benchmark_start_passes(self, dp):
-        rows = check_initial_conditions(dp, [[-1.0], [0.0]], 0.0)
-        assert [ok for *_, ok in rows] == [True, True, True]
-        # both cascade stages start near phi0(0) in magnitude
-        assert rows[0][1] == pytest.approx(dp.funnel.phi00, rel=1e-12)
-        assert rows[1][1] == pytest.approx(dp.funnel.phi00, rel=1e-3)
-
-    def test_boundary_start_fails_first_stage(self, dp):
-        e0 = 1.0 / dp.funnel.phi00
-        rows = check_initial_conditions(dp, [[e0], [0.0]], 0.0)
-        assert rows[0][3] is False
-        assert math.isnan(rows[1][1]) and rows[1][3] is False
-        assert rows[2][3] is True
-
-    def test_internal_ceiling(self, dp):
-        rows = check_initial_conditions(dp, [[0.0], [0.0]],
-                                        2.0 * dp.internal_cap)
-        assert rows[-1][3] is False

@@ -1,18 +1,11 @@
-"""Integration-layer tests: both engines, event exactness, trace output.
-
-Both engines are exercised on every machine.  Where numba is not installed,
-the engine tests run the compiled kernel's own source uncompiled (see
-TestEngines), so its algorithm is still checked against the Python stepper.
-"""
+"""Integration-layer tests: closed-loop rhs, event exactness, trace output."""
 
 import csv
-import importlib.util
-import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from funnelsim import _kernel
 from funnelsim.controller import AvailabilitySchedule
 from funnelsim.design import FunnelSpec, synthesize
 from funnelsim.errors import (
@@ -32,7 +25,9 @@ from funnelsim.simulator import (
 from funnelsim.sysmodel import (
     NormalForm,
     class_constants,
+    mass_on_car,
     mass_on_car_normal_form,
+    to_normal_form,
 )
 
 
@@ -46,11 +41,6 @@ def chain_nf(r=1, m=1, R_blocks=None, chain0=None):
         chain0=(np.zeros((r, m)) if chain0 is None
                 else np.asarray(chain0, dtype=float).reshape(r, m)),
         eta0=np.zeros(0), transform=np.eye(r * m))
-
-
-def py_opts(**kw):
-    kw.setdefault("engine", "python")
-    return SimOptions(**kw)
 
 
 def scenario_b_setup(horizon=10.0, dropouts=((3.0, 5.0), (8.0, 10.0))):
@@ -69,7 +59,7 @@ class TestEquilibrium:
         dp = synthesize(nf, ReferenceSignal.constant([0.0]), 0.9)
         sched = AvailabilitySchedule.from_pairs([], 2.0)
         tr = integrate(nf, class_constants(nf), dp, sched,
-                       ReferenceSignal.constant([0.0]), opts=py_opts())
+                       ReferenceSignal.constant([0.0]))
         assert np.all(np.abs(tr.y) < 1e-14)
         assert np.all(tr.u == 0.0)
         assert np.all(tr.a == 1)
@@ -87,17 +77,31 @@ class TestCoasting:
         # y' = 0.7 y with no input: exact solution known
         nf = chain_nf(R_blocks=[[[0.7]]], chain0=[[1.3]])
         tr = coasting_run(nf, [1.3], [], 0.0, 2.0,
-                          opts=py_opts(rtol=1e-10, atol=1e-12))
+                          opts=SimOptions(rtol=1e-10, atol=1e-12))
         exact = 1.3 * np.exp(0.7 * tr.t)
         assert np.allclose(tr.y[:, 0], exact, rtol=1e-8)
 
     def test_interval_offset(self):
         nf = chain_nf(R_blocks=[[[-0.4]]])
         tr = coasting_run(nf, [2.0], [], 1.5, 3.0,
-                          opts=py_opts(rtol=1e-10, atol=1e-12))
+                          opts=SimOptions(rtol=1e-10, atol=1e-12))
         assert tr.t[0] == 1.5 and tr.t[-1] == 3.0
         exact = 2.0 * np.exp(-0.4 * (tr.t - 1.5))
         assert np.allclose(tr.y[:, 0], exact, rtol=1e-8)
+
+    def test_internal_dynamics_match_matrix_exponential(self):
+        # the plant in its original coordinates, started off the origin;
+        # its two internal states exercise the S, Q and P blocks of the rhs
+        ss = mass_on_car()
+        nf = to_normal_form(ss)
+        x0 = np.array([0.3, -0.2, 0.5, 0.1])
+        z0 = nf.transform @ x0
+        rm = nf.r * nf.m
+        tr = coasting_run(nf, z0[:rm], z0[rm:], 0.0, 5.0,
+                          opts=SimOptions(rtol=1e-10, atol=1e-12))
+        exact = np.array([ss.C @ expm(ss.A * t) @ x0 for t in tr.t])
+        err = np.max(np.abs(tr.y - exact))
+        assert err <= 1e-8 * np.max(np.abs(exact))
 
     def test_bad_interval(self):
         nf = chain_nf()
@@ -109,7 +113,7 @@ class TestEventExactness:
 
     def test_breakpoints_sampled_bit_exact(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
-        tr = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
+        tr = integrate(nf, cc, design, sched, y_ref)
         for tk in (3.0, 5.0, 8.0):
             idx = np.searchsorted(tr.t, tk)
             assert tr.t[idx] == tk
@@ -118,7 +122,7 @@ class TestEventExactness:
 
     def test_availability_matches_schedule(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
-        tr = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
+        tr = integrate(nf, cc, design, sched, y_ref)
         want = np.fromiter((sched.availability(tv) for tv in tr.t),
                            dtype=np.int64)
         assert np.array_equal(tr.a, want)
@@ -130,7 +134,7 @@ class TestEventExactness:
         nf, cc, design, sched, y_ref = scenario_b_setup(horizon=2.0,
                                                         dropouts=())
         tr = integrate(nf, cc, design, sched, y_ref,
-                       opts=py_opts(grid_dt=0.25))
+                       opts=SimOptions(grid_dt=0.25))
         for g in np.arange(1, 8) * 0.25:
             assert np.any(tr.t == g)
 
@@ -139,7 +143,7 @@ class TestContainment:
 
     def test_scenario_b_short(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
-        tr = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
+        tr = integrate(nf, cc, design, sched, y_ref)
         avail = tr.a == 1
         margin = 1.0 - tr.phi[avail] * tr.e_norm[avail]
         assert margin.min() > 0.0
@@ -150,75 +154,9 @@ class TestContainment:
 
     def test_stage_norms_inside_domain(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
-        tr = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
+        tr = integrate(nf, cc, design, sched, y_ref)
         assert tr.stage_norms[tr.a == 1].max() < 1.0
         assert np.all(tr.stage_norms[tr.a == 0] == 0.0)
-
-
-class TestEngines:
-    """The segment kernel against the reference stepper, via engine="numba".
-
-    With numba installed the kernel is compiled and run as shipped.  Without
-    it, the autouse fixture below hands _resolve_engine the kernel built
-    undecorated, so the same DP45 tableau, step control, cascade rhs, grid
-    interpolation and resume plumbing run as plain Python through
-    _run_segments.  That run cannot show that numba compiles the kernel in
-    nopython mode; only a machine with numba checks that.
-    """
-
-    @pytest.fixture(autouse=True)
-    def kernel_source_without_numba(self, monkeypatch):
-        if _kernel.get_kernel() is not None:
-            yield
-            return
-        uncompiled = _kernel.build_kernel(lambda f: f)
-        monkeypatch.setattr(_kernel, "get_kernel", lambda: uncompiled)
-        yield
-        assert _kernel._kernel_cache is None
-
-    def test_numba_matches_python(self):
-        nf, cc, design, sched, y_ref = scenario_b_setup(
-            horizon=4.0, dropouts=((1.0, 1.5),))
-        tr_py = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
-        tr_nb = integrate(nf, cc, design, sched, y_ref,
-                          opts=SimOptions(engine="numba"))
-        assert tr_nb.stats["engine"] == "numba"
-        # compare on the shared uniform grid
-        g = np.arange(1, 4000) * 1e-3
-        yi_py = np.interp(g, tr_py.t, tr_py.y[:, 0])
-        yi_nb = np.interp(g, tr_nb.t, tr_nb.y[:, 0])
-        assert np.allclose(yi_py, yi_nb, rtol=1e-6, atol=1e-9)
-        ei_py = np.interp(g, tr_py.t, tr_py.eta[:, 0])
-        ei_nb = np.interp(g, tr_nb.t, tr_nb.eta[:, 0])
-        assert np.allclose(ei_py, ei_nb, rtol=1e-6, atol=1e-9)
-
-    def test_numba_deterministic(self):
-        nf, cc, design, sched, y_ref = scenario_b_setup(
-            horizon=3.0, dropouts=((1.0, 1.5),))
-        a = integrate(nf, cc, design, sched, y_ref,
-                      opts=SimOptions(engine="numba"))
-        b = integrate(nf, cc, design, sched, y_ref,
-                      opts=SimOptions(engine="numba"))
-        assert np.array_equal(a.t, b.t)
-        assert np.array_equal(a.x, b.x)
-
-    def test_python_deterministic(self):
-        nf, cc, design, sched, y_ref = scenario_b_setup(
-            horizon=3.0, dropouts=((1.0, 1.5),))
-        a = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
-        b = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
-        assert np.array_equal(a.t, b.t)
-        assert np.array_equal(a.x, b.x)
-
-
-@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                    reason="numba is installed")
-def test_auto_engine_without_numba_uses_python():
-    nf, cc, design, sched, y_ref = scenario_b_setup(horizon=1.0, dropouts=())
-    with pytest.warns(UserWarning, match="python stepper"):
-        tr = integrate(nf, cc, design, sched, y_ref,
-                       opts=SimOptions(engine="auto"))
-    assert tr.stats["engine"] == "python"
 
 
 class TestAccuracy:
@@ -227,9 +165,9 @@ class TestAccuracy:
         nf, cc, design, sched, y_ref = scenario_b_setup(horizon=3.0,
                                                         dropouts=())
         loose = integrate(nf, cc, design, sched, y_ref,
-                          opts=py_opts(rtol=1e-6, atol=1e-8))
+                          opts=SimOptions(rtol=1e-6, atol=1e-8))
         tight = integrate(nf, cc, design, sched, y_ref,
-                          opts=py_opts(rtol=1e-10, atol=1e-12))
+                          opts=SimOptions(rtol=1e-10, atol=1e-12))
         d = abs(loose.y[-1, 0] - tight.y[-1, 0])
         assert d < 1e-6
 
@@ -237,12 +175,20 @@ class TestAccuracy:
         # recorded derivative chain agrees with finite differences of y
         nf, cc, design, sched, y_ref = scenario_b_setup(horizon=3.0,
                                                         dropouts=())
-        tr = integrate(nf, cc, design, sched, y_ref, opts=py_opts())
+        tr = integrate(nf, cc, design, sched, y_ref)
         grid = np.arange(1, 2990) * 1e-3
         y = np.interp(grid, tr.t, tr.chain[:, 0, 0])
         dy = np.interp(grid, tr.t, tr.chain[:, 1, 0])
         fd = (y[2:] - y[:-2]) / (2e-3)
         assert np.max(np.abs(fd - dy[1:-1])) < 5e-4
+
+    def test_deterministic(self):
+        nf, cc, design, sched, y_ref = scenario_b_setup(
+            horizon=3.0, dropouts=((1.0, 1.5),))
+        a = integrate(nf, cc, design, sched, y_ref)
+        b = integrate(nf, cc, design, sched, y_ref)
+        assert np.array_equal(a.t, b.t)
+        assert np.array_equal(a.x, b.x)
 
 
 class TestFailureModes:
@@ -251,8 +197,7 @@ class TestFailureModes:
         nf, cc, design, sched, y_ref = scenario_b_setup()
         with pytest.raises(InitialConditionViolated):
             integrate(nf, cc, design, sched, y_ref,
-                      ic=(np.array([[40.0], [0.0]]), np.zeros(2)),
-                      opts=py_opts())
+                      ic=(np.array([[40.0], [0.0]]), np.zeros(2)))
 
     def test_reacquisition_outside_funnel(self):
         # a long dropout lets the error drift far outside the restarted
@@ -262,15 +207,14 @@ class TestFailureModes:
         sched = AvailabilitySchedule.from_pairs([(0.5, 8.0)], 9.0)
         y_ref = ReferenceSignal.constant([0.0])
         with pytest.raises((FunnelViolation, StepUnderflow)):
-            integrate(nf, class_constants(nf), design, sched, y_ref,
-                      opts=py_opts())
+            integrate(nf, class_constants(nf), design, sched, y_ref)
 
     def test_underflow_reports_diagnostics(self):
         nf, cc, design, sched, y_ref = scenario_b_setup(horizon=2.0,
                                                         dropouts=())
         with pytest.raises(StepUnderflow) as ei:
             integrate(nf, cc, design, sched, y_ref,
-                      opts=py_opts(rtol=1e-13, atol=1e-15, h_min=0.4,
+                      opts=SimOptions(rtol=1e-13, atol=1e-15, h_min=0.4,
                                    h0=0.5))
         assert 0.0 <= ei.value.t <= 2.0
         assert ei.value.phi >= 0.0
@@ -282,7 +226,7 @@ class TestCsv:
         nf, cc, design, sched, y_ref = scenario_b_setup(
             horizon=4.0, dropouts=((1.0, 2.0),))
         tr = integrate(nf, cc, design, sched, y_ref,
-                       opts=py_opts(grid_dt=0.1))
+                       opts=SimOptions(grid_dt=0.1))
         path = tmp_path / "trace.csv"
         write_csv(tr, path)
         with open(path) as fh:

@@ -10,7 +10,7 @@ from funnelsim.controller import AvailabilitySchedule, error_cascade
 from funnelsim.design import FunnelSpec, alpha, synthesize
 from funnelsim.errors import FunnelViolation
 from funnelsim.reference import ReferenceSignal
-from funnelsim.simulator import ManualDesign, SimOptions, Trace, integrate
+from funnelsim.simulator import ManualDesign, Trace, integrate
 from funnelsim.sysmodel import (ClassConstants, class_constants,
                                 mass_on_car_normal_form)
 from funnelsim import verify
@@ -337,9 +337,7 @@ def run():
     design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2, d=1.0))
     sched = AvailabilitySchedule.from_pairs([(3.0, 4.0)], horizon=8.0)
     y_ref = ReferenceSignal.sinusoid(amplitude=0.5, omega=1.0, m=1)
-    opts = SimOptions(engine="python")
-    trace = integrate(nf, class_constants(nf), design, sched, y_ref,
-                      opts=opts)
+    trace = integrate(nf, class_constants(nf), design, sched, y_ref)
     return trace, class_constants(nf)
 
 
