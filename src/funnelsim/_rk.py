@@ -1,10 +1,15 @@
-"""Embedded Dormand-Prince 5(4) stepper, the simulator's integrator.
+"""Three-stage Radau IIA stepper of order 5, the simulator's integrator.
 
-The stepper is segment-oriented: the caller guarantees the right-hand side
-is smooth on [t0, t1] (availability is constant there), and every accepted
-step lands exactly on t1 at the end.  Domain violations raised by the
-right-hand side are treated as step rejections, the same as a large error
-estimate.
+Once the funnel has tightened the closed loop is stiff, so the stepper is
+implicit (Hairer & Wanner, Solving ODEs II, IV.8): simplified Newton with
+the caller's analytic Jacobian, started from the previous step's
+collocation polynomial, and the error estimate of RADAU5.  As in RADAU5,
+the Jacobian and the inverted Newton matrix are kept across steps while
+Newton converges fast and h stays put.  It works on one
+segment [t0, t1] on which the caller guarantees a smooth right-hand side,
+and lands exactly on t1.  A domain violation raised by the right-hand side
+at a Newton iterate or at the step's endpoint rejects the step, as do a
+large error estimate and a Newton iteration that does not converge.
 """
 
 import math
@@ -13,117 +18,140 @@ import numpy as np
 
 from .errors import FunnelViolation
 
-# Dormand-Prince 5(4) tableau.  B_HIGH is the 5th-order weight row (FSAL:
-# the 7th stage equals the next step's first), E_DIFF the embedded error
-# weights.
-C_NODES = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-A_COEF = np.zeros((7, 7))
-A_COEF[1, 0] = 1 / 5
-A_COEF[2, :2] = (3 / 40, 9 / 40)
-A_COEF[3, :3] = (44 / 45, -56 / 15, 32 / 9)
-A_COEF[4, :4] = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-A_COEF[5, :5] = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                 -5103 / 18656)
-A_COEF[6, :6] = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-B_HIGH = A_COEF[6, :].copy()
-E_DIFF = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-                   -17253 / 339200, 22 / 525, -1 / 40])
+S6 = math.sqrt(6.0)
+C_NODES = np.array([(4 - S6) / 10, (4 + S6) / 10, 1.0])
+A_COEF = np.array([
+    [(88 - 7 * S6) / 360, (296 - 169 * S6) / 1800, (-2 + 3 * S6) / 225],
+    [(296 + 169 * S6) / 1800, (88 + 7 * S6) / 360, (-2 - 3 * S6) / 225],
+    [(16 - S6) / 36, (16 + S6) / 36, 1 / 9]])
+# MU is the real eigenvalue of A_COEF^-1; the error estimate is
+# (MU/h I - J)^-1 (f(t, x) + E_WEIGHTS @ Z / h), Z the stage increments
+MU = 3.0 + 3.0 ** (2 / 3) - 3.0 ** (1 / 3)
+E_WEIGHTS = np.array([-13 - 7 * S6, -13 + 7 * S6, -1.0]) / 3
+# collocation polynomial on a step: x(t + theta h) = x + P(theta) @ DENSE @ Z
+# with P(theta) = [theta, theta^2, theta^3]
+POWERS = np.arange(1, 4)
+DENSE = np.linalg.inv(C_NODES[:, None] ** POWERS)
 
-ORDER_EXP = -0.2          # 1/5 step-size exponent
+ORDER_EXP = -0.25         # step-size exponent of the 3rd-order estimate
 SAFETY = 0.9
 FAC_MIN = 0.2
-FAC_MAX = 5.0
-
-
-def hermite(theta, h, x0, x1, k0, k1):
-    """Cubic Hermite interpolant on one accepted step."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    return ((2 * t3 - 3 * t2 + 1) * x0
-            + (t3 - 2 * t2 + theta) * h * k0
-            + (-2 * t3 + 3 * t2) * x1
-            + (t3 - t2) * h * k1)
+FAC_MAX = 10.0
+NEWTON_MAX = 6
+JAC_RATE = 1e-3           # slower Newton contraction renews the Jacobian
+KEEP_H = 1.2              # smaller suggested growth keeps h (and matrices)
+CAUSES = ("rejected_error", "rejected_newton", "rejected_funnel")
 
 
 class Underflow(Exception):
-    """Internal: step fell below the floor; carries the current time."""
+    """Internal: step fell below the floor; carries the current point."""
 
-    def __init__(self, t):
-        self.t = t
+    def __init__(self, t, x):
+        self.t, self.x = t, x
 
 
-def dp45_segment(rhs, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
-                 grid, sink_t, sink_x):
-    """Integrate x' = rhs(t, x) over [t0, t1], recording into the sinks.
+def _rms(v):
+    return math.sqrt(float(np.vdot(v, v)) / v.size)
 
-    grid holds output times strictly inside (t0, t1); every crossed grid
-    time is recorded by interpolation, and every accepted step endpoint is
-    recorded directly (t1 exactly at the end).  rhs may raise
-    FunnelViolation, which rejects the step.  Raises Underflow when no
-    acceptable step of at least h_min exists.  Returns statistics.
+
+def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
+                  grid):
+    """Integrate x' = rhs(t, x) over [t0, t1]; jac(t, x) -> (df/dx, df/dt).
+
+    rhs maps times (k,) and states (k, n) to (k, n) derivatives, all three
+    stages of a Newton iteration in one call.  grid holds output times
+    strictly inside (t0, t1), each taken from the collocation polynomial of
+    the step that crosses it; every accepted step endpoint is a sample too
+    (t1 exactly at the end).  rhs may raise FunnelViolation, which rejects
+    the step.  Raises Underflow when no acceptable step of at least h_min
+    exists.  Returns (times, states, statistics).
     """
-    n_accept = 0
-    n_reject = 0
-    n_eval = 0
-
-    t = t0
-    x = np.array(x0, dtype=float)
-    k1 = rhs(t, x)          # a violation here means the start is infeasible
-    n_eval += 1
+    stats = dict.fromkeys(("accepted", "rejected", "rhs_evals") + CAUSES, 0)
+    t, x = t0, np.array(x0, dtype=float)
+    n = x.size
+    f0 = rhs(np.array([t]), x[None])[0]   # a violation: infeasible start
+    stats["rhs_evals"] = 1
+    J, f_t = jac(t, x)
+    mats = None             # (h, Newton matrix inverse, error matrix inverse)
     h = min(h0, h_max, t1 - t0)
+    newton_tol = max(10 * np.finfo(float).eps / rtol,
+                     min(0.03, math.sqrt(rtol)))
+    prev = None             # (t, h, x, polynomial coefficients) of last step
+    out_t, out_x = [], []
     gidx = 0
-    n_grid = len(grid)
-    k = np.empty((7, x.size))
     just_rejected = False
-
     while t < t1:
-        last = False
-        if t + h >= t1:
-            h = t1 - t
-            last = True
-        try:
-            k[0] = k1
-            for s in range(1, 7):
-                xs = x + h * (A_COEF[s, :s] @ k[:s])
-                k[s] = rhs(t + C_NODES[s] * h, xs)
-                n_eval += 1
-            x_new = x + h * (B_HIGH @ k)
-            # FSAL: stage 7 was evaluated at (t+h, x_new) already
-        except FunnelViolation:
-            n_reject += 1
-            h *= 0.5
-            just_rejected = True
-            if h < h_min:
-                raise Underflow(t)
-            continue
-        err_vec = h * (E_DIFF @ k)
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            t_new = t1 if last else t + h
-            while gidx < n_grid and grid[gidx] <= t_new:
-                g = grid[gidx]
-                if t < g < t_new:
-                    theta = (g - t) / h
-                    sink_t.append(g)
-                    sink_x.append(hermite(theta, h, x, x_new, k[0], k[6]))
-                gidx += 1
-            sink_t.append(t_new)
-            sink_x.append(x_new.copy())
-            t = t_new
-            x = x_new
-            k1 = k[6].copy()
-            n_accept += 1
-            fac = FAC_MAX if err < 1e-30 else SAFETY * err ** ORDER_EXP
-            fac = min(FAC_MAX, max(FAC_MIN, fac))
-            if just_rejected:
-                fac = min(fac, 1.0)
-            just_rejected = False
-            h = min(h * fac, h_max)
+        last = t + h >= t1
+        h = t1 - t if last else h
+        ch = C_NODES * h
+        if prev is None:    # Taylor start on the segment's first step
+            Z = np.outer(ch, f0) + np.outer(0.5 * ch * ch, J @ f0 + f_t)
         else:
-            n_reject += 1
-            h *= max(FAC_MIN, SAFETY * err ** ORDER_EXP)
+            tp, hp, xp, Qp = prev
+            Z = xp - x + (((t + ch - tp) / hp)[:, None] ** POWERS) @ Qp
+        if mats is None or mats[0] != h:
+            hj = h * (A_COEF[:, None, :, None] * J[None, :, None, :])
+            mats = (h, np.linalg.inv(np.eye(3 * n) - hj.reshape(3 * n, -1)),
+                    np.linalg.inv(MU / h * np.eye(n) - J))
+        _, newton, err_inv = mats
+        scale = atol + rtol * np.abs(x)
+        cause, dz_old, rate = "rejected_newton", None, None
+        try:
+            for n_iter in range(1, NEWTON_MAX + 1):
+                F = rhs(t + ch, x + Z)
+                stats["rhs_evals"] += 3
+                dZ = (newton @ (h * (A_COEF @ F) - Z).ravel()).reshape(3, n)
+                dz = _rms(dZ / scale)
+                rate = None if dz_old is None else dz / dz_old
+                if rate is not None and (
+                        rate >= 1.0 or rate ** (NEWTON_MAX - n_iter + 1)
+                        / (1.0 - rate) * dz > newton_tol):
+                    break
+                Z += dZ
+                if dz == 0.0 or (rate is not None
+                                 and rate / (1.0 - rate) * dz < newton_tol):
+                    cause = None
+                    break
+                dz_old = dz
+            if cause is None:
+                t_new = t1 if last else t + h
+                x_new = x + Z[2]
+                stats["rhs_evals"] += 1
+                f_new = rhs(np.array([t_new]), x_new[None])[0]
+        except FunnelViolation:
+            cause = "rejected_funnel"
+        fac = 0.5
+        if cause is None:
+            err = _rms(err_inv @ (f0 + E_WEIGHTS @ Z / h)
+                       / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new))))
+            fac = SAFETY * (2 * NEWTON_MAX + 1) / (2 * NEWTON_MAX + n_iter)
+            fac = FAC_MAX if err < 1e-30 else fac * err ** ORDER_EXP
+            if not err <= 1.0:     # a NaN estimate rejects too
+                cause, fac = "rejected_error", max(FAC_MIN, fac)
+        if cause is not None:
+            stats["rejected"] += 1
+            stats[cause] += 1
+            h *= fac
             just_rejected = True
             if h < h_min:
-                raise Underflow(t)
-    return {"accepted": n_accept, "rejected": n_reject, "rhs_evals": n_eval}
+                raise Underflow(t, x)
+            (J, f_t), mats = jac(t, x), None   # J may be from an older step
+            continue
+
+        Q = DENSE @ Z
+        g = grid[gidx:np.searchsorted(grid, t_new, side="left")]
+        out_t += [g, [t_new]]
+        out_x += [x + (((g - t) / h)[:, None] ** POWERS) @ Q, x_new[None]]
+        gidx = np.searchsorted(grid, t_new, side="right")
+        stats["accepted"] += 1
+        prev = (t, h, x, Q)
+        t, x, f0 = t_new, x_new, f_new
+        fac = min(1.0 if just_rejected else FAC_MAX, max(FAC_MIN, fac))
+        just_rejected = False
+        # as RADAU5: a fast Newton iteration keeps the Jacobian, and then a
+        # small suggested growth keeps h and the inverted matrices as well
+        keep_jac = n_iter <= 2 or rate <= JAC_RATE
+        h = min(h * (1.0 if keep_jac and 1.0 <= fac < KEEP_H else fac), h_max)
+        if t < t1 and not keep_jac:
+            (J, f_t), mats = jac(t, x), None
+    return np.concatenate(out_t), np.vstack(out_x), stats

@@ -58,6 +58,7 @@ REPORTED = {
 }
 
 _NUM = {"type": "number"}
+_POS = {"type": "number", "exclusiveMinimum": 0}
 _VEC = {"type": "array", "items": _NUM}
 _MAT = {"type": "array", "items": _VEC}
 _NUM_OR_VEC = {"oneOf": [_NUM, _VEC]}
@@ -141,7 +142,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "t_end": _NUM, "rtol": _NUM, "atol": _NUM, "grid_dt": _NUM,
+                "t_end": _NUM, "rtol": _POS, "atol": _POS, "grid_dt": _POS,
             },
         },
         "output": {

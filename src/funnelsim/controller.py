@@ -8,7 +8,6 @@ derivatives.  Everything here is derivable from the schedule and the time
 alone.
 """
 
-import bisect
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,9 +37,9 @@ class AvailabilitySchedule:
 
     dropouts: tuple
     horizon: float
-    # sorted endpoint arrays, kept separate for bisection
-    _starts: tuple = field(init=False, repr=False, compare=False)
-    _ends: tuple = field(init=False, repr=False, compare=False)
+    # sorted endpoint arrays for np.searchsorted
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = []
@@ -64,35 +63,28 @@ class AvailabilitySchedule:
                     f"dropout {i} starts at {lo}, not after the previous "
                     f"end {prev_end}")
             prev_end = hi
-        object.__setattr__(self, "_starts", tuple(p[0] for p in pairs))
-        object.__setattr__(self, "_ends", tuple(p[1] for p in pairs))
+        object.__setattr__(self, "_starts", np.array([p[0] for p in pairs]))
+        object.__setattr__(self, "_ends", np.array([p[1] for p in pairs]))
 
     @classmethod
     def from_pairs(cls, pairs, horizon):
         return cls(dropouts=tuple(tuple(p) for p in pairs), horizon=horizon)
 
-    def _locate(self, t: float) -> int:
-        """Index of the dropout containing t, or -1."""
-        if t == 0.0:
-            return 0 if self._starts and self._starts[0] == 0.0 else -1
-        j = bisect.bisect_left(self._starts, t) - 1
-        if j >= 0 and t <= self._ends[j]:
-            return j
-        return -1
+    def at_times(self, t):
+        """(availability, tau) at every time of an array: tau(t) is t during
+        a dropout, else the latest dropout end before t, else 0."""
+        j = np.searchsorted(self._starts, t) - 1   # last dropout starting < t
+        last_end = np.concatenate([[0.0], self._ends])[j + 1]
+        inside = (j >= 0) & (t <= last_end)
+        if self._starts.size and self._starts[0] == 0.0:
+            inside |= t == 0.0
+        return np.where(inside, 0, 1), np.where(inside, t, last_end)
 
     def availability(self, t: float) -> int:
-        return 0 if self._locate(t) >= 0 else 1
+        return int(self.at_times(t)[0])
 
     def reset_time(self, t: float) -> float:
-        """tau(t): t itself during a dropout, else the latest dropout end
-        before t, else 0."""
-        j = self._locate(t)
-        if j >= 0:
-            return t
-        j = bisect.bisect_left(self._starts, t) - 1
-        if j >= 0:
-            return self._ends[j]
-        return 0.0
+        return float(self.at_times(t)[1])
 
     def breakpoints(self):
         """All dropout endpoints inside (0, horizon), sorted."""

@@ -3,9 +3,9 @@
 Integration is segment-exact: the time axis is split at every dropout
 endpoint, so no step straddles an availability jump and every jump time is
 a sample.  Within a segment availability and the funnel reset offset are
-constant, which keeps the right-hand side smooth; the adaptive DP45 stepper
-in _rk.py rejects any step that drives a cascade stage against the funnel
-boundary.  Runs are deterministic for fixed inputs.
+constant, which keeps the right-hand side smooth; the implicit Radau IIA
+stepper in _rk.py, fed the analytic Jacobian, rejects any step that drives a
+cascade stage against the funnel boundary.  Runs are deterministic.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk import Underflow, dp45_segment
+from ._rk import Underflow, radau_segment
 from .controller import AvailabilitySchedule, cascade, error_cascade
 from .design import FunnelSpec
 from .errors import (
@@ -39,6 +39,11 @@ class SimOptions:
     h_min: float = 1e-12
     h_max: float = 1.0
     h0: float = 1e-3
+
+    def __post_init__(self):
+        for key in ("rtol", "atol", "grid_dt", "h0", "h_max"):
+            if not getattr(self, key) > 0.0:      # NaN fails too
+                raise ConfigError(f"SimOptions.{key} must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,9 @@ class Trace:
 def _segments(sched: AvailabilitySchedule, t_end: float):
     """(start, end, availability, reset) per smooth piece of [0, t_end]."""
     cuts = [0.0] + [b for b in sched.breakpoints() if b < t_end] + [t_end]
-    segs = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        a = sched.availability(mid)
-        tau = sched.reset_time(mid) if a == 1 else 0.0
-        segs.append((lo, hi, a, tau))
-    return segs
+    a, tau = sched.at_times(0.5 * (np.array(cuts[:-1]) + cuts[1:]))
+    return list(zip(cuts[:-1], cuts[1:], a.tolist(),
+                    np.where(a == 1, tau, 0.0).tolist()))
 
 
 def _grid_times(t_end: float, dt: float) -> np.ndarray:
@@ -111,31 +112,60 @@ def _grid_times(t_end: float, dt: float) -> np.ndarray:
 
 
 def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
-    """x' = A x + B u on one segment, u the funnel feedback while available.
+    """x' = A x + B u on one segment and its Jacobian, u the funnel feedback.
 
     (A, B) come from nf.realization(), whose state order is the integration
-    state's: chain, then internal.  A stage with |e_i|^2 >= lim_sq raises
-    FunnelViolation, which the stepper treats as a rejected step.
+    state's: chain, then internal.  rhs(t, x) takes one time and state or a
+    stack of them.  A stage with |e_i|^2 >= lim_sq raises FunnelViolation,
+    which the stepper treats as a rejected step.  Returns (rhs, jac) with
+    jac(t, x) -> (df/dx, df/dt); during a dropout (A, 0), as u = 0.
     """
     plant = nf.realization()
     A, B = plant.A, plant.B
     if a == 0:
-        return lambda t, x: A @ x
+        return (lambda t, x: x @ A.T), (lambda t, x: (A, np.zeros(len(x))))
     r, m = nf.r, nf.m
     rm = r * m
     sign = float(nf.sign)
+    pick = np.eye(rm).reshape(r, m, rm)     # pick[i] @ x = i-th chain block
+    memo = [b"", None, None]    # last times: (key, gain, reference stack)
 
     def rhs(t, x):
-        phi = float(funnel.value(t - tau))
-        ed = x[:rm].reshape(r, m) - y_ref.derivatives(t, r - 1)
-        stages, n_sq = cascade(phi, ed)
-        for i, s in enumerate(n_sq.tolist()):
-            if s >= lim_sq:
-                raise FunnelViolation(i + 1, math.sqrt(s), t)
-        u = (-sign / (1.0 - s)) * stages[-1]      # s = |e_r|^2
-        return A @ x + B @ u
+        # the stepper repeats its stage times in every Newton iteration
+        key = np.asarray(t, dtype=float).tobytes()
+        if key != memo[0]:
+            memo[:] = key, funnel.value(t - tau), y_ref.derivatives_grid(
+                t, r - 1)
+        xs = np.atleast_2d(x)
+        ed = xs[:, :rm].reshape(-1, r, m).transpose(1, 0, 2) - memo[2]
+        stages, n_sq = cascade(memo[1], ed)
+        bad = n_sq >= lim_sq
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise FunnelViolation(int(i) + 1, math.sqrt(n_sq[i, j]),
+                                  float(np.ravel(t)[j]))
+        u = (-sign / (1.0 - n_sq[-1]))[:, None] * stages[-1]
+        return (xs @ A.T + u @ B.T).reshape(np.shape(x))
 
-    return rhs
+    def jac(t, x):
+        # chain rule through e_(i+1) = phi e^(i) + alpha(|e_i|^2) e_i, with
+        # g the derivative of alpha(|e_i|^2) e_i in e_i
+        phi = float(funnel.value(t - tau))
+        dphi = float(funnel.slope(t - tau))
+        ref = y_ref.derivatives(t, r)
+        ed = x[:rm].reshape(r, m) - ref[:-1]
+        stages, n_sq = cascade(phi, ed)
+        g, de_x, de_t = np.zeros((m, m)), np.zeros((m, rm)), np.zeros(m)
+        for i in range(r):
+            de_x = phi * pick[i] + g @ de_x
+            de_t = dphi * ed[i] - phi * ref[i + 1] + g @ de_t
+            w = 1.0 / (1.0 - n_sq[i])
+            g = w * np.eye(m) + 2.0 * w * w * np.outer(stages[i], stages[i])
+        jx = A.copy()                       # u = -sign alpha(|e_r|^2) e_r
+        jx[:, :rm] -= sign * (B @ (g @ de_x))
+        return jx, -sign * (B @ (g @ de_t))
+
+    return rhs, jac
 
 
 def _diagnose(nf, funnel, a, tau, y_ref, t, x):
@@ -156,29 +186,24 @@ def _run_segments(nf, funnel, sched_segments, y_ref, x0, opts):
     lim_sq = lim * lim
     times = [np.array([sched_segments[0][0]])]
     states = [x0.reshape(1, -1).copy()]
-    stats = {"accepted": 0, "rejected": 0, "rhs_evals": 0,
-             "segments": len(sched_segments)}
+    stats = {"segments": len(sched_segments)}
     x = x0.astype(float).copy()
     for (lo, hi, a, tau) in sched_segments:
         grid = _grid_times(hi, opts.grid_dt)
         grid = grid[grid > lo]
-        rhs = _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq)
-        sink_t, sink_x = [], []
+        rhs, jac = _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq)
         try:
-            seg_stats = dp45_segment(
-                rhs, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
-                h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max,
-                grid=grid, sink_t=sink_t, sink_x=sink_x)
+            seg_t, seg_x, seg_stats = radau_segment(
+                rhs, jac, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
+                h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max, grid=grid)
         except Underflow as uf:
-            xs = sink_x[-1] if sink_x else x
-            ern, phi = _diagnose(nf, funnel, a, tau, y_ref, uf.t, xs)
+            ern, phi = _diagnose(nf, funnel, a, tau, y_ref, uf.t, uf.x)
             raise StepUnderflow(uf.t, ern, phi) from None
-        for key in ("accepted", "rejected", "rhs_evals"):
-            stats[key] += seg_stats[key]
-        if sink_t:
-            times.append(np.array(sink_t))
-            states.append(np.array(sink_x))
-            x = states[-1][-1].copy()
+        for key, count in seg_stats.items():
+            stats[key] = stats.get(key, 0) + count
+        times.append(seg_t)
+        states.append(seg_x)
+        x = seg_x[-1].copy()
     return np.concatenate(times), np.vstack(states), stats
 
 
@@ -187,13 +212,9 @@ def _build_trace(nf, funnel, sched, y_ref, t, x, stats) -> Trace:
     r, m, kdim = nf.r, nf.m, nf.internal_dim
     rm = r * m
     n_samples = t.size
-    a = np.fromiter((sched.availability(tv) for tv in t), dtype=np.int64,
-                    count=n_samples)
-    tau = np.fromiter((sched.reset_time(tv) for tv in t), dtype=float,
-                      count=n_samples)
+    a, tau = sched.at_times(t)
     avail = a == 1
-    phi = np.zeros(n_samples)
-    phi[avail] = funnel.value(t[avail] - tau[avail])
+    phi = np.where(avail, funnel.value(t - tau), 0.0)
     psi = np.full(n_samples, -1.0)
     psi[avail] = 1.0 / phi[avail]
 
@@ -290,9 +311,12 @@ def coasting_run(nf, x0, eta0, t0: float, t1: float,
         r=r, m=m, internal_dim=kdim, stats=stats)
 
 
+CSV_NUMBER = "%.11e"
+
+
 def csv_number(v) -> str:
     """A number as the trace CSV writes it: 12 significant digits."""
-    return f"{v:.11e}"
+    return CSV_NUMBER % v
 
 
 def _csv_header(m: int, r: int, kdim: int) -> list:
@@ -309,23 +333,18 @@ def _csv_header(m: int, r: int, kdim: int) -> list:
 
 def write_csv(trace: Trace, path) -> None:
     """Trace to CSV: 12 significant digits, empty funnel radius on dropouts."""
-    m, r, kdim = trace.m, trace.r, trace.internal_dim
-    header = _csv_header(m, r, kdim)
-    fmt = csv_number
+    header = _csv_header(trace.m, trace.r, trace.internal_dim)
+    num, tail = CSV_NUMBER, ",".join([CSV_NUMBER] * (len(header) - 5))
+    row_fmt = {1: f"{num},%d,{num},{num},{num},{tail}\n",
+               0: f"{num},%d,{num},{num},%.0s,{tail}\n"}   # %.0s prints ""
+    cols = (trace.t, trace.a, trace.tau, trace.phi, trace.psi, trace.y,
+            trace.e_norm, trace.stage_norms, trace.u, trace.u_norm,
+            trace.eta, trace.eta_norm)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(trace.samples):
-            row = [fmt(trace.t[i]), str(int(trace.a[i])), fmt(trace.tau[i]),
-                   fmt(trace.phi[i]),
-                   fmt(trace.psi[i]) if trace.a[i] == 1 else ""]
-            row += [fmt(v) for v in trace.y[i]]
-            row.append(fmt(trace.e_norm[i]))
-            row += [fmt(v) for v in trace.stage_norms[i]]
-            row += [fmt(v) for v in trace.u[i]]
-            row.append(fmt(trace.u_norm[i]))
-            row += [fmt(v) for v in trace.eta[i]]
-            row.append(fmt(trace.eta_norm[i]))
-            fh.write(",".join(row) + "\n")
+        for lo in range(0, trace.samples, 4096):    # rows in bounded blocks
+            rows = np.column_stack([c[lo:lo + 4096] for c in cols]).tolist()
+            fh.writelines(row_fmt[row[1]] % tuple(row) for row in rows)
 
 
 def read_csv(path) -> Trace:

@@ -197,6 +197,19 @@ class TestSimulateAndVerify:
                        "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_dt", 0), ("grid_dt", -1e-3), ("rtol", 0), ("rtol", -1),
+        ("atol", 0), ("atol", -1)])
+    def test_nonpositive_tolerance_or_grid_exits_2(self, tmp_path, capsys,
+                                                   key, value):
+        cfg = manual_cfg(trace_path=str(tmp_path / "trace.csv"), t_end=1.0)
+        cfg["sim"][key] = value
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_horizon_past_csv_precision(self, tmp_path):
         # 0.30000000000000004 needs 17 digits; the CSV keeps 12
         cfg = manual_cfg(trace_path=str(tmp_path / "trace.csv"),

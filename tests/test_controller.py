@@ -49,6 +49,28 @@ class TestSchedule:
         assert s.reset_time(6.25) == 6.25
         assert s.reset_time(9.0) == 6.5
 
+    @pytest.mark.parametrize("pairs", [
+        [], [(3.0, 4.0), (6.0, 6.5)], [(0.0, 1.0), (2.5, 3.0), (9.0, 10.0)]])
+    def test_at_times_matches_interval_scan(self, pairs):
+        s = AvailabilitySchedule.from_pairs(pairs, 10.0)
+        ends = [p for pair in pairs for p in pair]
+        # every endpoint exactly, one ulp either side, and a dense grid
+        t = np.concatenate([
+            ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+            np.linspace(0.0, 10.0, 20_001)])
+        t = np.unique(np.clip(t, 0.0, 10.0))
+
+        def scan(v):        # the documented rule, one interval at a time
+            for lo, hi in pairs:
+                if lo < v <= hi or v == lo == 0.0:
+                    return 0, v
+            return 1, max([hi for _, hi in pairs if hi < v], default=0.0)
+
+        a, tau = s.at_times(t)
+        want = np.array([scan(v) for v in t.tolist()])
+        assert np.array_equal(a, want[:, 0])
+        assert np.array_equal(tau, want[:, 1])
+
     def test_loss_at_start(self):
         s = AvailabilitySchedule.from_pairs([(0.0, 1.0)], 5.0)
         assert s.availability(0.0) == 0

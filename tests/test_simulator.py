@@ -1,24 +1,32 @@
-"""Integration-layer tests: closed-loop rhs, event exactness, trace output."""
+"""Integration-layer tests: stepper, closed-loop rhs and Jacobian, event
+exactness, trace output."""
 
 import csv
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from funnelsim.controller import AvailabilitySchedule
+from funnelsim._rk import radau_segment
+from funnelsim.controller import AvailabilitySchedule, cascade
 from funnelsim.design import FunnelSpec, synthesize
 from funnelsim.errors import (
+    ConfigError,
     FunnelViolation,
     InitialConditionViolated,
     StepUnderflow,
 )
 from funnelsim.reference import ReferenceSignal
 from funnelsim.simulator import (
+    DOMAIN_MARGIN,
     ManualDesign,
     SimOptions,
     Trace,
+    _closed_loop_rhs,
+    _segments,
     coasting_run,
+    csv_number,
     integrate,
     write_csv,
 )
@@ -29,6 +37,8 @@ from funnelsim.sysmodel import (
     mass_on_car_normal_form,
     to_normal_form,
 )
+
+from conftest import random_normal_form
 
 
 def chain_nf(r=1, m=1, R_blocks=None, chain0=None):
@@ -52,6 +62,62 @@ def scenario_b_setup(horizon=10.0, dropouts=((3.0, 5.0), (8.0, 10.0))):
     return nf, cc, design, sched, y_ref
 
 
+def stiff_linear():
+    """x' = M (x - g(t)) + g'(t): eigenvalues -1 and -1e4, exact solution
+    g(t) + expm(M t) (x0 - g(0))."""
+    M = np.array([[-1.0, 1.0], [0.0, -1e4]])
+
+    def g(t, k=0):
+        # k-th derivative of (sin t, cos 2t)
+        return np.array([np.sin(t + k * np.pi / 2),
+                         2.0 ** k * np.cos(2 * t + k * np.pi / 2)])
+
+    def rhs(t, x):          # one time and state, or a stack of them
+        return (x - g(t).T) @ M.T + g(t, 1).T
+
+    def jac(t, x):
+        return M, -M @ g(t, 1) + g(t, 2)
+
+    def exact(t, x0):
+        return g(t) + expm(M * t) @ (x0 - g(0.0))
+
+    return rhs, jac, exact
+
+
+def state_with_stage_norms(nf, phi, ref, level, rng):
+    """Chain-plus-internal state whose cascade stages all have norm level.
+
+    ref stacks the reference derivatives 0..r-1 at the evaluation time;
+    each stage direction is random, and the error derivative producing it
+    is solved from e_(i+1) = phi e^(i) + e_i / (1 - |e_i|^2).
+    """
+    r, m = nf.r, nf.m
+    ed = np.zeros((r, m))
+    prev = np.zeros(m)
+    for i in range(r):
+        stage = rng.standard_normal(m)
+        stage *= level / np.linalg.norm(stage)
+        ed[i] = (stage - prev / (1.0 - prev @ prev)) / phi
+        prev = stage
+    _, n_sq = cascade(phi, ed)
+    assert np.allclose(np.sqrt(n_sq), level)
+    return np.concatenate([(ref + ed).ravel(),
+                           rng.uniform(-0.5, 0.5, nf.internal_dim)])
+
+
+def assert_jacobian_matches(nf, funnel, tau, y_ref, t, x, step=1e-9):
+    """Analytic (df/dx, df/dt) against central differences of the rhs."""
+    lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
+    rhs, jac = _closed_loop_rhs(nf, funnel, 1, tau, y_ref, lim_sq)
+    jx, jt = jac(t, x)
+    eye = np.eye(x.size)
+    fd_x = np.column_stack([(rhs(t, x + step * d) - rhs(t, x - step * d))
+                            / (2 * step) for d in eye])
+    fd_t = (rhs(t + step, x) - rhs(t - step, x)) / (2 * step)
+    assert np.max(np.abs(jx - fd_x)) <= 1e-6 * np.max(np.abs(jx))
+    assert np.max(np.abs(jt - fd_t)) <= 1e-6 * np.max(np.abs(jt))
+
+
 class TestEquilibrium:
 
     def test_trivial_plant_stays_at_zero(self):
@@ -69,6 +135,127 @@ class TestEquilibrium:
         tr = coasting_run(nf, np.zeros(2), np.zeros(2), 0.0, 0.5)
         assert np.all(tr.x == 0.0)
         assert np.all(tr.u == 0.0)
+
+
+class TestStepper:
+
+    def test_stiff_linear_converges_with_rtol(self):
+        rhs, jac, exact = stiff_linear()
+        x0 = exact(0.0, np.zeros(2)) + 1.0
+        grid = np.arange(1, 20) * 0.1
+        end_err, dense_err = [], []
+        for rtol in (1e-4, 1e-6, 1e-8):
+            t, x, _ = radau_segment(rhs, jac, 0.0, 2.0, x0, rtol=rtol,
+                                    atol=1e-2 * rtol, h0=1e-3, h_min=1e-12,
+                                    h_max=1.0, grid=grid)
+            assert t[-1] == 2.0
+            on_grid = np.isin(t, grid)
+            assert on_grid.sum() == grid.size
+            want = np.array([exact(tv, x0) for tv in t])
+            end_err.append(np.max(np.abs(x[-1] - want[-1])))
+            dense_err.append(np.max(np.abs(x[on_grid] - want[on_grid])))
+        assert end_err[0] > end_err[1] > end_err[2]
+        assert dense_err[0] > dense_err[1] > dense_err[2]
+        assert end_err[2] < 1e-7 and dense_err[2] < 1e-7
+
+    def test_jacobian_kept_while_newton_converges(self):
+        # the linear system's Jacobian is constant, so Newton converges at
+        # once and the one taken at the start serves every step
+        rhs, jac, exact = stiff_linear()
+        calls = []
+
+        def counted_jac(t, x):
+            calls.append(t)
+            return jac(t, x)
+
+        _, _, stats = radau_segment(
+            rhs, counted_jac, 0.0, 2.0, exact(0.0, np.zeros(2)) + 1.0,
+            rtol=1e-8, atol=1e-10, h0=1e-3, h_min=1e-12, h_max=1.0,
+            grid=np.empty(0))
+        assert stats["accepted"] > 20
+        assert calls == [0.0]
+
+    def test_funnel_violation_rejects_step(self):
+        # the rhs exists only within 1e-3 of the solution sin t, as the
+        # closed loop exists only inside the funnel; a first step of 1 s
+        # starts its Newton iterates outside
+        def rhs(t, x):      # t of shape (k,), x of (k, 1)
+            gap = np.max(np.abs(x[:, 0] - np.sin(t)))
+            if gap > 1e-3:
+                raise FunnelViolation(1, gap, t[0])
+            return np.cos(t)[:, None]
+
+        def jac(t, x):
+            return np.zeros((1, 1)), np.array([-np.sin(t)])
+
+        t, x, stats = radau_segment(rhs, jac, 0.0, 3.0, [0.0], rtol=1e-8,
+                                    atol=1e-10, h0=1.0, h_min=1e-12,
+                                    h_max=1.0, grid=np.empty(0))
+        assert t[-1] == 3.0
+        assert abs(x[-1, 0] - np.sin(3.0)) < 1e-7
+        assert stats["rejected_funnel"] > 0
+        assert stats["rejected"] == (stats["rejected_error"]
+                                     + stats["rejected_newton"]
+                                     + stats["rejected_funnel"])
+
+
+class TestJacobian:
+
+    def test_mass_on_car_near_the_boundary(self):
+        # a 3.1 ms dropout after a 16.6 s window: the synthesized funnel
+        # gain reaches about 400 at t = 10, where the stage norms are 0.7
+        nf = mass_on_car_normal_form()
+        y_ref = ReferenceSignal.sinusoid(1.0, 1.0, phase=0.4718)
+        funnel = synthesize(nf, y_ref, 0.95, theta=0.9, dropout_limit=3.1e-3,
+                            availability_floor=16.59).funnel
+        t = 10.0
+        assert float(funnel.value(t)) > 300.0
+        x = state_with_stage_norms(nf, float(funnel.value(t)),
+                                   y_ref.derivatives(t, nf.r - 1), 0.7,
+                                   np.random.default_rng(1))
+        assert_jacobian_matches(nf, funnel, 0.0, y_ref, t, x)
+
+    def test_random_plants(self, rng):
+        funnel = FunnelSpec(a=2.0, b=1.0, c=0.05, d=1.0)
+        checked = 0
+        while checked < 4:
+            nf = random_normal_form(rng, m_max=3, r_max=3)
+            if nf.m < 2 or nf.r < 2:
+                continue
+            y_ref = ReferenceSignal.sinusoid(rng.uniform(0.5, 1.5, nf.m),
+                                             rng.uniform(0.5, 2.0, nf.m),
+                                             m=nf.m)
+            t, tau = 1.3, 0.5
+            x = state_with_stage_norms(nf, float(funnel.value(t - tau)),
+                                       y_ref.derivatives(t, nf.r - 1), 0.7,
+                                       rng)
+            assert_jacobian_matches(nf, funnel, tau, y_ref, t, x)
+            checked += 1
+
+    def test_stacked_rhs_matches_single_calls(self, rng):
+        # the stepper evaluates its three stages as one stack, repeating
+        # the same stage times in every Newton iteration
+        nf = mass_on_car_normal_form()
+        funnel = FunnelSpec(a=2.0, b=1.0, c=0.05, d=1.0)
+        y_ref = ReferenceSignal.sinusoid(1.0, 1.0)
+        rhs, _ = _closed_loop_rhs(nf, funnel, 1, 0.5, y_ref,
+                                  (1.0 - DOMAIN_MARGIN) ** 2)
+        for t0 in (1.3, 2.0, 1.3):
+            ts = t0 + np.array([0.0, 0.01, 0.02])
+            xs = np.array([state_with_stage_norms(
+                nf, float(funnel.value(tv - 0.5)),
+                y_ref.derivatives(tv, nf.r - 1), 0.6, rng) for tv in ts])
+            for _ in range(2):
+                stacked = rhs(ts, xs)
+                single = [rhs(tv, xv) for tv, xv in zip(ts, xs)]
+                assert np.allclose(stacked, single, rtol=1e-13, atol=0.0)
+
+    def test_dropout_jacobian_is_the_plant(self):
+        nf = mass_on_car_normal_form()
+        _, jac = _closed_loop_rhs(nf, None, 0, 0.0, None, 1.0)
+        jx, jt = jac(0.3, np.ones(4))
+        assert np.array_equal(jx, nf.realization().A)
+        assert np.array_equal(jt, np.zeros(4))
 
 
 class TestCoasting:
@@ -190,6 +377,32 @@ class TestAccuracy:
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.x, b.x)
 
+    def test_matches_dop853_on_shared_grid(self):
+        # cross-check against an explicit method run 1e4 times tighter,
+        # segment by segment on the same closed-loop rhs
+        nf, cc, design, sched, y_ref = scenario_b_setup(
+            horizon=3.0, dropouts=((1.0, 1.5),))
+        tr = integrate(nf, cc, design, sched, y_ref)
+        lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
+        x = tr.x[0]
+        for lo, hi, a, tau in _segments(sched, sched.horizon):
+            rhs, _ = _closed_loop_rhs(nf, design.funnel, a, tau, y_ref,
+                                      lim_sq)
+            ref = solve_ivp(rhs, (lo, hi), x, method="DOP853", rtol=1e-12,
+                            atol=1e-14, dense_output=True)
+            inside = (tr.t >= lo) & (tr.t <= hi)
+            assert np.max(np.abs(tr.x[inside]
+                                 - ref.sol(tr.t[inside]).T)) < 1e-6
+            x = ref.y[:, -1]
+
+    def test_rejections_split_by_cause(self):
+        nf, cc, design, sched, y_ref = scenario_b_setup()
+        stats = integrate(nf, cc, design, sched, y_ref).stats
+        assert stats["rejected"] > 0
+        assert stats["rejected"] == (stats["rejected_error"]
+                                     + stats["rejected_newton"]
+                                     + stats["rejected_funnel"])
+
 
 class TestFailureModes:
 
@@ -218,6 +431,14 @@ class TestFailureModes:
                                    h0=0.5))
         assert 0.0 <= ei.value.t <= 2.0
         assert ei.value.phi >= 0.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("rtol", 0.0), ("rtol", -1.0), ("rtol", np.nan), ("atol", 0.0),
+        ("atol", -1e-10), ("grid_dt", 0.0), ("grid_dt", -1e-3),
+        ("h0", 0.0), ("h_max", -1.0)])
+    def test_nonpositive_options_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            SimOptions(**{key: value})
 
 
 class TestCsv:
@@ -250,3 +471,29 @@ class TestCsv:
         i = len(body) // 2
         assert float(body[i][5]) == pytest.approx(
             tr.y[i, 0], rel=1e-11, abs=1e-300)
+
+    def test_rows_match_field_formatting(self, tmp_path):
+        # every field as csv_number writes it, psi empty on dropout rows
+        vals = np.array([np.nan, -0.0, 1e-300, 1e300, -2.5, 0.1])
+        n = vals.size
+        a = np.array([1, 0, 1, 0, 0, 1])
+        tr = Trace(t=np.arange(n) * 0.1, x=np.zeros((n, 5)), a=a,
+                   tau=vals[::-1], phi=vals, psi=np.where(a == 1, vals, -1.0),
+                   y=np.column_stack([vals, -vals]), e=np.zeros((n, 2)),
+                   e_norm=0.5 * vals, stage_norms=np.column_stack([vals, vals]),
+                   u=np.column_stack([-vals, vals]), u_norm=np.abs(vals),
+                   eta=vals[:, None], eta_norm=np.abs(vals), r=2, m=2,
+                   internal_dim=1)
+        path = tmp_path / "trace.csv"
+        write_csv(tr, path)
+        lines = ["t,a,tau,phi,psi,y_1,y_2,e_norm,e1_norm,e2_norm,u_1,u_2,"
+                 "u_norm,eta_1,eta_norm"]
+        for i in range(n):
+            fields = [csv_number(tr.t[i]), str(a[i]), csv_number(tr.tau[i]),
+                      csv_number(tr.phi[i]),
+                      csv_number(tr.psi[i]) if a[i] == 1 else ""]
+            fields += [csv_number(v) for v in (
+                *tr.y[i], tr.e_norm[i], *tr.stage_norms[i], *tr.u[i],
+                tr.u_norm[i], *tr.eta[i], tr.eta_norm[i])]
+            lines.append(",".join(fields))
+        assert path.read_text() == "\n".join(lines) + "\n"
