@@ -115,9 +115,9 @@ SCHEMA = {
                     "required": ["kind"],
                     "properties": {
                         "kind": {"enum": ["periodic", "from_design"]},
-                        "dropout": _NUM, "window": _NUM, "start": _NUM,
+                        "dropout": _POS, "window": _POS, "start": _NUM,
                         "count": {"type": "integer", "minimum": 0},
-                        "dropout_factor": _NUM, "window_factor": _NUM,
+                        "dropout_factor": _POS, "window_factor": _POS,
                     },
                 },
             },
@@ -156,6 +156,8 @@ SCHEMA = {
         },
     },
 }
+# Built once; tests/test_cli.py checks SCHEMA against its meta-schema.
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 PRESETS = {
     "scenario_a": {
@@ -194,9 +196,11 @@ def load_config(path=None, preset=None) -> dict:
             raise ConfigError(f"unknown preset {preset!r}")
         cfg = copy.deepcopy(PRESETS[preset])
     else:
-        text = Path(path).read_text()
-        cfg = json.loads(text, parse_constant=_reject_nonfinite)
-    jsonschema.validate(cfg, SCHEMA)
+        cfg = json.loads(Path(path).read_text(),
+                         parse_constant=_reject_nonfinite)
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise error
     return cfg
 
 
@@ -254,6 +258,8 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
                 raise ConfigError(f"periodic availability requires {key}")
         dlen, wlen = gen["dropout"], gen["window"]
         start = gen.get("start", wlen)
+    if not (dlen > 0 and wlen > 0):
+        raise ConfigError("generated dropouts and windows must be positive")
     count = gen.get("count")
     pairs = []
     t = start

@@ -8,8 +8,11 @@ stepper in _rk.py, fed the analytic Jacobian, rejects any step that drives a
 cascade stage against the funnel boundary.  Runs are deterministic.
 """
 
+import itertools
 import math
+import operator
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,46 +358,37 @@ def read_csv(path) -> Trace:
     on files uses only the serialized columns.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty trace file")
-    names = lines[0].split(",")
-    m = sum(1 for n in names if re.fullmatch(r"y_\d+", n))
-    r = sum(1 for n in names if re.fullmatch(r"e\d+_norm", n))
-    kdim = sum(1 for n in names if re.fullmatch(r"eta_\d+", n))
-    if m < 1 or r < 1 or names != _csv_header(m, r, kdim):
-        raise ConfigError(f"{path}: unrecognized trace header")
-
-    ncol = len(names)
-    n = len(lines) - 1
-    data = np.empty((n, ncol))
-    a = np.empty(n, dtype=np.int8)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != ncol:
-            raise ConfigError(f"{path}: row {i + 1} has {len(parts)} fields, "
-                              f"expected {ncol}")
+        header = fh.readline()
+        if not header:
+            raise ConfigError(f"{path}: empty trace file")
+        names = header.rstrip("\n").split(",")
+        m = sum(1 for n in names if re.fullmatch(r"y_\d+", n))
+        r = sum(1 for n in names if re.fullmatch(r"e\d+_norm", n))
+        kdim = sum(1 for n in names if re.fullmatch(r"eta_\d+", n))
+        if m < 1 or r < 1 or names != _csv_header(m, r, kdim):
+            raise ConfigError(f"{path}: unrecognized trace header")
+        fed = itertools.count()     # loadtxt skips blank lines: count them
+        lines = map(operator.itemgetter(0), zip(fh, fed))
         try:
-            a[i] = int(parts[1])
-            # empty funnel radius marks a dropout sample
-            parts[4] = parts[4] or "-1.0"
-            data[i] = [float(v) for v in parts]
-        except ValueError:
-            raise ConfigError(f"{path}: row {i + 1} is malformed") from None
-    if not np.all((a == 0) | (a == 1)):
+            with warnings.catch_warnings():   # a header-only file is valid
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                data = np.loadtxt(
+                    lines, delimiter=",", comments=None, ndmin=2,
+                    # a must be an integer; an empty psi marks a dropout
+                    converters={1: int, 4: lambda v: float(v or -1.0)},
+                ).reshape(-1, len(names))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed trace body: {exc}") from None
+    n = next(fed)
+    if len(data) != n:
+        raise ConfigError(f"{path}: blank line in the trace body")
+    if not np.all((data[:, 1] == 0) | (data[:, 1] == 1)):
         raise ConfigError(f"{path}: availability column must be 0/1")
-
-    c = 5
-    y = data[:, c:c + m]; c += m
-    e_norm = data[:, c]; c += 1
-    stage_norms = data[:, c:c + r]; c += r
-    u = data[:, c:c + m]; c += m
-    u_norm = data[:, c]; c += 1
-    eta = data[:, c:c + kdim]; c += kdim
-    eta_norm = data[:, c]
+    y, e_norm, stage_norms, u, u_norm, eta, eta_norm = np.split(
+        data[:, 5:], np.cumsum([m, 1, r, m, 1, kdim]), axis=1)
     return Trace(
-        t=data[:, 0], x=np.full((n, r * m + kdim), np.nan), a=a,
-        tau=data[:, 2], phi=data[:, 3], psi=data[:, 4], y=y,
-        e=np.full((n, m), np.nan), e_norm=e_norm, stage_norms=stage_norms,
-        u=u, u_norm=u_norm, eta=eta, eta_norm=eta_norm,
-        r=r, m=m, internal_dim=kdim, stats={})
+        t=data[:, 0], x=np.full((n, r * m + kdim), np.nan),
+        a=data[:, 1].astype(np.int8), tau=data[:, 2], phi=data[:, 3],
+        psi=data[:, 4], y=y, e=np.full((n, m), np.nan), e_norm=e_norm[:, 0],
+        stage_norms=stage_norms, u=u, u_norm=u_norm[:, 0], eta=eta,
+        eta_norm=eta_norm[:, 0], r=r, m=m, internal_dim=kdim, stats={})

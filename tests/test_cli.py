@@ -2,6 +2,7 @@
 
 import json
 import math
+import types
 
 import jsonschema
 import numpy as np
@@ -72,6 +73,22 @@ class TestConfig:
                        "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_schema_passes_meta_schema(self):
+        # load_config does not check SCHEMA against its meta-schema
+        jsonschema.validators.validator_for(cli.SCHEMA).check_schema(
+            cli.SCHEMA)
+
+    def test_error_matches_jsonschema_validate(self, tmp_path):
+        cfg = {"system": {"mode": "mass_on_car"},
+               "sim": {"t_end": "long", "rtol": -1.0}}
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(cfg, cli.SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            cli.load_config(path=write_cfg(tmp_path, cfg))
+        assert got.value.message == want.value.message
+        assert list(got.value.path) == list(want.value.path)
+        assert list(got.value.schema_path) == list(want.value.schema_path)
+
 
 class TestScheduleBuilding:
 
@@ -92,6 +109,27 @@ class TestScheduleBuilding:
     def test_from_design_requires_design(self):
         with pytest.raises(ConfigError):
             cli._generated_pairs({"kind": "from_design"}, 60.0, None)
+
+    NONPOSITIVE_LENGTHS = [
+        {"kind": "periodic", "dropout": 0.0, "window": 3.0},
+        {"kind": "periodic", "dropout": 2.0, "window": -2.0},
+        {"kind": "from_design", "dropout_factor": -0.5},
+        {"kind": "from_design", "window_factor": 0.0},
+    ]
+
+    @pytest.mark.parametrize("gen", NONPOSITIVE_LENGTHS)
+    def test_nonpositive_lengths_fail_schema(self, tmp_path, gen):
+        cfg = manual_cfg()
+        cfg["availability"] = {"generator": gen}
+        with pytest.raises(jsonschema.ValidationError):
+            cli.load_config(path=write_cfg(tmp_path, cfg))
+
+    @pytest.mark.parametrize("gen", NONPOSITIVE_LENGTHS)
+    def test_nonpositive_lengths_are_config_error(self, gen):
+        # with dropout + window <= 0 the generator loop cannot advance
+        dp = types.SimpleNamespace(dropout=1.0, window=1.0)
+        with pytest.raises(ConfigError):
+            cli._generated_pairs(gen, 60.0, dp)
 
     def test_dropouts_and_generator_conflict(self):
         cfg = {"availability": {"dropouts": [[1.0, 2.0]],

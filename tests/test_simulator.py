@@ -2,6 +2,7 @@
 exactness, trace output."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from funnelsim.simulator import (
     coasting_run,
     csv_number,
     integrate,
+    read_csv,
     write_csv,
 )
 from funnelsim.sysmodel import (
@@ -472,18 +474,26 @@ class TestCsv:
         assert float(body[i][5]) == pytest.approx(
             tr.y[i, 0], rel=1e-11, abs=1e-300)
 
-    def test_rows_match_field_formatting(self, tmp_path):
-        # every field as csv_number writes it, psi empty on dropout rows
+    @staticmethod
+    def edge_value_trace():
+        """NaN, -0.0, 1e-300 and 1e300 in every column; three dropout rows."""
         vals = np.array([np.nan, -0.0, 1e-300, 1e300, -2.5, 0.1])
         n = vals.size
         a = np.array([1, 0, 1, 0, 0, 1])
-        tr = Trace(t=np.arange(n) * 0.1, x=np.zeros((n, 5)), a=a,
-                   tau=vals[::-1], phi=vals, psi=np.where(a == 1, vals, -1.0),
-                   y=np.column_stack([vals, -vals]), e=np.zeros((n, 2)),
-                   e_norm=0.5 * vals, stage_norms=np.column_stack([vals, vals]),
-                   u=np.column_stack([-vals, vals]), u_norm=np.abs(vals),
-                   eta=vals[:, None], eta_norm=np.abs(vals), r=2, m=2,
-                   internal_dim=1)
+        return Trace(t=np.arange(n) * 0.1, x=np.zeros((n, 5)), a=a,
+                     tau=vals[::-1], phi=vals,
+                     psi=np.where(a == 1, vals, -1.0),
+                     y=np.column_stack([vals, -vals]), e=np.zeros((n, 2)),
+                     e_norm=0.5 * vals,
+                     stage_norms=np.column_stack([vals, vals]),
+                     u=np.column_stack([-vals, vals]), u_norm=np.abs(vals),
+                     eta=vals[:, None], eta_norm=np.abs(vals), r=2, m=2,
+                     internal_dim=1)
+
+    def test_rows_match_field_formatting(self, tmp_path):
+        # every field as csv_number writes it, psi empty on dropout rows
+        tr = self.edge_value_trace()
+        n, a = tr.samples, tr.a
         path = tmp_path / "trace.csv"
         write_csv(tr, path)
         lines = ["t,a,tau,phi,psi,y_1,y_2,e_norm,e1_norm,e2_norm,u_1,u_2,"
@@ -497,3 +507,70 @@ class TestCsv:
                 tr.u_norm[i], *tr.eta[i], tr.eta_norm[i])]
             lines.append(",".join(fields))
         assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_read_back_is_float_of_each_field(self, tmp_path):
+        # read_csv(write_csv(tr)) gives float() of every field, bit for bit;
+        # an empty psi (dropout row) reads as -1.0 and a as int8
+        tr = self.edge_value_trace()
+        path = tmp_path / "trace.csv"
+        write_csv(tr, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        fields = np.array([[float(v or -1.0) for v in row] for row in rows])
+        back = read_csv(path)
+        got = np.column_stack([
+            back.t, back.a, back.tau, back.phi, back.psi, back.y,
+            back.e_norm, back.stage_norms, back.u, back.u_norm, back.eta,
+            back.eta_norm])
+        assert got.dtype == np.float64 and back.a.dtype == np.int8
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      fields.view(np.uint64))
+        np.testing.assert_array_equal(back.a, tr.a)
+
+    @staticmethod
+    def with_field(row, j, value):
+        fields = row.split(",")
+        fields[j] = value
+        return ",".join(fields)
+
+    CSV_FAULTS = {
+        "empty_file": lambda head, body: [],
+        "wrong_header": lambda head, body: [head.replace("tau", "time"),
+                                            *body],
+        "truncated_last_row": lambda head, body: [
+            head, *body[:-1], body[-1].rsplit(",", 3)[0]],
+        "extra_field": lambda head, body: [head, *body[:-1], body[-1] + ",0"],
+        "non_numeric_field": lambda head, body: [
+            head, TestCsv.with_field(body[0], 5, "abc"), *body[1:]],
+        "a_is_2": lambda head, body: [
+            head, TestCsv.with_field(body[0], 1, "2"), *body[1:]],
+        "a_is_1.0": lambda head, body: [
+            head, TestCsv.with_field(body[0], 1, "1.0"), *body[1:]],
+        # outside int8: the 0/1 check must reject it before the cast
+        "a_is_300": lambda head, body: [
+            head, TestCsv.with_field(body[0], 1, "300"), *body[1:]],
+        "blank_line": lambda head, body: [head, body[0], "", *body[1:]],
+        "trailing_blank_line": lambda head, body: [head, *body, ""],
+        "comment_line": lambda head, body: [head, body[0], "# note",
+                                            *body[1:]],
+    }
+
+    @pytest.mark.parametrize("fault", CSV_FAULTS)
+    def test_malformed_file_is_config_error(self, tmp_path, fault):
+        good = tmp_path / "good.csv"
+        write_csv(self.edge_value_trace(), good)
+        head, *body = good.read_text().splitlines()
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(
+            line + "\n" for line in self.CSV_FAULTS[fault](head, body)))
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            read_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file_has_no_samples(self, tmp_path):
+        good = tmp_path / "good.csv"
+        write_csv(self.edge_value_trace(), good)
+        path = tmp_path / "empty.csv"
+        path.write_text(good.read_text().splitlines()[0] + "\n")
+        tr = read_csv(path)
+        assert tr.samples == 0 and tr.a.dtype == np.int8
+        assert tr.y.shape == (0, 2) and tr.eta.shape == (0, 1)
