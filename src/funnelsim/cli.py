@@ -27,12 +27,14 @@ from .design import FunnelSpec, design_report, synthesize
 from .errors import ConfigError, FunnelSimError
 from .reference import ReferenceSignal
 from .simulator import (
+    CSV_NUMBER,
+    EMPTY_FIELD,
     ManualDesign,
     SimOptions,
-    csv_number,
     integrate,
     read_csv,
     write_csv,
+    write_rows,
 )
 from .sysmodel import (
     NormalForm,
@@ -56,6 +58,8 @@ REPORTED = {
     "settle_gain": 21.4683,
     "funnel_start_floor": 1.4449e-4,
 }
+
+MAX_GENERATED_DROPOUTS = 100_000     # dropouts a generator may lay out
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -133,8 +137,8 @@ SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "required": ["a", "b", "c"],
-                    "properties": {"a": _NUM, "b": _NUM, "c": _NUM,
-                                   "d": _NUM},
+                    "properties": {"a": _POS, "b": _POS, "c": _POS,
+                                   "d": _POS},
                 },
             },
         },
@@ -261,9 +265,16 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
     if not (dlen > 0 and wlen > 0):
         raise ConfigError("generated dropouts and windows must be positive")
     count = gen.get("count")
+    if (count is None or count > MAX_GENERATED_DROPOUTS) and (
+            (horizon - start) / (dlen + wlen) > MAX_GENERATED_DROPOUTS):
+        raise ConfigError("generator lays out more than "
+                          f"{MAX_GENERATED_DROPOUTS} dropouts")
     pairs = []
     t = start
     while t + dlen <= horizon and (count is None or len(pairs) < count):
+        if not t + dlen > t:
+            raise ConfigError(f"generated dropout length {dlen:g} does "
+                              f"not advance t = {t:g}")
         pairs.append((t, t + dlen))
         t += dlen + wlen
     return pairs
@@ -313,10 +324,8 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
         raise ConfigError("design.q is required unless design.manual is set")
     dropout_limit, availability_floor = _schedule_limits(cfg)
     template = None
-    if "funnel" in sec:
-        fun = sec["funnel"]
-        template = FunnelSpec(fun["a"], fun["b"], fun["c"],
-                              fun.get("d", fun["b"]))
+    if "funnel" in sec:        # a and d are derived by the synthesis
+        template = (sec["funnel"]["b"], sec["funnel"]["c"])
     return synthesize(
         nf, y_ref, sec["q"],
         theta=sec.get("theta", 0.9),
@@ -494,42 +503,26 @@ def cmd_plot_data(trace_path: Path, outdir: Path) -> int:
     """
     trace = read_csv(trace_path)
     m, kdim = trace.m, trace.internal_dim
-    fmt = csv_number
 
-    def breaks_after(i):
-        return i + 1 < trace.samples and trace.a[i] != trace.a[i + 1]
+    def formats(n, blank=0):    # dropout rows leave the last blank empty
+        num, empty = [CSV_NUMBER], [EMPTY_FIELD]
+        return {1: ",".join(num * n),
+                0: ",".join(num * (n - blank) + empty * blank)}
 
-    def write(path, header, row_of):
-        with open(path, "w") as fh:
-            fh.write("# " + ",".join(header) + "\n")
-            for i in range(trace.samples):
-                fh.write(",".join(row_of(i)) + "\n")
-                if breaks_after(i):
-                    fh.write("\n")
-
-    def error_row(i):
-        if trace.a[i] == 1:
-            up, lo = fmt(trace.psi[i]), fmt(-trace.psi[i])
-        else:
-            up, lo = "", ""
-        return [fmt(trace.t[i]), fmt(trace.e_norm[i]), up, lo]
-
-    def input_row(i):
-        return ([fmt(trace.t[i])] + [fmt(v) for v in trace.u[i]]
-                + [fmt(trace.u_norm[i])])
-
-    def internal_row(i):
-        return ([fmt(trace.t[i])] + [fmt(v) for v in trace.eta[i]]
-                + [fmt(trace.eta_norm[i])])
-
+    files = [
+        ("error_funnel.dat", ["t", "e_norm", "psi_upper", "psi_lower"],
+         (trace.t, trace.e_norm, trace.psi, -trace.psi), formats(4, 2)),
+        ("input.dat", ["t"] + [f"u_{j + 1}" for j in range(m)] + ["u_norm"],
+         (trace.t, trace.u, trace.u_norm), formats(m + 2)),
+        ("internal.dat",
+         ["t"] + [f"eta_{i + 1}" for i in range(kdim)] + ["eta_norm"],
+         (trace.t, trace.eta, trace.eta_norm), formats(kdim + 2)),
+    ]
     outdir.mkdir(parents=True, exist_ok=True)
-    write(outdir / "error_funnel.dat",
-          ["t", "e_norm", "psi_upper", "psi_lower"], error_row)
-    write(outdir / "input.dat",
-          ["t"] + [f"u_{j + 1}" for j in range(m)] + ["u_norm"], input_row)
-    write(outdir / "internal.dat",
-          ["t"] + [f"eta_{i + 1}" for i in range(kdim)] + ["eta_norm"],
-          internal_row)
+    for name, header, cols, formats in files:
+        with open(outdir / name, "w") as fh:
+            fh.write("# " + ",".join(header) + "\n")
+            write_rows(fh, trace.a, cols, formats, gaps=True)
     print(f"plot data written to {outdir}")
     return 0
 

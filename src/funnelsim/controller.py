@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FunnelViolation
+from .errors import ConfigError
 
 __all__ = [
     "AvailabilitySchedule",
     "alpha",
     "cascade",
-    "error_cascade",
-    "control_input",
 ]
 
 
@@ -143,33 +141,3 @@ def cascade(phi, e_derivs):
         stages[i] = stage
         n_sq[i] = np.vecdot(stage, stage)
     return stages, n_sq
-
-
-def error_cascade(phi: float, e_derivs, limit: float = 1.0) -> np.ndarray:
-    """Cascade vectors e_1..e_r from the error derivative stack.
-
-    e_derivs rows are e, e', ..., e^(r-1).  Stage i+1 is
-    phi * e^(i) + alpha(|e_i|^2) e_i.  Any stage reaching the limit (the
-    funnel boundary at 1) raises FunnelViolation, which integration treats
-    as a step rejection.  phi = 0 collapses every stage to zero.
-    """
-    e_derivs = np.atleast_2d(np.asarray(e_derivs, dtype=float))
-    if phi == 0.0:
-        return np.zeros(e_derivs.shape)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        stages, n_sq = cascade(phi, e_derivs)
-    for i, s in enumerate(n_sq.tolist()):
-        if s >= limit * limit:
-            raise FunnelViolation(i + 1, np.sqrt(s))
-    return stages
-
-
-def control_input(a: int, e_r, sign: int, limit: float = 1.0) -> np.ndarray:
-    """Feedback input -sign * a * alpha(|e_r|^2) e_r."""
-    e_r = np.asarray(e_r, dtype=float).reshape(-1)
-    if a == 0:
-        return np.zeros_like(e_r)
-    n_sq = float(e_r @ e_r)
-    if n_sq >= limit * limit:
-        raise FunnelViolation(0, np.sqrt(n_sq))
-    return (-sign * alpha(n_sq)) * e_r

@@ -30,6 +30,10 @@ from .reference import ReferenceSignal
 from .sysmodel import ClassConstants, NormalForm, class_constants
 
 Unbounded = math.inf
+B_SEED = 1.0        # funnel decay rate the slope iteration starts from
+B_FLOOR = 1e-6      # least decay rate of a refined funnel
+# designed dropout and window when neither plant nor schedule bounds them
+DEFAULT_DROPOUT = DEFAULT_WINDOW = 1.0
 
 
 def _check_q(q: float) -> None:
@@ -156,15 +160,6 @@ class EtaStarBounds:
     @property
     def value(self) -> float:
         return max(self.forcing, self.coasting, self.regrowth)
-
-    def report(self, ceiling: float):
-        """Per-bound pass/fail rows for a candidate ceiling."""
-        return [
-            ("dropout_forcing", self.forcing, ceiling >= self.forcing),
-            ("coasting", self.coasting, ceiling >= self.coasting),
-            ("regrowth", self.regrowth,
-             math.isfinite(self.regrowth) and ceiling >= self.regrowth),
-        ]
 
 
 def _eta_bounds(cc: ClassConstants, dropout: float, window: float, q: float,
@@ -322,19 +317,13 @@ class FunnelSpec:
         return 1.0 / (self.a + self.c)
 
     @property
-    def slope_gain(self) -> float:
-        """Growth constant d(1+phi0(0))/phi0(0) used by the recursion."""
-        return self.d * (1.0 + self.phi00) / self.phi00
-
-    @property
     def slope_gain_tight(self) -> float:
         """Sharper growth constant b(1 - c phi0(0)), reported for reference."""
         return self.b * self.a / (self.a + self.c)
 
 
 def refine_funnel(window, required_level: float, settle: float,
-                  template=None, phi00: float | None = None,
-                  b_floor: float = 1e-6) -> FunnelSpec:
+                  template=None, phi00: float | None = None) -> FunnelSpec:
     """Pick an exponential funnel meeting the gain window and level demand.
 
     The gain must start inside `window` (default: at its upper end) and
@@ -375,9 +364,9 @@ def refine_funnel(window, required_level: float, settle: float,
     a = 1.0 / phi00 - c
     target = 1.0 / required_level - c
     if a <= target:
-        b = b_floor
+        b = B_FLOOR
     else:
-        b = max(math.log(a / target) / settle, b_floor)
+        b = max(math.log(a / target) / settle, B_FLOOR)
     b *= 1.0 + 1e-9
     return FunnelSpec(a=a, b=b, c=c, d=b)
 
@@ -485,9 +474,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                availability_floor: float | None = None,
                internal_cap: float | None = None,
                phi00: float | None = None, funnel_template=None,
-               settle_factor: float = 0.99, b_seed: float = 1.0,
-               default_dropout: float = 1.0,
-               default_window: float = 1.0) -> DesignParams:
+               settle_factor: float = 0.99) -> DesignParams:
     """Run the full design pipeline and return its parameters.
 
     dropout_limit / availability_floor describe the schedule the controller
@@ -505,7 +492,8 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
 
     dropout_sup = max_dropout_duration(cc, q)
     if math.isinf(dropout_sup):
-        dropout = dropout_limit if dropout_limit is not None else default_dropout
+        dropout = (dropout_limit if dropout_limit is not None
+                   else DEFAULT_DROPOUT)
     elif dropout_limit is not None:
         if dropout_limit > dropout_sup * (1.0 - 1e-9):
             raise DeltaTooLarge(
@@ -530,7 +518,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
             window = min(window, availability_floor)
     else:
         window = (availability_floor if availability_floor is not None
-                  else default_window)
+                  else DEFAULT_WINDOW)
 
     y_sup = y_ref.deriv_sup(0)
     chain_sup = y_ref.chain_sup(cc.r)
@@ -569,13 +557,13 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     else:
         # The slope constant feeds the recursion whose level demand feeds
         # the slope back; iterate to the (monotone) fixed point.
-        b = b_seed
+        b = B_SEED
         gains = funnel = None
         for iterations in range(1, 61):
             gains = gain_recursion(start_gain, b, e_derivs0, q)
             funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
                                    settle, phi00=start_gain)
-            b_next = max(b_seed, funnel.b)
+            b_next = max(B_SEED, funnel.b)
             if b_next <= b * (1.0 + 1e-12):
                 funnel = FunnelSpec(a=funnel.a, b=b, c=funnel.c, d=b)
                 break

@@ -96,41 +96,19 @@ class ReferenceSignal:
             self._pow_cache[order] = cached
         return cached
 
-    def derivatives(self, t: float, order: int) -> np.ndarray:
-        """Stack of derivatives 0..order at one time, shape (order+1, m)."""
+    def derivatives(self, t, order: int) -> np.ndarray:
+        """Derivatives 0..order at t: shape (order+1, m) for a scalar t,
+        (order+1, N, m) for N times."""
+        t = np.asarray(t, dtype=float)
         if self.n_terms == 0:
-            out = np.zeros((order + 1, self.m))
+            out = np.zeros((order + 1,) + t.shape + (self.m,))
             out[0] = self.offset
             return out
         wpow, shift = self._powers(order)
-        vals = self.amp[None] * wpow * np.cos(
-            self.omega[None] * t + self.phase[None] + shift)
-        out = vals.sum(axis=2)
-        out[0] += self.offset
-        return out
-
-    def value(self, t) -> np.ndarray:
-        """Signal values on a time grid, shape (len(t), m)."""
-        t = np.asarray(t, dtype=float).reshape(-1)
-        if self.n_terms == 0:
-            return np.tile(self.offset, (t.shape[0], 1))
-        vals = self.amp[None] * np.cos(
-            self.omega[None] * t[:, None, None] + self.phase[None])
-        return vals.sum(axis=2) + self.offset[None]
-
-    def derivatives_grid(self, t, order: int) -> np.ndarray:
-        """Derivatives 0..order on a time grid, shape (order+1, len(t), m)."""
-        t = np.asarray(t, dtype=float).reshape(-1)
-        if self.n_terms == 0:
-            out = np.zeros((order + 1, t.shape[0], self.m))
-            out[0] = self.offset
-            return out
-        wpow, shift = self._powers(order)
-        # axes: (order, time, output, term)
-        phase = (self.omega[None, None] * t[None, :, None, None]
-                 + self.phase[None, None] + shift[:, None])
-        vals = (self.amp[None, None] * wpow[:, None]) * np.cos(phase)
-        out = vals.sum(axis=3)
+        at = (slice(None),) + (None,) * t.ndim     # broadcast over the times
+        # axes: (order, time..., output, term)
+        phase = self.omega * t[..., None, None] + self.phase + shift[at]
+        out = (self.amp * wpow[at] * np.cos(phase)).sum(axis=-1)
         out[0] += self.offset
         return out
 

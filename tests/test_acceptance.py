@@ -16,9 +16,8 @@ import pytest
 
 from funnelsim import cli
 from funnelsim import verify
-from funnelsim.controller import AvailabilitySchedule, error_cascade
+from funnelsim.controller import AvailabilitySchedule, cascade
 from funnelsim.design import FunnelSpec, check_design, synthesize
-from funnelsim.errors import FunnelViolation
 from funnelsim.reference import ReferenceSignal
 from funnelsim.simulator import (
     ManualDesign,
@@ -209,9 +208,8 @@ def test_acceptance_09_cascade_composition_equality(capsys):
                 m = int(rng.integers(1, 4))
                 stack = 0.25 * rng.normal(size=(r, m))
                 vec, in_domain = verify.rho_map(stack)
-                try:
-                    stages = error_cascade(1.0, stack)
-                except FunnelViolation:
+                stages, n_sq = cascade(1.0, stack)
+                if np.any(n_sq >= 1.0):
                     assert not in_domain
                     continue
                 assert in_domain

@@ -10,7 +10,9 @@ import pytest
 
 from funnelsim import cli, errors
 from funnelsim.errors import ConfigError
-from funnelsim.simulator import read_csv
+from funnelsim.simulator import csv_number, read_csv, write_csv
+
+import test_simulator
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -131,6 +133,19 @@ class TestScheduleBuilding:
         with pytest.raises(ConfigError):
             cli._generated_pairs(gen, 60.0, dp)
 
+    @pytest.mark.parametrize("gen", [
+        # lengths that cannot move t = 5, or t = horizon
+        {"kind": "periodic", "dropout": 1e-20, "window": 1e-20, "start": 5.0},
+        {"kind": "periodic", "dropout": 1e-20, "window": 1e-20, "start": 60.0},
+        {"kind": "periodic", "dropout": 1e-20, "window": 1e-20, "start": 5.0,
+         "count": 3},
+        # lengths that move t, but would lay out about 3e13 dropouts
+        {"kind": "periodic", "dropout": 1e-12, "window": 1e-12},
+    ])
+    def test_stalled_or_oversized_generator_is_config_error(self, gen):
+        with pytest.raises(ConfigError):
+            cli._generated_pairs(gen, 60.0, None)
+
     def test_dropouts_and_generator_conflict(self):
         cfg = {"availability": {"dropouts": [[1.0, 2.0]],
                                 "generator": {"kind": "periodic",
@@ -175,6 +190,22 @@ class TestSynthesizeCommand:
                        "--config", write_cfg(tmp_path, manual_cfg()),
                        "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("b, c, code", [(2.0, 1e-4, 0), (1.0, 0.03, 3)])
+    def test_funnel_template(self, tmp_path, capsys, b, c, code):
+        # a synthesized design takes (b, c) from design.funnel; a is unread
+        cfg = manual_cfg()
+        del cfg["availability"]
+        cfg["design"] = {"q": 0.95, "theta": 0.9,
+                         "funnel": {"a": 1.0, "b": b, "c": c}}
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == code
+        if code == 0:
+            assert f"b = {b!r}\nc = {c!r}\n" in (
+                tmp_path / "design_report.txt").read_text()
+        else:
+            assert "TemplateRejected" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +279,28 @@ class TestSimulateAndVerify:
         assert "ValidationError" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize("key", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [0.0, -0.2])
+    def test_nonpositive_funnel_exits_2(self, tmp_path, capsys, key, value):
+        cfg = manual_cfg(trace_path=str(tmp_path / "trace.csv"), t_end=1.0)
+        cfg["design"]["funnel"][key] = value
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "ValidationError" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_oversized_grid_exits_2(self, tmp_path, capsys):
+        # 1e18 grid points: refused before anything is allocated
+        cfg = manual_cfg(t_end=1e9)
+        del cfg["availability"]
+        cfg["sim"]["grid_dt"] = 1e-9
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
+
     def test_horizon_past_csv_precision(self, tmp_path):
         # 0.30000000000000004 needs 17 digits; the CSV keeps 12
         cfg = manual_cfg(trace_path=str(tmp_path / "trace.csv"),
@@ -292,6 +345,48 @@ class TestPlotData:
         u1 = np.array([float(r[1]) for r in rows])
         assert np.array_equal(t, trace.t)
         assert np.array_equal(u1, trace.u[:, 0])
+
+    def test_rows_match_field_formatting(self, tmp_path):
+        # fields joined as csv_number writes them, radius columns empty on
+        # dropout rows, one blank line after every availability change
+        write_csv(test_simulator.TestCsv.edge_value_trace(),
+                  tmp_path / "trace.csv")
+        tr = read_csv(tmp_path / "trace.csv")
+        rc = cli.main(["plot-data", "--trace", str(tmp_path / "trace.csv"),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        gaps = np.flatnonzero(tr.a[:-1] != tr.a[1:])
+        assert gaps.tolist() == [0, 1, 2, 4]
+
+        def expected(header, row):
+            lines = ["# " + ",".join(header)]
+            for i in range(tr.samples):
+                lines.append(",".join(row(i)))
+                if i in gaps:
+                    lines.append("")
+            return "\n".join(lines) + "\n"
+
+        def numbers(*vals):
+            return [csv_number(v) for v in vals]
+
+        def radius(i):
+            if tr.a[i] == 0:
+                return ["", ""]
+            return numbers(tr.psi[i], -tr.psi[i])
+
+        files = {
+            "error_funnel.dat": expected(
+                ["t", "e_norm", "psi_upper", "psi_lower"],
+                lambda i: numbers(tr.t[i], tr.e_norm[i]) + radius(i)),
+            "input.dat": expected(
+                ["t", "u_1", "u_2", "u_norm"],
+                lambda i: numbers(tr.t[i], *tr.u[i], tr.u_norm[i])),
+            "internal.dat": expected(
+                ["t", "eta_1", "eta_norm"],
+                lambda i: numbers(tr.t[i], *tr.eta[i], tr.eta_norm[i])),
+        }
+        for name, text in files.items():
+            assert (tmp_path / name).read_text() == text, name
 
     def test_empty_trace(self, sim_dir, tmp_path):
         header = (sim_dir / "trace.csv").read_text().splitlines()[0]

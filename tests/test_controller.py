@@ -5,17 +5,50 @@ import warnings
 import numpy as np
 import pytest
 
-from funnelsim.controller import (
-    AvailabilitySchedule,
-    cascade,
-    control_input,
-    error_cascade,
+from funnelsim.controller import AvailabilitySchedule, cascade
+from funnelsim.design import FunnelSpec
+from funnelsim.errors import (
+    ConfigError,
+    FunnelViolation,
+    InitialConditionViolated,
 )
-from funnelsim.errors import ConfigError, FunnelViolation
+from funnelsim.reference import ReferenceSignal
+from funnelsim.simulator import (
+    ManualDesign,
+    _build_trace,
+    _closed_loop_rhs,
+    integrate,
+)
+from funnelsim.sysmodel import NormalForm
+
+# funnel whose gain at t = 0 is exactly 1
+UNIT_GAIN = FunnelSpec(a=0.5, b=1.0, c=0.5, d=1.0)
 
 
 def sched_34(horizon=10.0):
     return AvailabilitySchedule.from_pairs([(3.0, 4.0)], horizon)
+
+
+def chain_plant(r=1, m=1, sign=1):
+    """y^(r) = sign u, no internal dynamics."""
+    return NormalForm(R=[np.zeros((m, m))] * r, S=np.zeros((m, 0)),
+                      Gamma=sign * np.eye(m), Q=np.zeros((0, 0)),
+                      P=np.zeros((0, m)), chain0=np.zeros((r, m)),
+                      eta0=np.zeros(0))
+
+
+def zero_ref(m=1):
+    return ReferenceSignal.constant(np.zeros(m))
+
+
+def input_at_start(e_r, sign=1, dropouts=()):
+    """The input the trace records at t = 0 for an r = 1 error e_r."""
+    e_r = np.asarray(e_r, dtype=float)
+    nf = chain_plant(m=e_r.size, sign=sign)
+    sched = AvailabilitySchedule.from_pairs(dropouts, 1.0)
+    tr = _build_trace(nf, UNIT_GAIN, sched, zero_ref(e_r.size),
+                      np.array([0.0]), e_r[None], {})
+    return tr.u[0]
 
 
 class TestSchedule:
@@ -115,32 +148,46 @@ class TestSchedule:
 class TestErrorCascade:
 
     def test_zero_gain_zeroes_everything(self):
-        out = error_cascade(0.0, [[50.0], [1e9]])
-        assert np.all(out == 0.0)
+        out, n_sq = cascade(0.0, [[50.0], [1e9]])
+        assert np.all(out == 0.0) and np.all(n_sq == 0.0)
 
     def test_two_stage_hand_value(self):
-        out = error_cascade(1.0, [[0.5], [0.1]])
+        out, _ = cascade(1.0, [[0.5], [0.1]])
         assert out[0, 0] == pytest.approx(0.5, rel=1e-15)
         assert out[1, 0] == pytest.approx(0.1 + 0.5 / 0.75, rel=1e-14)
         assert out[1, 0] == pytest.approx(23.0 / 30.0, rel=1e-14)
 
     def test_violation_stage_index(self):
-        with pytest.raises(FunnelViolation) as ei:
-            error_cascade(1.0, [[0.5], [10.0]])
-        assert ei.value.stage == 2
-        with pytest.raises(FunnelViolation) as ei:
-            error_cascade(2.0, [[0.6], [0.0]])
-        assert ei.value.stage == 1
+        # integrate's start check names the first stage at the boundary
+        def start(phi00, chain0):
+            nf = chain_plant(r=2)
+            design = ManualDesign(FunnelSpec(1.0 / phi00 - 0.2, 1.0, 0.2,
+                                             1.0))
+            sched = AvailabilitySchedule.from_pairs([], 1.0)
+            integrate(nf, None, design, sched, zero_ref(),
+                      ic=(chain0, np.zeros(0)))
+
+        with pytest.raises(InitialConditionViolated) as ei:
+            start(1.0, [[0.5], [10.0]])
+        assert ei.value.index == "cascade stage 2"
+        with pytest.raises(InitialConditionViolated) as ei:
+            start(2.0, [[0.6], [0.0]])
+        assert ei.value.index == "cascade stage 1"
 
     def test_tightened_limit(self):
-        e = [[0.95]]
-        error_cascade(1.0, e, limit=0.96)
+        # the closed-loop rhs rejects a stage at its squared limit
+        def rhs_at(e, lim):
+            rhs, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
+                                      zero_ref(), lim * lim)
+            return rhs(np.array([0.0]), np.array([[e]]))
+
+        rhs_at(0.95, 0.96)
         with pytest.raises(FunnelViolation):
-            error_cascade(1.0, e, limit=0.95)
+            rhs_at(0.95, 0.95)
 
     def test_vector_stages(self):
         e = np.array([[0.3, -0.4], [0.1, 0.2]])
-        out = error_cascade(1.0, e)
+        out, _ = cascade(1.0, e)
         n1 = 0.25
         assert np.allclose(out[0], e[0])
         assert np.allclose(out[1], e[1] + e[0] / (1.0 - n1), rtol=1e-14)
@@ -165,23 +212,26 @@ class TestCascade:
 
 
 class TestControlInput:
+    """The feedback u = -sign alpha(|e_r|^2) e_r as the trace records it."""
 
     def test_dropout_zeroes_input(self):
-        assert np.all(control_input(0, [0.9], 1) == 0.0)
+        assert np.all(input_at_start([0.9], dropouts=[(0.0, 0.5)]) == 0.0)
 
     def test_hand_value(self):
         # -0.76667/(1 - 0.76667^2) with the square 0.5877828889 exact in
         # decimal; the quotient is -7666700000/4122171111.
-        u = control_input(1, [0.76667], 1)
+        u = input_at_start([0.76667])
         assert u[0] == pytest.approx(-7666700000.0 / 4122171111.0, rel=1e-12)
         assert u[0] == pytest.approx(-1.8598694216, rel=1e-9)
 
     def test_sign_flip(self):
-        u_plus = control_input(1, [0.3, 0.4], 1)
-        u_minus = control_input(1, [0.3, 0.4], -1)
+        u_plus = input_at_start([0.3, 0.4], sign=1)
+        u_minus = input_at_start([0.3, 0.4], sign=-1)
         assert np.allclose(u_plus, -u_minus, rtol=1e-15)
         assert np.allclose(u_plus, -np.array([0.3, 0.4]) / 0.75, rtol=1e-14)
 
     def test_boundary_rejected(self):
+        rhs, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
+                                  zero_ref(), 1.0)
         with pytest.raises(FunnelViolation):
-            control_input(1, [1.0], 1)
+            rhs(np.array([0.0]), np.array([[1.0]]))

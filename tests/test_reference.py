@@ -45,9 +45,10 @@ class TestEvaluation:
             amplitudes=[[1.0, 0.3], [0.2, 0.0]],
             omegas=[[1.0, 2.5], [0.7, 0.0]], offset=[0.1, -0.2])
         ts = np.linspace(0.0, 10.0, 37)
-        grid = ref.value(ts)
+        grid = ref.derivatives(ts, 2)
+        assert grid.shape == (3, ts.size, 2)
         for j, t in enumerate(ts):
-            assert np.allclose(grid[j], ref.derivatives(t, 0)[0], rtol=1e-13)
+            assert np.allclose(grid[:, j], ref.derivatives(t, 2), rtol=1e-13)
 
     def test_two_output_sinusoid(self):
         ref = ReferenceSignal.sinusoid([1.0, 2.0], [1.0, 0.5])

@@ -366,8 +366,8 @@ class TestAccuracy:
                                                         dropouts=())
         tr = integrate(nf, cc, design, sched, y_ref)
         grid = np.arange(1, 2990) * 1e-3
-        y = np.interp(grid, tr.t, tr.chain[:, 0, 0])
-        dy = np.interp(grid, tr.t, tr.chain[:, 1, 0])
+        y = np.interp(grid, tr.t, tr.x[:, 0])       # chain state: y, y'
+        dy = np.interp(grid, tr.t, tr.x[:, 1])
         fd = (y[2:] - y[:-2]) / (2e-3)
         assert np.max(np.abs(fd - dy[1:-1])) < 5e-4
 
