@@ -50,12 +50,16 @@ class Underflow(Exception):
         self.t, self.x = t, x
 
 
+class OutOfSteps(Underflow):
+    """Internal: the step budget ran out; carries the current point."""
+
+
 def _rms(v):
     return math.sqrt(float(np.vdot(v, v)) / v.size)
 
 
 def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
-                  grid):
+                  grid, max_steps=math.inf):
     """Integrate x' = rhs(t, x) over [t0, t1]; jac(t, x) -> (df/dx, df/dt).
 
     rhs maps times (k,) and states (k, n) to (k, n) derivatives, all three
@@ -64,7 +68,8 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
     the step that crosses it; every accepted step endpoint is a sample too
     (t1 exactly at the end).  rhs may raise FunnelViolation, which rejects
     the step.  Raises Underflow when no acceptable step of at least h_min
-    exists.  Returns (times, states, statistics).
+    exists, and OutOfSteps before a step attempt beyond max_steps, accepted
+    and rejected together.  Returns (times, states, statistics).
     """
     stats = dict.fromkeys(("accepted", "rejected", "rhs_evals") + CAUSES, 0)
     t, x = t0, np.array(x0, dtype=float)
@@ -81,6 +86,8 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
     gidx = 0
     just_rejected = False
     while t < t1:
+        if stats["accepted"] + stats["rejected"] >= max_steps:
+            raise OutOfSteps(t, x)
         last = t + h >= t1
         h = t1 - t if last else h
         ch = C_NODES * h

@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from . import verify
 from .controller import AvailabilitySchedule
@@ -220,25 +219,15 @@ def build_system(cfg: dict) -> NormalForm:
         for key in ("A", "B", "C"):
             if key not in sec:
                 raise ConfigError(f"state_space mode requires system.{key}")
-        x0 = np.asarray(sec["x0"], dtype=float) if "x0" in sec else None
-        ss = StateSpace(np.asarray(sec["A"], dtype=float),
-                        np.asarray(sec["B"], dtype=float),
-                        np.asarray(sec["C"], dtype=float), x0=x0)
-        return to_normal_form(ss)
+        return to_normal_form(StateSpace(sec["A"], sec["B"], sec["C"],
+                                         x0=sec.get("x0")))
     for key in ("R", "Gamma", "Q", "P", "S"):
         if key not in sec:
             raise ConfigError(f"normal_form mode requires system.{key}")
-    return NormalForm(
-        R=[np.asarray(Ri, dtype=float) for Ri in sec["R"]],
-        S=np.asarray(sec["S"], dtype=float),
-        Gamma=np.asarray(sec["Gamma"], dtype=float),
-        Q=np.asarray(sec["Q"], dtype=float),
-        P=np.asarray(sec["P"], dtype=float),
-        chain0=(np.asarray(sec["chain0"], dtype=float)
-                if "chain0" in sec else None),
-        eta0=(np.asarray(sec["eta0"], dtype=float)
-              if "eta0" in sec else None),
-    )
+    # NormalForm converts the blocks and zeroes a missing start state
+    return NormalForm(R=sec["R"], S=sec["S"], Gamma=sec["Gamma"], Q=sec["Q"],
+                      P=sec["P"], chain0=sec.get("chain0"),
+                      eta0=sec.get("eta0"))
 
 
 def build_reference(cfg: dict) -> ReferenceSignal:
@@ -405,9 +394,7 @@ def cmd_synthesize(cfg: dict, outdir: Path) -> int:
     if cfg["system"]["mode"] == "mass_on_car":
         text += "\n" + discrepancy_table(dp)
     path = _out_path(outdir, cfg, "design_report", "design_report.txt")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    sys.stdout.write(text)
+    _publish(path, text)
     log.info("design report written to %s", path)
     return 0
 
@@ -436,13 +423,22 @@ def cmd_simulate(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _trace_checks(trace, design, cc, horizon) -> list:
+def _publish(path: Path, text: str) -> None:
+    """Write a report to path and to standard output."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    sys.stdout.write(text)
+
+
+def _check_trace(trace, design, cc, horizon, path) -> bool:
+    """Run the trace checks and publish their report; True if all pass."""
     checks = [verify.funnel_containment(trace)]
     if not isinstance(design, ManualDesign):
         checks.append(verify.input_and_state_bounds(trace, design))
     checks.append(verify.internal_envelope_check(trace, cc))
     checks.append(verify.global_solution(trace, horizon))
-    return checks
+    _publish(path, verify.report_lines(checks) + "\n")
+    return all(c.passed for c in checks)
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
@@ -453,13 +449,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     nf = build_system(cfg)
     y_ref = build_reference(cfg)
     design = build_design(cfg, nf, y_ref)
-    checks = _trace_checks(trace, design, class_constants(nf), _horizon(cfg))
-    text = verify.report_lines(checks) + "\n"
-    rpath = _out_path(outdir, cfg, "report", "verify_report.txt")
-    rpath.parent.mkdir(parents=True, exist_ok=True)
-    rpath.write_text(text)
-    sys.stdout.write(text)
-    return 0 if all(c.passed for c in checks) else 1
+    ok = _check_trace(trace, design, class_constants(nf), _horizon(cfg),
+                      _out_path(outdir, cfg, "report", "verify_report.txt"))
+    return 0 if ok else 1
 
 
 def cmd_reproduce(preset: str | None, outdir: Path) -> int:
@@ -475,11 +467,8 @@ def cmd_reproduce(preset: str | None, outdir: Path) -> int:
         if not isinstance(design, ManualDesign):
             (subdir / "design_report.txt").write_text(design_report(design))
             dp_bench = design
-        checks = _trace_checks(trace, design, cc, horizon)
-        text = verify.report_lines(checks) + "\n"
-        (subdir / "verify_report.txt").write_text(text)
-        sys.stdout.write(text)
-        ok = all(c.passed for c in checks)
+        ok = _check_trace(trace, design, cc, horizon,
+                          subdir / "verify_report.txt")
         all_pass = all_pass and ok
         print(f"SCENARIO {name} {'PASS' if ok else 'FAIL'}")
 
@@ -488,9 +477,7 @@ def cmd_reproduce(preset: str | None, outdir: Path) -> int:
         cfg = load_config(preset="scenario_a")
         nf = build_system(cfg)
         dp_bench = build_design(cfg, nf, build_reference(cfg))
-    table = discrepancy_table(dp_bench)
-    (outdir / "discrepancy_report.txt").write_text(table)
-    sys.stdout.write(table)
+    _publish(outdir / "discrepancy_report.txt", discrepancy_table(dp_bench))
     return 0 if all_pass else 1
 
 
@@ -590,8 +577,11 @@ def main(argv=None) -> int:
     except FunnelSimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (jsonschema.ValidationError, json.JSONDecodeError,
-            FileNotFoundError, ValueError) as exc:
+    except jsonschema.ValidationError as exc:
+        print(f"error: ValidationError: {exc.message} at {exc.json_path}",
+              file=sys.stderr)
+        return 2
+    except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

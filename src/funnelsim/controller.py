@@ -8,17 +8,17 @@ derivatives.  Everything here is derivable from the schedule and the time
 alone.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InitialConditionViolated
 
 __all__ = [
     "AvailabilitySchedule",
     "alpha",
     "cascade",
+    "check_start",
 ]
 
 
@@ -94,9 +94,8 @@ class AvailabilitySchedule:
                              window_bound: float):
         """Compare the schedule against designed duration limits.
 
-        Violations are reported as warnings, not errors: a schedule may
-        deliberately stress the controller beyond its certificate.  Returns
-        the list of warning strings.
+        Violations are returned as notes, not raised: a schedule may
+        deliberately stress the controller beyond its certificate.
         """
         notes = []
         for i, (lo, hi) in enumerate(self.dropouts):
@@ -111,8 +110,6 @@ class AvailabilitySchedule:
                     f"availability window before dropout {i} lasts "
                     f"{gap:.6g}, below the designed minimum "
                     f"{window_bound:.6g}")
-        for note in notes:
-            warnings.warn(note, stacklevel=2)
         return notes
 
 
@@ -141,3 +138,21 @@ def cascade(phi, e_derivs):
         stages[i] = stage
         n_sq[i] = np.vecdot(stage, stage)
     return stages, n_sq
+
+
+def check_start(phi, e_derivs, eta, internal_cap):
+    """(stage norms, |eta|) at t = 0, or InitialConditionViolated for the
+    first of: a cascade stage of e_derivs (e, ..., e^(r-1)) at the funnel
+    gain phi outside the unit ball (NaN passes), |eta| above internal_cap."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, n_sq = cascade(phi, e_derivs)
+    norms = np.sqrt(n_sq)
+    bad = np.flatnonzero(n_sq >= 1.0)
+    if bad.size:
+        raise InitialConditionViolated(f"cascade stage {bad[0] + 1}",
+                                       norms[bad[0]], 1.0)
+    eta_norm = float(np.linalg.norm(eta))
+    if eta_norm > internal_cap:
+        raise InitialConditionViolated("internal state", eta_norm,
+                                       internal_cap)
+    return norms, eta_norm

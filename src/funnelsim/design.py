@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import alpha, cascade
+from .controller import alpha, cascade, check_start
 from .errors import (
     CiOverflow,
+    ConfigError,
     DegenerateCertificate,
     DeltaTooLarge,
     EmptyWindow,
     InfeasibleEtaStar,
     InfeasibleRefinement,
-    InitialConditionViolated,
     InvalidQ,
     TemplateRejected,
 )
@@ -232,9 +232,6 @@ class GainConstants:
     settling time.
     """
 
-    phi00: float
-    d: float
-    q: float
     slope_gain: float           # growth constant of the shifted funnel
     stage_slopes: tuple         # indices 0..r-1
     stage_caps: tuple           # indices 0..r-1, all < 1
@@ -279,7 +276,7 @@ def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants
     level = 1.0 + caps[r - 1] / comps[r - 1]
     for i in range(1, r):
         level += caps[i] + caps[i - 1] / comps[i - 1]
-    return GainConstants(phi00=phi00, d=d, q=q, slope_gain=mu0,
+    return GainConstants(slope_gain=mu0,
                          stage_slopes=tuple(slopes), stage_caps=tuple(caps),
                          stage_cap_complements=tuple(comps),
                          stage_init=tuple(init), required_level=level)
@@ -297,6 +294,12 @@ class FunnelSpec:
     b: float
     c: float
     d: float
+
+    def __post_init__(self):
+        for key in ("a", "b", "c", "d"):
+            if not 0.0 < getattr(self, key) < math.inf:     # NaN fails too
+                raise ConfigError(f"funnel parameter {key} must be positive "
+                                  f"and finite")
 
     def boundary(self, t):
         """Funnel radius, the reciprocal gain."""
@@ -380,7 +383,6 @@ class Certificate:
     internal_sup: float         # uniform bound on the internal state
     drive_bound: float          # aggregate drive constant on the last stage
     root: float                 # balance point of drive against gain
-    root_complement: float      # 1 - root, kept in a cancellation-free form
     last_cap: float             # uniform bound on the last cascade stage
     last_cap_complement: float  # 1 - last_cap^2
     input_sup: float
@@ -435,7 +437,7 @@ def input_bound_certificate(cc: ClassConstants, nf: NormalForm,
     cap_comp = complements[pick]
     return Certificate(ref_sup=ref_sup, floor=floor,
                        internal_sup=internal_sup, drive_bound=drive,
-                       root=root, root_complement=root_comp, last_cap=cap,
+                       root=root, last_cap=cap,
                        last_cap_complement=cap_comp,
                        input_sup=cap / cap_comp)
 
@@ -543,9 +545,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     start_gain = gain_hi if phi00 is None else phi00
     settle = settle_factor * window
 
-    chain0 = nf.chain0 if nf.chain0 is not None else np.zeros((nf.r, nf.m))
-    eta0 = nf.eta0 if nf.eta0 is not None else np.zeros(nf.internal_dim)
-    e_derivs0 = chain0 - y_ref.derivatives(0.0, nf.r - 1)
+    e_derivs0 = nf.chain0 - y_ref.derivatives(0.0, nf.r - 1)
 
     if funnel_template is not None:
         gains = gain_recursion(start_gain, float(funnel_template[0]),
@@ -573,13 +573,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                 "funnel slope iteration did not settle in 60 rounds"
             )
 
-    stage_norms = tuple(float(np.linalg.norm(e)) for e in gains.stage_init)
-    for i, nrm in enumerate(stage_norms, start=1):
-        if nrm >= 1.0:
-            raise InitialConditionViolated(f"cascade stage {i}", nrm, 1.0)
-    eta0_norm = float(np.linalg.norm(eta0)) if eta0.size else 0.0
-    if eta0_norm > cap:
-        raise InitialConditionViolated("internal state", eta0_norm, cap)
+    stage_norms, eta0_norm = check_start(start_gain, e_derivs0, nf.eta0, cap)
 
     cert = input_bound_certificate(cc, nf, funnel, gains, cap, q,
                                    y_ref.y_max(cc.r))
@@ -590,7 +584,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                         rejoin_bound=rejoin, gain_lo=gain_lo,
                         gain_hi=gain_hi, funnel=funnel, gains=gains,
                         cert=cert, ref_y_sup=y_sup, ref_chain_sup=chain_sup,
-                        ic_stage_norms=stage_norms,
+                        ic_stage_norms=tuple(stage_norms.tolist()),
                         ic_internal_norm=eta0_norm, iterations=iterations)
 
 

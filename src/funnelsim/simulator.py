@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk import Underflow, radau_segment
-from .controller import AvailabilitySchedule, cascade
+from ._rk import OutOfSteps, Underflow, radau_segment
+from .controller import AvailabilitySchedule, cascade, check_start
 from .design import FunnelSpec
 from .errors import (
     ConfigError,
     FunnelViolation,
-    InitialConditionViolated,
+    IntegrationStalled,
     StepUnderflow,
 )
 from .reference import ReferenceSignal
@@ -33,6 +33,7 @@ __all__ = ["SimOptions", "ManualDesign", "Trace", "integrate",
 
 DOMAIN_MARGIN = 1e-10     # stages must stay below 1 - this during availability
 MAX_GRID_ROWS = 10_000_000    # output grid points a run may ask for
+MAX_STEPS = 1_000_000     # step attempts of one run, over all segments
 
 
 @dataclass
@@ -104,39 +105,49 @@ def _segments(sched: AvailabilitySchedule, t_end: float):
 
 
 def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
-    """x' = A x + B u on one segment and its Jacobian, u the funnel feedback.
+    """The closed loop on one segment as (rhs, jac, signals).
 
-    (A, B) come from nf.realization(), whose state order is the integration
-    state's: chain, then internal.  rhs(t, x) takes one time and state or a
-    stack of them.  A stage with |e_i|^2 >= lim_sq raises FunnelViolation,
-    which the stepper treats as a rejected step.  Returns (rhs, jac) with
-    jac(t, x) -> (df/dx, df/dt); during a dropout (A, 0), as u = 0.
+    signals(t, x, bound) maps k times and states (k, n) to the funnel gain
+    (k,), the squared stage norms (k, r) and u = -sign alpha(|e_r|^2) e_r
+    (k, m), all zero during a dropout; given a bound, a stage with |e_i|^2 >=
+    bound raises FunnelViolation.  rhs(t, x) = A x + B u for one state or a
+    stack, in nf.realization()'s state order (chain, then internal), tested
+    at lim_sq: the stepper rejects a step that leaves the funnel.
+    jac(t, x) -> (df/dx, df/dt), (A, 0) in a dropout.
     """
     plant = nf.realization()
     A, B = plant.A, plant.B
-    if a == 0:
-        return (lambda t, x: x @ A.T), (lambda t, x: (A, np.zeros(len(x))))
     r, m = nf.r, nf.m
+    if a == 0:
+        def signals(t, x, bound=None):
+            k = len(x)
+            return np.zeros(k), np.zeros((k, r)), np.zeros((k, m))
+
+        return ((lambda t, x: x @ A.T),
+                (lambda t, x: (A, np.zeros(len(x)))), signals)
     rm = r * m
     sign = float(nf.sign)
     pick = np.eye(rm).reshape(r, m, rm)     # pick[i] @ x = i-th chain block
     memo = [b"", None, None]    # last times: (key, gain, reference stack)
 
-    def rhs(t, x):
+    def signals(t, x, bound=None):
         # the stepper repeats its stage times in every Newton iteration
         key = np.asarray(t, dtype=float).tobytes()
         if key != memo[0]:
             memo[:] = key, funnel.value(t - tau), y_ref.derivatives(
                 np.ravel(t), r - 1)
-        xs = np.atleast_2d(x)
-        ed = xs[:, :rm].reshape(-1, r, m).transpose(1, 0, 2) - memo[2]
+        ed = x[:, :rm].reshape(-1, r, m).transpose(1, 0, 2) - memo[2]
         stages, n_sq = cascade(memo[1], ed)
-        bad = n_sq >= lim_sq
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        if bound is not None and (n_sq >= bound).any():
+            i, j = np.argwhere(n_sq >= bound)[0]
             raise FunnelViolation(int(i) + 1, math.sqrt(n_sq[i, j]),
                                   float(np.ravel(t)[j]))
         u = (-sign / (1.0 - n_sq[-1]))[:, None] * stages[-1]
+        return memo[1], n_sq.T, u
+
+    def rhs(t, x):
+        xs = np.atleast_2d(x)
+        u = signals(t, xs, lim_sq)[2]
         return (xs @ A.T + u @ B.T).reshape(np.shape(x))
 
     def jac(t, x):
@@ -157,85 +168,74 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
         jx[:, :rm] -= sign * (B @ (g @ de_x))
         return jx, -sign * (B @ (g @ de_t))
 
-    return rhs, jac
-
-
-def _diagnose(nf, funnel, a, tau, y_ref, t, x):
-    """Last-stage norm and funnel gain at a point, tolerant of blowup."""
-    if a == 0:
-        return 0.0, 0.0
-    r, m = nf.r, nf.m
-    phi = float(funnel.value(t - tau))
-    ed = x[:r * m].reshape(r, m) - y_ref.derivatives(t, r - 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, n_sq = cascade(phi, ed)
-    return math.sqrt(n_sq[-1]), phi
+    return rhs, jac, signals
 
 
 def _run_segments(nf, funnel, sched_segments, y_ref, x0, opts):
-    """Integrate across smooth segments; returns times, states, stats."""
+    """Integrate across smooth segments, at most MAX_STEPS step attempts.
+
+    Returns (cols, stats): cols holds the columns a, tau, t, x, phi, n_sq
+    and u as one piece per segment, the first led by the start sample.  The
+    signals come from each segment's closure, tested like its steps.
+    """
     lim = 1.0 - DOMAIN_MARGIN
     lim_sq = lim * lim
-    times = [np.array([sched_segments[0][0]])]
-    states = [x0.reshape(1, -1).copy()]
-    stats = {"segments": len(sched_segments)}
+    cols = [[] for _ in range(7)]
+    stats = {"segments": len(sched_segments), "accepted": 0, "rejected": 0}
     x = x0.astype(float).copy()
     n = sched_segments[-1][1] / opts.grid_dt
     if n > MAX_GRID_ROWS:
         raise ConfigError(f"output grid of {n:.3g} points exceeds the cap "
                           f"of {MAX_GRID_ROWS}")
     full_grid = np.arange(1, math.floor(n) + 1) * opts.grid_dt    # k dt
-    for (lo, hi, a, tau) in sched_segments:
+    for k, (lo, hi, a, tau) in enumerate(sched_segments):
         grid = full_grid[np.searchsorted(full_grid, lo, side="right"):
                          np.searchsorted(full_grid, hi, side="left")]
-        rhs, jac = _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq)
+        rhs, jac, signals = _closed_loop_rhs(nf, funnel, a, tau, y_ref,
+                                             lim_sq)
         try:
             seg_t, seg_x, seg_stats = radau_segment(
                 rhs, jac, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
-                h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max, grid=grid)
+                h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max, grid=grid,
+                max_steps=MAX_STEPS - stats["accepted"] - stats["rejected"])
+        except OutOfSteps as stop:
+            raise IntegrationStalled(
+                f"step budget of {MAX_STEPS} attempts exhausted in segment "
+                f"{k} at t = {stop.t:.9g}, state {stop.x.tolist()}") from None
         except Underflow as uf:
-            ern, phi = _diagnose(nf, funnel, a, tau, y_ref, uf.t, uf.x)
-            raise StepUnderflow(uf.t, ern, phi) from None
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                phi, n_sq, _ = signals(np.array([uf.t]), uf.x[None])
+            raise StepUnderflow(uf.t, math.sqrt(n_sq[0, -1]),
+                                float(phi[0])) from None
         for key, count in seg_stats.items():
             stats[key] = stats.get(key, 0) + count
-        times.append(seg_t)
-        states.append(seg_x)
+        if k == 0:
+            seg_t = np.concatenate([[lo], seg_t])
+            seg_x = np.vstack([x[None], seg_x])
+        for col, piece in zip(cols, (
+                np.full(seg_t.size, a), np.full(seg_t.size, tau), seg_t,
+                seg_x, *signals(seg_t, seg_x, lim_sq))):
+            col.append(piece)
         x = seg_x[-1].copy()
-    return np.concatenate(times), np.vstack(states), stats
+    return cols, stats
 
 
-def _build_trace(nf, funnel, sched, y_ref, t, x, stats) -> Trace:
-    """Vectorized post-pass: recompute controller signals at the samples."""
-    r, m, kdim = nf.r, nf.m, nf.internal_dim
-    rm = r * m
-    n_samples = t.size
-    a, tau = sched.at_times(t)
+def _build_trace(nf, y_ref, cols, stats) -> Trace:
+    """Join a run's columns into its trace; in a dropout tau = t, psi = -1."""
+    # popped, so that each column's pieces are freed once it is joined
+    a, tau, t, x, phi, n_sq, u = (np.concatenate(cols.pop(0))
+                                  for _ in range(7))
     avail = a == 1
-    phi = np.where(avail, funnel.value(t - tau), 0.0)
-    psi = np.full(n_samples, -1.0)
-    psi[avail] = 1.0 / phi[avail]
-
-    chain = x[:, :rm].reshape(n_samples, r, m)
-    eta = x[:, rm:]
-    ref_d = y_ref.derivatives(t, r - 1)               # (r, N, m)
-    ed = chain.transpose(1, 0, 2) - ref_d             # (r, N, m)
-    y = chain[:, 0, :]
-    e = ed[0]
-    e_norm = np.linalg.norm(e, axis=1)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        stages, n_sq = cascade(phi, ed)
-        gain = np.where(avail & (n_sq[-1] < 1.0), 1.0 / (1.0 - n_sq[-1]), 0.0)
-    stage_norms = np.where(avail[:, None], np.sqrt(n_sq.T), 0.0)
-    u = (-float(nf.sign) * gain)[:, None] * stages[-1]
-    u[~avail] = 0.0
-    u_norm = np.linalg.norm(u, axis=1)
-    eta_norm = np.linalg.norm(eta, axis=1)
-
-    return Trace(t=t, x=x, a=a, tau=tau, phi=phi, psi=psi, y=y, e=e,
-                 e_norm=e_norm, stage_norms=stage_norms, u=u, u_norm=u_norm,
-                 eta=eta, eta_norm=eta_norm, r=r, m=m, internal_dim=kdim,
-                 stats=stats)
+    psi = np.divide(1.0, phi, out=np.full(t.size, -1.0), where=avail)
+    m, rm = nf.m, nf.r * nf.m
+    e = x[:, :m] - y_ref.derivatives(t, 0)[0]
+    return Trace(t=t, x=x, a=a, tau=np.where(avail, tau, t), phi=phi,
+                 psi=psi, y=x[:, :m], e=e, e_norm=np.linalg.norm(e, axis=1),
+                 stage_norms=np.sqrt(n_sq), u=u,
+                 u_norm=np.linalg.norm(u, axis=1), eta=x[:, rm:],
+                 eta_norm=np.linalg.norm(x[:, rm:], axis=1), r=nf.r, m=m,
+                 internal_dim=nf.internal_dim, stats=stats)
 
 
 def integrate(nf, cc, design, sched: AvailabilitySchedule,
@@ -258,23 +258,13 @@ def integrate(nf, cc, design, sched: AvailabilitySchedule,
     eta0 = np.asarray(eta0, dtype=float).reshape(kdim)
     x0 = np.concatenate([chain0.reshape(-1), eta0])
 
-    if sched.availability(0.0) == 1:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            _, n_sq = cascade(funnel.phi00,
-                              chain0 - y_ref.derivatives(0.0, r - 1))
-        bad = np.flatnonzero(n_sq >= 1.0)     # NaN passes
-        if bad.size:
-            raise InitialConditionViolated(
-                f"cascade stage {bad[0] + 1}", np.sqrt(n_sq[bad[0]]), 1.0)
-    if kdim:
-        n0 = float(np.linalg.norm(eta0))
-        if n0 > design.internal_cap:
-            raise InitialConditionViolated("internal state", n0,
-                                           design.internal_cap)
-
     segs = _segments(sched, sched.horizon)
-    t, x, stats = _run_segments(nf, funnel, segs, y_ref, x0, opts)
-    return _build_trace(nf, funnel, sched, y_ref, t, x, stats)
+    # a run that starts in a dropout has no funnel to start inside
+    check_start(funnel.phi00 if segs[0][2] else 0.0,
+                chain0 - y_ref.derivatives(0.0, r - 1), eta0,
+                design.internal_cap)
+    cols, stats = _run_segments(nf, funnel, segs, y_ref, x0, opts)
+    return _build_trace(nf, y_ref, cols, stats)
 
 
 def coasting_run(nf, x0, eta0, t0: float, t1: float,
@@ -292,13 +282,11 @@ def coasting_run(nf, x0, eta0, t0: float, t1: float,
     chain0 = np.asarray(x0, dtype=float).reshape(r * m)
     eta0 = np.asarray(eta0, dtype=float).reshape(kdim)
     state0 = np.concatenate([chain0, eta0])
-    # a single unavailable segment forces u = 0 and reads no funnel or
-    # reference; the post-pass masks the placeholder funnel's gain out
-    segs = [(t0, t1, 0, 0.0)]
-    t, x, stats = _run_segments(nf, None, segs, None, state0, opts)
-    sched = AvailabilitySchedule(((0.0, t1),), t1)
-    return _build_trace(nf, FunnelSpec(1.0, 1.0, 1.0, 1.0), sched,
-                        ReferenceSignal.constant(np.zeros(m)), t, x, stats)
+    # one unavailable segment forces u = 0 and reads no funnel or reference
+    cols, stats = _run_segments(nf, None, [(t0, t1, 0, 0.0)], None,
+                                state0, opts)
+    return _build_trace(nf, ReferenceSignal.constant(np.zeros(m)), cols,
+                        stats)
 
 
 CSV_NUMBER = "%.11e"

@@ -50,7 +50,7 @@ def _as_matrix(x, rows=None, cols=None, name="matrix"):
 
 @dataclass
 class StateSpace:
-    """Square linear plant x' = A x + B u, y = C x with optional start state."""
+    """Square linear plant x' = A x + B u, y = C x; x0 defaults to zero."""
 
     A: np.ndarray
     B: np.ndarray
@@ -69,10 +69,10 @@ class StateSpace:
                             cols=n, name="C")
         if self.C.shape[0] != m:
             raise ValueError("plant must be square: C rows must equal B columns")
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-            if self.x0.shape[0] != n:
-                raise ValueError("x0 length must match the state dimension")
+        self.x0 = np.asarray(np.zeros(n) if self.x0 is None else self.x0,
+                             dtype=float).reshape(-1)
+        if self.x0.shape[0] != n:
+            raise ValueError("x0 length must match the state dimension")
 
     @property
     def n(self) -> int:
@@ -163,7 +163,9 @@ class NormalForm:
         y^(r) = sum_i R[i] y^(i) + S eta + Gamma u,
 
     and the internal part satisfies eta' = Q eta + P y.  R is indexed so that
-    R[i] multiplies the i-th output derivative, i = 0..r-1.
+    R[i] multiplies the i-th output derivative, i = 0..r-1.  An empty Q
+    means no internal dynamics; a missing start state (chain0, eta0) is
+    zero.
     """
 
     R: list
@@ -185,6 +187,10 @@ class NormalForm:
                   for Ri in self.R]
         if not self.R:
             raise ValueError("chain must have positive length")
+        if np.size(self.Q) == 0:     # e.g. Q: [[]] in a config
+            self.Q = np.zeros((0, 0))
+            self.S = self.S if np.size(self.S) else np.zeros((m, 0))
+            self.P = self.P if np.size(self.P) else np.zeros((0, m))
         self.Q = _as_matrix(np.atleast_2d(self.Q), name="Q")
         k = self.Q.shape[0]
         if self.Q.shape[1] != k:
@@ -194,11 +200,12 @@ class NormalForm:
         if self.S.shape[1] != k or self.P.shape[0] != k:
             raise ValueError("S and P must match the internal dimension")
         self.sign = gain_sign(self.Gamma)
-        if self.chain0 is not None:
-            self.chain0 = np.asarray(self.chain0, dtype=float).reshape(
-                self.r, m)
-        if self.eta0 is not None:
-            self.eta0 = np.asarray(self.eta0, dtype=float).reshape(k)
+        self.chain0 = np.asarray(
+            np.zeros((self.r, m)) if self.chain0 is None else self.chain0,
+            dtype=float).reshape(self.r, m)
+        self.eta0 = np.asarray(
+            np.zeros(k) if self.eta0 is None else self.eta0,
+            dtype=float).reshape(k)
 
     @property
     def r(self) -> int:
@@ -218,7 +225,7 @@ class NormalForm:
 
     def realization(self) -> StateSpace:
         """Assemble (A, B, C) in chain-internal coordinates."""
-        r, m, k = self.r, self.m, self.internal_dim
+        r, m = self.r, self.m
         n = self.n
         A = np.zeros((n, n))
         for i in range(r - 1):
@@ -233,10 +240,7 @@ class NormalForm:
         B[row, :] = self.Gamma
         C = np.zeros((m, n))
         C[:, :m] = np.eye(m)
-        x0 = None
-        if self.chain0 is not None:
-            eta0 = self.eta0 if self.eta0 is not None else np.zeros(k)
-            x0 = np.concatenate([self.chain0.reshape(-1), eta0])
+        x0 = np.concatenate([self.chain0.reshape(-1), self.eta0])
         return StateSpace(A, B, C, x0=x0)
 
 
@@ -288,13 +292,9 @@ def to_normal_form(sys: StateSpace) -> NormalForm:
             f"internal dynamics couple into chain derivatives "
             f"(residual {resid:.3e})"
         )
-    chain0 = eta0 = None
-    if sys.x0 is not None:
-        z0 = U @ sys.x0
-        chain0 = z0[:r * m].reshape(r, m)
-        eta0 = z0[r * m:]
+    z0 = U @ sys.x0
     return NormalForm(R=R, S=S, Gamma=Gamma, Q=Q, P=P,
-                      chain0=chain0, eta0=eta0, transform=U)
+                      chain0=z0[:r * m], eta0=z0[r * m:], transform=U)
 
 
 def decay_envelope(Q: np.ndarray) -> tuple[float, float]:

@@ -1,8 +1,13 @@
 """Command-line behavior: configs, schedules, commands, exit codes."""
 
+import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -90,6 +95,16 @@ class TestConfig:
         assert got.value.message == want.value.message
         assert list(got.value.path) == list(want.value.path)
         assert list(got.value.schema_path) == list(want.value.schema_path)
+
+    def test_schema_error_is_one_line(self, tmp_path, capsys):
+        cfg = manual_cfg(t_end=1.0)
+        cfg["design"]["funnel"]["c"] = 0
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValidationError: 0 is less than or equal to the minimum "
+            "of 0 at $.design.funnel.c"]
 
 
 class TestScheduleBuilding:
@@ -300,6 +315,48 @@ class TestSimulateAndVerify:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
+
+    def test_schedule_note_logged_once(self, tmp_path):
+        # one dropout 5% beyond the designed limit: its note is logged once
+        # and not also raised as a Python warning
+        cfg = copy.deepcopy(cli.PRESETS["scenario_a"])
+        cfg["availability"]["generator"] = {
+            "kind": "from_design", "dropout_factor": 1.05, "start": 1.0,
+            "count": 1}
+        cfg["sim"]["t_end"] = 2.0
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "funnelsim", "simulate", "--config",
+             write_cfg(tmp_path, cfg), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0
+        err = run.stderr.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("WARNING funnelsim: dropout 0 lasts ")
+
+    @pytest.mark.parametrize("system, design, dropouts", [
+        # a chain-only plant: empty internal dynamics, a manual funnel
+        ({"R": [[[0.0]], [[0.0]]], "Gamma": [[1.0]],
+          "Q": [[]], "S": [[]], "P": [[]]},
+         manual_cfg()["design"], [[0.5, 1.0]]),
+        # the benchmark plant without chain0 and eta0 starts at rest, in
+        # synthesis and in the run
+        ({"R": [[[0.0]], [[8.0 / 9.0]]], "Gamma": [[1.0 / 9.0]],
+          "Q": [[0.0, 1.0], [-4.0, -2.0]],
+          "S": [[-8.0 * math.sqrt(2.0) / 9.0, -4.0 * math.sqrt(2.0) / 9.0]],
+          "P": [[2.0 * math.sqrt(2.0)], [0.0]]},
+         {"q": 0.95, "theta": 0.9}, []),
+    ], ids=["chain_only", "no_start_state"])
+    def test_normal_form_defaults(self, tmp_path, system, design, dropouts):
+        cfg = manual_cfg(t_end=2.0)
+        cfg["system"] = dict(system, mode="normal_form")
+        cfg["design"] = design
+        cfg["availability"] = {"dropouts": dropouts}
+        path = write_cfg(tmp_path, cfg)
+        for command in ("simulate", "verify"):
+            assert cli.main([command, "--config", path,
+                             "--out", str(tmp_path)]) == 0
 
     def test_horizon_past_csv_precision(self, tmp_path):
         # 0.30000000000000004 needs 17 digits; the CSV keeps 12

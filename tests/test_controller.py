@@ -13,12 +13,7 @@ from funnelsim.errors import (
     InitialConditionViolated,
 )
 from funnelsim.reference import ReferenceSignal
-from funnelsim.simulator import (
-    ManualDesign,
-    _build_trace,
-    _closed_loop_rhs,
-    integrate,
-)
+from funnelsim.simulator import ManualDesign, _closed_loop_rhs, integrate
 from funnelsim.sysmodel import NormalForm
 
 # funnel whose gain at t = 0 is exactly 1
@@ -46,8 +41,8 @@ def input_at_start(e_r, sign=1, dropouts=()):
     e_r = np.asarray(e_r, dtype=float)
     nf = chain_plant(m=e_r.size, sign=sign)
     sched = AvailabilitySchedule.from_pairs(dropouts, 1.0)
-    tr = _build_trace(nf, UNIT_GAIN, sched, zero_ref(e_r.size),
-                      np.array([0.0]), e_r[None], {})
+    tr = integrate(nf, None, ManualDesign(UNIT_GAIN), sched,
+                   zero_ref(e_r.size), ic=(e_r[None], np.zeros(0)))
     return tr.u[0]
 
 
@@ -132,12 +127,17 @@ class TestSchedule:
             AvailabilitySchedule.from_pairs([], 0.0)
 
     def test_design_conformance_warnings(self):
+        # the notes are returned, not warned: the CLI logs each one once
         s = AvailabilitySchedule.from_pairs([(1.0, 2.0), (2.5, 3.5)], 10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             notes = s.check_against_design(0.5, 2.0)
-        assert len(notes) == 3
-        assert len(caught) == 3
+        assert notes == [
+            "dropout 0 lasts 1, beyond the designed limit 0.5",
+            "dropout 1 lasts 1, beyond the designed limit 0.5",
+            "availability window before dropout 1 lasts 0.5, below the "
+            "designed minimum 2"]
+        assert not caught
         ok = AvailabilitySchedule.from_pairs([(1.0, 1.4), (4.0, 4.4)], 10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -177,8 +177,8 @@ class TestErrorCascade:
     def test_tightened_limit(self):
         # the closed-loop rhs rejects a stage at its squared limit
         def rhs_at(e, lim):
-            rhs, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
-                                      zero_ref(), lim * lim)
+            rhs, _, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
+                                         zero_ref(), lim * lim)
             return rhs(np.array([0.0]), np.array([[e]]))
 
         rhs_at(0.95, 0.96)
@@ -231,7 +231,7 @@ class TestControlInput:
         assert np.allclose(u_plus, -np.array([0.3, 0.4]) / 0.75, rtol=1e-14)
 
     def test_boundary_rejected(self):
-        rhs, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
-                                  zero_ref(), 1.0)
+        rhs, _, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
+                                     zero_ref(), 1.0)
         with pytest.raises(FunnelViolation):
             rhs(np.array([0.0]), np.array([[1.0]]))

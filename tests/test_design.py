@@ -28,6 +28,7 @@ from funnelsim.design import (
 )
 from funnelsim.errors import (
     CiOverflow,
+    ConfigError,
     DegenerateCertificate,
     DeltaTooLarge,
     EmptyWindow,
@@ -344,6 +345,18 @@ class TestRefineFunnel:
             assert np.all(np.diff(vals) >= -1e-12)
             slopes = f.slope(ts)
             assert np.all(np.abs(slopes) <= f.d * (1.0 + vals) * (1 + 1e-9))
+
+
+class TestFunnelSpec:
+
+    @pytest.mark.parametrize("key", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [0.0, -0.2, math.inf, math.nan])
+    def test_parameters_positive_and_finite(self, key, value):
+        # a = -0.2 with c = 0.2 used to reach a ZeroDivisionError in phi00
+        params = {"a": 5.0, "b": 1.0, "c": 0.2, "d": 1.0}
+        params[key] = value
+        with pytest.raises(ConfigError, match=f"parameter {key} "):
+            FunnelSpec(**params)
 
 
 class TestInputBoundCertificate:

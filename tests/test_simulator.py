@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from funnelsim import simulator
 from funnelsim._rk import radau_segment
 from funnelsim.controller import AvailabilitySchedule, cascade
 from funnelsim.design import FunnelSpec, synthesize
@@ -16,6 +17,7 @@ from funnelsim.errors import (
     ConfigError,
     FunnelViolation,
     InitialConditionViolated,
+    IntegrationStalled,
     StepUnderflow,
 )
 from funnelsim.reference import ReferenceSignal
@@ -110,7 +112,7 @@ def state_with_stage_norms(nf, phi, ref, level, rng):
 def assert_jacobian_matches(nf, funnel, tau, y_ref, t, x, step=1e-9):
     """Analytic (df/dx, df/dt) against central differences of the rhs."""
     lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
-    rhs, jac = _closed_loop_rhs(nf, funnel, 1, tau, y_ref, lim_sq)
+    rhs, jac, _ = _closed_loop_rhs(nf, funnel, 1, tau, y_ref, lim_sq)
     jx, jt = jac(t, x)
     eye = np.eye(x.size)
     fd_x = np.column_stack([(rhs(t, x + step * d) - rhs(t, x - step * d))
@@ -240,8 +242,8 @@ class TestJacobian:
         nf = mass_on_car_normal_form()
         funnel = FunnelSpec(a=2.0, b=1.0, c=0.05, d=1.0)
         y_ref = ReferenceSignal.sinusoid(1.0, 1.0)
-        rhs, _ = _closed_loop_rhs(nf, funnel, 1, 0.5, y_ref,
-                                  (1.0 - DOMAIN_MARGIN) ** 2)
+        rhs, _, _ = _closed_loop_rhs(nf, funnel, 1, 0.5, y_ref,
+                                     (1.0 - DOMAIN_MARGIN) ** 2)
         for t0 in (1.3, 2.0, 1.3):
             ts = t0 + np.array([0.0, 0.01, 0.02])
             xs = np.array([state_with_stage_norms(
@@ -254,7 +256,7 @@ class TestJacobian:
 
     def test_dropout_jacobian_is_the_plant(self):
         nf = mass_on_car_normal_form()
-        _, jac = _closed_loop_rhs(nf, None, 0, 0.0, None, 1.0)
+        _, jac, _ = _closed_loop_rhs(nf, None, 0, 0.0, None, 1.0)
         jx, jt = jac(0.3, np.ones(4))
         assert np.array_equal(jx, nf.realization().A)
         assert np.array_equal(jt, np.zeros(4))
@@ -388,8 +390,8 @@ class TestAccuracy:
         lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
         x = tr.x[0]
         for lo, hi, a, tau in _segments(sched, sched.horizon):
-            rhs, _ = _closed_loop_rhs(nf, design.funnel, a, tau, y_ref,
-                                      lim_sq)
+            rhs, _, _ = _closed_loop_rhs(nf, design.funnel, a, tau, y_ref,
+                                         lim_sq)
             ref = solve_ivp(rhs, (lo, hi), x, method="DOP853", rtol=1e-12,
                             atol=1e-14, dense_output=True)
             inside = (tr.t >= lo) & (tr.t <= hi)
@@ -433,6 +435,19 @@ class TestFailureModes:
                                    h0=0.5))
         assert 0.0 <= ei.value.t <= 2.0
         assert ei.value.phi >= 0.0
+
+    def test_step_budget_spans_segments(self, monkeypatch):
+        # the first segment, (0, 3], takes 381 step attempts; the budget
+        # counts on across segments and runs out in the dropout (3, 5]
+        nf, cc, design, sched, y_ref = scenario_b_setup()
+        monkeypatch.setattr(simulator, "MAX_STEPS", 390)
+        with pytest.raises(IntegrationStalled) as ei:
+            integrate(nf, cc, design, sched, y_ref)
+        msg = str(ei.value)
+        assert msg.startswith(
+            "step budget of 390 attempts exhausted in segment 1 at t = ")
+        assert 3.0 < float(msg.split("t = ")[1].split(",")[0]) < 5.0
+        assert len(msg.split("state ")[1].split(",")) == 4
 
     @pytest.mark.parametrize("key, value", [
         ("rtol", 0.0), ("rtol", -1.0), ("rtol", np.nan), ("atol", 0.0),
