@@ -40,6 +40,9 @@ FAC_MAX = 10.0
 NEWTON_MAX = 6
 JAC_RATE = 1e-3           # slower Newton contraction renews the Jacobian
 KEEP_H = 1.2              # smaller suggested growth keeps h (and matrices)
+H0 = 1e-3                 # first step tried on a segment
+H_MIN = 1e-12             # a rejection below this step raises Underflow
+H_MAX = 1.0               # longest step
 CAUSES = ("rejected_error", "rejected_newton", "rejected_funnel")
 
 
@@ -58,16 +61,16 @@ def _rms(v):
     return math.sqrt(float(np.vdot(v, v)) / v.size)
 
 
-def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
-                  grid, max_steps=math.inf):
-    """Integrate x' = rhs(t, x) over [t0, t1]; jac(t, x) -> (df/dx, df/dt).
+def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
+                  max_steps=math.inf):
+    """Integrate x' = rhs(t, x) over [t0, t1]; jac(t, x) -> df/dx.
 
     rhs maps times (k,) and states (k, n) to (k, n) derivatives, all three
     stages of a Newton iteration in one call.  grid holds output times
     strictly inside (t0, t1), each taken from the collocation polynomial of
     the step that crosses it; every accepted step endpoint is a sample too
     (t1 exactly at the end).  rhs may raise FunnelViolation, which rejects
-    the step.  Raises Underflow when no acceptable step of at least h_min
+    the step.  Raises Underflow when no acceptable step of at least H_MIN
     exists, and OutOfSteps before a step attempt beyond max_steps, accepted
     and rejected together.  Returns (times, states, statistics).
     """
@@ -76,9 +79,9 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
     n = x.size
     f0 = rhs(np.array([t]), x[None])[0]   # a violation: infeasible start
     stats["rhs_evals"] = 1
-    J, f_t = jac(t, x)
+    J = jac(t, x)
     mats = None             # (h, Newton matrix inverse, error matrix inverse)
-    h = min(h0, h_max, t1 - t0)
+    h = min(H0, H_MAX, t1 - t0)
     newton_tol = max(10 * np.finfo(float).eps / rtol,
                      min(0.03, math.sqrt(rtol)))
     prev = None             # (t, h, x, polynomial coefficients) of last step
@@ -92,7 +95,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
         h = t1 - t if last else h
         ch = C_NODES * h
         if prev is None:    # Taylor start on the segment's first step
-            Z = np.outer(ch, f0) + np.outer(0.5 * ch * ch, J @ f0 + f_t)
+            Z = np.outer(ch, f0) + np.outer(0.5 * ch * ch, J @ f0)
         else:
             tp, hp, xp, Qp = prev
             Z = xp - x + (((t + ch - tp) / hp)[:, None] ** POWERS) @ Qp
@@ -140,9 +143,9 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
             stats[cause] += 1
             h *= fac
             just_rejected = True
-            if h < h_min:
+            if h < H_MIN:
                 raise Underflow(t, x)
-            (J, f_t), mats = jac(t, x), None   # J may be from an older step
+            J, mats = jac(t, x), None   # J may be from an older step
             continue
 
         Q = DENSE @ Z
@@ -158,7 +161,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, h0, h_min, h_max,
         # as RADAU5: a fast Newton iteration keeps the Jacobian, and then a
         # small suggested growth keeps h and the inverted matrices as well
         keep_jac = n_iter <= 2 or rate <= JAC_RATE
-        h = min(h * (1.0 if keep_jac and 1.0 <= fac < KEEP_H else fac), h_max)
+        h = min(h * (1.0 if keep_jac and 1.0 <= fac < KEEP_H else fac), H_MAX)
         if t < t1 and not keep_jac:
-            (J, f_t), mats = jac(t, x), None
+            J, mats = jac(t, x), None
     return np.concatenate(out_t), np.vstack(out_x), stats

@@ -131,7 +131,7 @@ SCHEMA = {
             "properties": {
                 "manual": {"type": "boolean"},
                 "q": _NUM, "theta": _NUM,
-                "eta_star": _NUM, "phi0_0": _NUM, "rho_factor": _NUM,
+                "eta_star": _POS, "phi0_0": _POS, "rho_factor": _POS,
                 "funnel": {
                     "type": "object",
                     "additionalProperties": False,
@@ -145,7 +145,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "t_end": _NUM, "rtol": _POS, "atol": _POS, "grid_dt": _POS,
+                "t_end": _POS, "rtol": _POS, "atol": _POS, "grid_dt": _POS,
             },
         },
         "output": {
@@ -337,10 +337,7 @@ def _horizon(cfg: dict) -> float:
     sec = cfg.get("sim", {})
     if "t_end" not in sec:
         raise ConfigError("sim.t_end is required")
-    t_end = sec["t_end"]
-    if not t_end > 0.0:
-        raise ConfigError("sim.t_end must be positive")
-    return float(t_end)
+    return float(sec["t_end"])
 
 
 def _out_path(outdir: Path, cfg: dict, key: str, default: str) -> Path:
@@ -399,7 +396,7 @@ def cmd_synthesize(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _run_simulation(cfg: dict, outdir: Path):
+def _run_simulation(cfg: dict):
     nf = build_system(cfg)
     y_ref = build_reference(cfg)
     design = build_design(cfg, nf, y_ref)
@@ -415,7 +412,7 @@ def _run_simulation(cfg: dict, outdir: Path):
 
 
 def cmd_simulate(cfg: dict, outdir: Path) -> int:
-    trace, _, _, _ = _run_simulation(cfg, outdir)
+    trace, _, _, _ = _run_simulation(cfg)
     path = _out_path(outdir, cfg, "trace", "trace.csv")
     path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(trace, path)
@@ -462,7 +459,7 @@ def cmd_reproduce(preset: str | None, outdir: Path) -> int:
         cfg = load_config(preset=name)
         subdir = outdir / name
         subdir.mkdir(parents=True, exist_ok=True)
-        trace, design, cc, horizon = _run_simulation(cfg, subdir)
+        trace, design, cc, horizon = _run_simulation(cfg)
         write_csv(trace, subdir / "trace.csv")
         if not isinstance(design, ManualDesign):
             (subdir / "design_report.txt").write_text(design_report(design))

@@ -309,12 +309,6 @@ class FunnelSpec:
         """Funnel gain at time t (vectorized)."""
         return 1.0 / self.boundary(t)
 
-    def slope(self, t):
-        """Time derivative of the gain."""
-        t = np.asarray(t, dtype=float)
-        decay = self.a * np.exp(-self.b * t)
-        return self.b * decay / (decay + self.c) ** 2
-
     @property
     def phi00(self) -> float:
         return 1.0 / (self.a + self.c)
@@ -487,6 +481,8 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     _check_q(q)
     if not (0.0 < theta < 1.0):
         raise ValueError("safety factor theta must lie in (0, 1)")
+    if not settle_factor > 0.0:
+        raise ValueError("settle factor must be positive")
     if y_ref.m != nf.m:
         raise ValueError("reference dimension must match the output dimension")
     cc = class_constants(nf)

@@ -41,12 +41,9 @@ class SimOptions:
     rtol: float = 1e-8
     atol: float = 1e-10
     grid_dt: float = 1e-3     # uniform output grid spacing
-    h_min: float = 1e-12
-    h_max: float = 1.0
-    h0: float = 1e-3
 
     def __post_init__(self):
-        for key in ("rtol", "atol", "grid_dt", "h0", "h_max"):
+        for key in ("rtol", "atol", "grid_dt"):
             if not getattr(self, key) > 0.0:      # NaN fails too
                 raise ConfigError(f"SimOptions.{key} must be positive")
 
@@ -79,7 +76,6 @@ class Trace:
     phi: np.ndarray
     psi: np.ndarray
     y: np.ndarray
-    e: np.ndarray
     e_norm: np.ndarray
     stage_norms: np.ndarray   # (N, r) cascade norms, zero during dropouts
     u: np.ndarray
@@ -110,10 +106,10 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
     signals(t, x, bound) maps k times and states (k, n) to the funnel gain
     (k,), the squared stage norms (k, r) and u = -sign alpha(|e_r|^2) e_r
     (k, m), all zero during a dropout; given a bound, a stage with |e_i|^2 >=
-    bound raises FunnelViolation.  rhs(t, x) = A x + B u for one state or a
-    stack, in nf.realization()'s state order (chain, then internal), tested
-    at lim_sq: the stepper rejects a step that leaves the funnel.
-    jac(t, x) -> (df/dx, df/dt), (A, 0) in a dropout.
+    bound raises FunnelViolation.  rhs(t, x) = A x + B u for the same stacks,
+    in nf.realization()'s state order (chain, then internal), tested at
+    lim_sq: the stepper rejects a step that leaves the funnel.  jac(t, x) is
+    df/dx at one time and state, A in a dropout.
     """
     plant = nf.realization()
     A, B = plant.A, plant.B
@@ -123,50 +119,44 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
             k = len(x)
             return np.zeros(k), np.zeros((k, r)), np.zeros((k, m))
 
-        return ((lambda t, x: x @ A.T),
-                (lambda t, x: (A, np.zeros(len(x)))), signals)
+        return (lambda t, x: x @ A.T), (lambda t, x: A), signals
     rm = r * m
     sign = float(nf.sign)
-    pick = np.eye(rm).reshape(r, m, rm)     # pick[i] @ x = i-th chain block
+    pick = np.eye(rm, len(A)).reshape(r, m, -1)   # pick[i] @ x: chain block i
     memo = [b"", None, None]    # last times: (key, gain, reference stack)
 
-    def signals(t, x, bound=None):
-        # the stepper repeats its stage times in every Newton iteration
-        key = np.asarray(t, dtype=float).tobytes()
+    def law(t, x):
+        """Gain (k,), cascade stages (r, k, m) and squared norms (r, k)."""
+        # the stepper repeats its stage times in every Newton iteration and
+        # takes the Jacobian where its endpoint rhs has just run
+        key = t.tobytes()
         if key != memo[0]:
-            memo[:] = key, funnel.value(t - tau), y_ref.derivatives(
-                np.ravel(t), r - 1)
+            memo[:] = key, funnel.value(t - tau), y_ref.derivatives(t, r - 1)
         ed = x[:, :rm].reshape(-1, r, m).transpose(1, 0, 2) - memo[2]
-        stages, n_sq = cascade(memo[1], ed)
+        return (memo[1], *cascade(memo[1], ed))
+
+    def signals(t, x, bound=None):
+        phi, stages, n_sq = law(t, x)
         if bound is not None and (n_sq >= bound).any():
             i, j = np.argwhere(n_sq >= bound)[0]
             raise FunnelViolation(int(i) + 1, math.sqrt(n_sq[i, j]),
-                                  float(np.ravel(t)[j]))
+                                  float(t[j]))
         u = (-sign / (1.0 - n_sq[-1]))[:, None] * stages[-1]
-        return memo[1], n_sq.T, u
+        return phi, n_sq.T, u
 
     def rhs(t, x):
-        xs = np.atleast_2d(x)
-        u = signals(t, xs, lim_sq)[2]
-        return (xs @ A.T + u @ B.T).reshape(np.shape(x))
+        return x @ A.T + signals(t, x, lim_sq)[2] @ B.T
 
     def jac(t, x):
         # chain rule through e_(i+1) = phi e^(i) + alpha(|e_i|^2) e_i, with
         # g the derivative of alpha(|e_i|^2) e_i in e_i
-        phi = float(funnel.value(t - tau))
-        dphi = float(funnel.slope(t - tau))
-        ref = y_ref.derivatives(t, r)
-        ed = x[:rm].reshape(r, m) - ref[:-1]
-        stages, n_sq = cascade(phi, ed)
-        g, de_x, de_t = np.zeros((m, m)), np.zeros((m, rm)), np.zeros(m)
-        for i in range(r):
-            de_x = phi * pick[i] + g @ de_x
-            de_t = dphi * ed[i] - phi * ref[i + 1] + g @ de_t
-            w = 1.0 / (1.0 - n_sq[i])
-            g = w * np.eye(m) + 2.0 * w * w * np.outer(stages[i], stages[i])
-        jx = A.copy()                       # u = -sign alpha(|e_r|^2) e_r
-        jx[:, :rm] -= sign * (B @ (g @ de_x))
-        return jx, -sign * (B @ (g @ de_t))
+        phi, stages, n_sq = law(np.array([t]), x[None])
+        g, de_x = np.zeros((m, m)), np.zeros((m, len(A)))
+        for i, e in enumerate(stages[:, 0]):
+            de_x = phi[0] * pick[i] + g @ de_x
+            w = 1.0 / (1.0 - n_sq[i, 0])
+            g = w * np.eye(m) + 2.0 * w * w * np.outer(e, e)
+        return A - sign * (B @ (g @ de_x))   # u = -sign alpha(|e_r|^2) e_r
 
     return rhs, jac, signals
 
@@ -196,7 +186,7 @@ def _run_segments(nf, funnel, sched_segments, y_ref, x0, opts):
         try:
             seg_t, seg_x, seg_stats = radau_segment(
                 rhs, jac, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
-                h0=opts.h0, h_min=opts.h_min, h_max=opts.h_max, grid=grid,
+                grid=grid,
                 max_steps=MAX_STEPS - stats["accepted"] - stats["rejected"])
         except OutOfSteps as stop:
             raise IntegrationStalled(
@@ -231,7 +221,7 @@ def _build_trace(nf, y_ref, cols, stats) -> Trace:
     m, rm = nf.m, nf.r * nf.m
     e = x[:, :m] - y_ref.derivatives(t, 0)[0]
     return Trace(t=t, x=x, a=a, tau=np.where(avail, tau, t), phi=phi,
-                 psi=psi, y=x[:, :m], e=e, e_norm=np.linalg.norm(e, axis=1),
+                 psi=psi, y=x[:, :m], e_norm=np.linalg.norm(e, axis=1),
                  stage_norms=np.sqrt(n_sq), u=u,
                  u_norm=np.linalg.norm(u, axis=1), eta=x[:, rm:],
                  eta_norm=np.linalg.norm(x[:, rm:], axis=1), r=nf.r, m=m,
@@ -344,9 +334,9 @@ def write_csv(trace: Trace, path) -> None:
 def read_csv(path) -> Trace:
     """Rebuild a trace from its CSV form.
 
-    The chain derivatives and raw error vectors are not serialized, so the
-    corresponding trace fields come back as NaN; every check that operates
-    on files uses only the serialized columns.
+    The chain derivatives are not serialized, so the state x comes back as
+    NaN; every check that operates on files uses only the serialized
+    columns.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -380,6 +370,6 @@ def read_csv(path) -> Trace:
     return Trace(
         t=data[:, 0], x=np.full((n, r * m + kdim), np.nan),
         a=data[:, 1].astype(np.int8), tau=data[:, 2], phi=data[:, 3],
-        psi=data[:, 4], y=y, e=np.full((n, m), np.nan), e_norm=e_norm[:, 0],
+        psi=data[:, 4], y=y, e_norm=e_norm[:, 0],
         stage_norms=stage_norms, u=u, u_norm=u_norm[:, 0], eta=eta,
         eta_norm=eta_norm[:, 0], r=r, m=m, internal_dim=kdim, stats={})

@@ -50,7 +50,7 @@ def report_lines(results) -> str:
     return "\n".join(r.line() for r in results)
 
 
-def funnel_containment(trace, design=None) -> CheckResult:
+def funnel_containment(trace) -> CheckResult:
     """phi(t) |e(t)| < 1 at every sample; trivial during dropouts."""
     prod = trace.phi * trace.e_norm
     margins = 1.0 - prod

@@ -135,7 +135,7 @@ def test_acceptance_05_dropout_recovery_run(bench_design, capsys):
         cc = class_constants(dp.nf)
         trace = integrate(dp.nf, cc, dp, sched, cos_ref())
         results = [
-            verify.funnel_containment(trace, dp),
+            verify.funnel_containment(trace),
             verify.input_and_state_bounds(trace, dp),
             verify.global_solution(trace, 60.0),
         ]
@@ -154,7 +154,7 @@ def test_acceptance_06_long_loss_run(capsys):
         pairs = [(5.0 * k, 5.0 * k + 2.0) for k in range(1, 12)]
         sched = AvailabilitySchedule.from_pairs(pairs, horizon=60.0)
         trace = integrate(nf, class_constants(nf), design, sched, cos_ref())
-        assert verify.funnel_containment(trace, design).passed
+        assert verify.funnel_containment(trace).passed
         assert verify.global_solution(trace, 60.0).passed
         assert time.perf_counter() - start < 60.0
 
@@ -235,7 +235,7 @@ def test_acceptance_10_chain_only_plant(capsys):
         pairs = [(0.5, 10.5), (11.0, 21.0), (21.5, 31.5)]
         sched = AvailabilitySchedule.from_pairs(pairs, horizon=35.0)
         trace = integrate(nf, class_constants(nf), design, sched, cos_ref())
-        assert verify.funnel_containment(trace, design).passed
+        assert verify.funnel_containment(trace).passed
         assert verify.global_solution(trace, 35.0).passed
 
 

@@ -96,6 +96,47 @@ class TestConfig:
         assert list(got.value.path) == list(want.value.path)
         assert list(got.value.schema_path) == list(want.value.schema_path)
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("synthesize", "design", "rho_factor", -1.0),
+        ("synthesize", "design", "rho_factor", 0.0),
+        ("synthesize", "design", "phi0_0", 0.0),
+        ("simulate", "design", "eta_star", -1.0),
+        ("simulate", "sim", "t_end", 0.0)])
+    def test_nonpositive_factor_or_horizon_exits_2(self, tmp_path, capsys,
+                                                   command, section, key,
+                                                   value):
+        # rho_factor -1 gave a design that misses its funnel level, 0 a
+        # ZeroDivisionError; a manual eta_star of -1 failed as exit 4
+        cfg = manual_cfg(t_end=1.0)
+        del cfg["availability"]
+        if command == "synthesize":
+            cfg["design"] = {"q": 0.95, "theta": 0.9}
+        cfg[section][key] = value
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ValidationError: ")
+        assert err[0].endswith(f" at $.{section}.{key}")
+
+    @pytest.mark.parametrize("reference, key", [
+        ({"kind": "constant"}, "values"),
+        ({"kind": "sinusoid", "omega": 1.0}, "amplitude"),
+        ({"kind": "sinusoid", "amplitude": 1.0}, "omega"),
+        ({"kind": "sum_of_sinusoids", "omegas": [[1.0]]}, "amplitudes"),
+        ({"kind": "sum_of_sinusoids", "amplitudes": [[1.0]]}, "omegas")])
+    def test_incomplete_reference_exits_2(self, tmp_path, capsys, reference,
+                                          key):
+        cfg = manual_cfg(t_end=1.0)
+        cfg["reference"] = reference
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {reference['kind']} reference requires "
+            f"reference.{key}"]
+
     def test_schema_error_is_one_line(self, tmp_path, capsys):
         cfg = manual_cfg(t_end=1.0)
         cfg["design"]["funnel"]["c"] = 0

@@ -343,7 +343,8 @@ class TestRefineFunnel:
             ts = np.linspace(0.0, 100.0, 1000)
             vals = f.value(ts)
             assert np.all(np.diff(vals) >= -1e-12)
-            slopes = f.slope(ts)
+            decay = f.a * np.exp(-f.b * ts)
+            slopes = f.b * decay / (decay + f.c) ** 2
             assert np.all(np.abs(slopes) <= f.d * (1.0 + vals) * (1 + 1e-9))
 
 
@@ -430,6 +431,14 @@ class TestSynthesize:
     def test_invalid_q(self):
         with pytest.raises(InvalidQ):
             synthesize(mass_on_car_normal_form(), cos_ref(), 1.2)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
+    def test_nonpositive_settle_factor(self, factor):
+        # 0 made the settling time zero and divided by it; -1 gave a funnel
+        # that misses its required level
+        with pytest.raises(ValueError, match="settle factor"):
+            synthesize(mass_on_car_normal_form(), cos_ref(), 0.95,
+                       settle_factor=factor)
 
     def test_trivial_internal_dynamics_defaults(self, rng):
         nf = random_normal_form(rng, m_max=1, r_max=2, with_internal=0)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from funnelsim import simulator
+from funnelsim import _rk, simulator
 from funnelsim._rk import radau_segment
 from funnelsim.controller import AvailabilitySchedule, cascade
 from funnelsim.design import FunnelSpec, synthesize
@@ -76,11 +76,11 @@ def stiff_linear():
         return np.array([np.sin(t + k * np.pi / 2),
                          2.0 ** k * np.cos(2 * t + k * np.pi / 2)])
 
-    def rhs(t, x):          # one time and state, or a stack of them
+    def rhs(t, x):          # times (k,) and states (k, 2)
         return (x - g(t).T) @ M.T + g(t, 1).T
 
     def jac(t, x):
-        return M, -M @ g(t, 1) + g(t, 2)
+        return M
 
     def exact(t, x0):
         return g(t) + expm(M * t) @ (x0 - g(0.0))
@@ -110,16 +110,15 @@ def state_with_stage_norms(nf, phi, ref, level, rng):
 
 
 def assert_jacobian_matches(nf, funnel, tau, y_ref, t, x, step=1e-9):
-    """Analytic (df/dx, df/dt) against central differences of the rhs."""
+    """Analytic df/dx against central differences of the rhs."""
     lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
     rhs, jac, _ = _closed_loop_rhs(nf, funnel, 1, tau, y_ref, lim_sq)
-    jx, jt = jac(t, x)
-    eye = np.eye(x.size)
-    fd_x = np.column_stack([(rhs(t, x + step * d) - rhs(t, x - step * d))
+    jx = jac(t, x)
+    ts, eye = np.array([t]), np.eye(x.size)
+    fd_x = np.column_stack([(rhs(ts, (x + step * d)[None])[0]
+                             - rhs(ts, (x - step * d)[None])[0])
                             / (2 * step) for d in eye])
-    fd_t = (rhs(t + step, x) - rhs(t - step, x)) / (2 * step)
     assert np.max(np.abs(jx - fd_x)) <= 1e-6 * np.max(np.abs(jx))
-    assert np.max(np.abs(jt - fd_t)) <= 1e-6 * np.max(np.abs(jt))
 
 
 class TestEquilibrium:
@@ -150,8 +149,7 @@ class TestStepper:
         end_err, dense_err = [], []
         for rtol in (1e-4, 1e-6, 1e-8):
             t, x, _ = radau_segment(rhs, jac, 0.0, 2.0, x0, rtol=rtol,
-                                    atol=1e-2 * rtol, h0=1e-3, h_min=1e-12,
-                                    h_max=1.0, grid=grid)
+                                    atol=1e-2 * rtol, grid=grid)
             assert t[-1] == 2.0
             on_grid = np.isin(t, grid)
             assert on_grid.sum() == grid.size
@@ -174,15 +172,16 @@ class TestStepper:
 
         _, _, stats = radau_segment(
             rhs, counted_jac, 0.0, 2.0, exact(0.0, np.zeros(2)) + 1.0,
-            rtol=1e-8, atol=1e-10, h0=1e-3, h_min=1e-12, h_max=1.0,
-            grid=np.empty(0))
+            rtol=1e-8, atol=1e-10, grid=np.empty(0))
         assert stats["accepted"] > 20
         assert calls == [0.0]
 
-    def test_funnel_violation_rejects_step(self):
+    def test_funnel_violation_rejects_step(self, monkeypatch):
         # the rhs exists only within 1e-3 of the solution sin t, as the
         # closed loop exists only inside the funnel; a first step of 1 s
         # starts its Newton iterates outside
+        monkeypatch.setattr(_rk, "H0", 1.0)
+
         def rhs(t, x):      # t of shape (k,), x of (k, 1)
             gap = np.max(np.abs(x[:, 0] - np.sin(t)))
             if gap > 1e-3:
@@ -190,11 +189,10 @@ class TestStepper:
             return np.cos(t)[:, None]
 
         def jac(t, x):
-            return np.zeros((1, 1)), np.array([-np.sin(t)])
+            return np.zeros((1, 1))
 
         t, x, stats = radau_segment(rhs, jac, 0.0, 3.0, [0.0], rtol=1e-8,
-                                    atol=1e-10, h0=1.0, h_min=1e-12,
-                                    h_max=1.0, grid=np.empty(0))
+                                    atol=1e-10, grid=np.empty(0))
         assert t[-1] == 3.0
         assert abs(x[-1, 0] - np.sin(3.0)) < 1e-7
         assert stats["rejected_funnel"] > 0
@@ -251,15 +249,14 @@ class TestJacobian:
                 y_ref.derivatives(tv, nf.r - 1), 0.6, rng) for tv in ts])
             for _ in range(2):
                 stacked = rhs(ts, xs)
-                single = [rhs(tv, xv) for tv, xv in zip(ts, xs)]
+                single = [rhs(np.array([tv]), xv[None])[0]
+                          for tv, xv in zip(ts, xs)]
                 assert np.allclose(stacked, single, rtol=1e-13, atol=0.0)
 
     def test_dropout_jacobian_is_the_plant(self):
         nf = mass_on_car_normal_form()
         _, jac, _ = _closed_loop_rhs(nf, None, 0, 0.0, None, 1.0)
-        jx, jt = jac(0.3, np.ones(4))
-        assert np.array_equal(jx, nf.realization().A)
-        assert np.array_equal(jt, np.zeros(4))
+        assert np.array_equal(jac(0.3, np.ones(4)), nf.realization().A)
 
 
 class TestCoasting:
@@ -392,7 +389,8 @@ class TestAccuracy:
         for lo, hi, a, tau in _segments(sched, sched.horizon):
             rhs, _, _ = _closed_loop_rhs(nf, design.funnel, a, tau, y_ref,
                                          lim_sq)
-            ref = solve_ivp(rhs, (lo, hi), x, method="DOP853", rtol=1e-12,
+            ref = solve_ivp(lambda t, x: rhs(np.array([t]), x[None])[0],
+                            (lo, hi), x, method="DOP853", rtol=1e-12,
                             atol=1e-14, dense_output=True)
             inside = (tr.t >= lo) & (tr.t <= hi)
             assert np.max(np.abs(tr.x[inside]
@@ -426,13 +424,14 @@ class TestFailureModes:
         with pytest.raises((FunnelViolation, StepUnderflow)):
             integrate(nf, class_constants(nf), design, sched, y_ref)
 
-    def test_underflow_reports_diagnostics(self):
+    def test_underflow_reports_diagnostics(self, monkeypatch):
         nf, cc, design, sched, y_ref = scenario_b_setup(horizon=2.0,
                                                         dropouts=())
+        monkeypatch.setattr(_rk, "H_MIN", 0.4)
+        monkeypatch.setattr(_rk, "H0", 0.5)
         with pytest.raises(StepUnderflow) as ei:
             integrate(nf, cc, design, sched, y_ref,
-                      opts=SimOptions(rtol=1e-13, atol=1e-15, h_min=0.4,
-                                   h0=0.5))
+                      opts=SimOptions(rtol=1e-13, atol=1e-15))
         assert 0.0 <= ei.value.t <= 2.0
         assert ei.value.phi >= 0.0
 
@@ -451,8 +450,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("key, value", [
         ("rtol", 0.0), ("rtol", -1.0), ("rtol", np.nan), ("atol", 0.0),
-        ("atol", -1e-10), ("grid_dt", 0.0), ("grid_dt", -1e-3),
-        ("h0", 0.0), ("h_max", -1.0)])
+        ("atol", -1e-10), ("grid_dt", 0.0), ("grid_dt", -1e-3)])
     def test_nonpositive_options_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             SimOptions(**{key: value})
@@ -498,7 +496,7 @@ class TestCsv:
         return Trace(t=np.arange(n) * 0.1, x=np.zeros((n, 5)), a=a,
                      tau=vals[::-1], phi=vals,
                      psi=np.where(a == 1, vals, -1.0),
-                     y=np.column_stack([vals, -vals]), e=np.zeros((n, 2)),
+                     y=np.column_stack([vals, -vals]),
                      e_norm=0.5 * vals,
                      stage_norms=np.column_stack([vals, vals]),
                      u=np.column_stack([-vals, vals]), u_norm=np.abs(vals),

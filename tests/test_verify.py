@@ -27,7 +27,6 @@ def mk_trace(t, *, r=1, m=1, internal_dim=0, **cols):
         phi=np.ones(n),
         psi=np.ones(n),
         y=np.zeros((n, m)),
-        e=np.zeros((n, m)),
         e_norm=np.zeros(n),
         stage_norms=np.zeros((n, r)),
         u=np.zeros((n, m)),
