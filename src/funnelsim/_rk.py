@@ -79,7 +79,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
     n = x.size
     f0 = rhs(np.array([t]), x[None])[0]   # a violation: infeasible start
     stats["rhs_evals"] = 1
-    J = jac(t, x)
+    J, fresh = jac(t, x), True      # fresh: J taken at this (t, x)
     mats = None             # (h, Newton matrix inverse, error matrix inverse)
     h = min(H0, H_MAX, t1 - t0)
     newton_tol = max(10 * np.finfo(float).eps / rtol,
@@ -145,7 +145,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
             just_rejected = True
             if h < H_MIN:
                 raise Underflow(t, x)
-            J, mats = jac(t, x), None   # J may be from an older step
+            J, mats, fresh = J if fresh else jac(t, x), None, True
             continue
 
         Q = DENSE @ Z
@@ -155,7 +155,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
         gidx = np.searchsorted(grid, t_new, side="right")
         stats["accepted"] += 1
         prev = (t, h, x, Q)
-        t, x, f0 = t_new, x_new, f_new
+        t, x, f0, fresh = t_new, x_new, f_new, False
         fac = min(1.0 if just_rejected else FAC_MAX, max(FAC_MIN, fac))
         just_rejected = False
         # as RADAU5: a fast Newton iteration keeps the Jacobian, and then a
@@ -163,5 +163,5 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
         keep_jac = n_iter <= 2 or rate <= JAC_RATE
         h = min(h * (1.0 if keep_jac and 1.0 <= fac < KEEP_H else fac), H_MAX)
         if t < t1 and not keep_jac:
-            J, mats = jac(t, x), None
+            J, mats, fresh = jac(t, x), None, True
     return np.concatenate(out_t), np.vstack(out_x), stats

@@ -26,8 +26,6 @@ from .design import FunnelSpec, design_report, synthesize
 from .errors import ConfigError, FunnelSimError
 from .reference import ReferenceSignal
 from .simulator import (
-    CSV_NUMBER,
-    EMPTY_FIELD,
     ManualDesign,
     SimOptions,
     integrate,
@@ -300,6 +298,8 @@ def _schedule_limits(cfg: dict):
 
 def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     """Synthesized DesignParams, or a ManualDesign when synthesis is off."""
+    if not math.isfinite(y_ref.chain_sup(nf.r) + y_ref.y_max(nf.r)):
+        raise ConfigError("reference derivative bounds overflow to inf")
     sec = cfg.get("design", {})
     if sec.get("manual", False):
         fun = sec.get("funnel")
@@ -487,26 +487,20 @@ def cmd_plot_data(trace_path: Path, outdir: Path) -> int:
     """
     trace = read_csv(trace_path)
     m, kdim = trace.m, trace.internal_dim
-
-    def formats(n, blank=0):    # dropout rows leave the last blank empty
-        num, empty = [CSV_NUMBER], [EMPTY_FIELD]
-        return {1: ",".join(num * n),
-                0: ",".join(num * (n - blank) + empty * blank)}
-
     files = [
         ("error_funnel.dat", ["t", "e_norm", "psi_upper", "psi_lower"],
-         (trace.t, trace.e_norm, trace.psi, -trace.psi), formats(4, 2)),
+         (trace.t, trace.e_norm, trace.psi, -trace.psi), (2, 3)),
         ("input.dat", ["t"] + [f"u_{j + 1}" for j in range(m)] + ["u_norm"],
-         (trace.t, trace.u, trace.u_norm), formats(m + 2)),
+         (trace.t, trace.u, trace.u_norm), ()),
         ("internal.dat",
          ["t"] + [f"eta_{i + 1}" for i in range(kdim)] + ["eta_norm"],
-         (trace.t, trace.eta, trace.eta_norm), formats(kdim + 2)),
+         (trace.t, trace.eta, trace.eta_norm), ()),
     ]
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, header, cols, formats in files:
+    for name, header, cols, blank in files:
         with open(outdir / name, "w") as fh:
             fh.write("# " + ",".join(header) + "\n")
-            write_rows(fh, trace.a, cols, formats, gaps=True)
+            write_rows(fh, trace.a, cols, blank, gaps=True)
     print(f"plot data written to {outdir}")
     return 0
 

@@ -122,11 +122,12 @@ class ReferenceSignal:
         Exact for a single cosine per output; for sums the triangle
         inequality makes it conservative.
         """
-        per = np.abs(self.amp) * self.omega ** float(i)
-        s = per.sum(axis=1)
-        if i == 0:
-            s = s + np.abs(self.offset)
-        return float(np.linalg.norm(s))
+        with np.errstate(over="ignore"):    # a bound past the range is inf
+            per = np.abs(self.amp) * self.omega ** float(i)
+            s = per.sum(axis=1)
+            if i == 0:
+                s = s + np.abs(self.offset)
+            return float(np.linalg.norm(s))
 
     def chain_sup(self, r: int) -> float:
         """Upper bound on sup_t |(y, y', ..., y^(r-1))| (stacked 2-norm).
@@ -136,10 +137,11 @@ class ReferenceSignal:
         angle, maximized by whichever weight is larger.
         """
         if self.m == 1 and self.n_terms == 1 and self.offset[0] == 0.0:
-            w2 = float(self.omega[0, 0]) ** 2
-            even = sum(w2 ** i for i in range(0, r, 2))
-            odd = sum(w2 ** i for i in range(1, r, 2))
-            return float(abs(self.amp[0, 0]) * np.sqrt(max(even, odd)))
+            with np.errstate(over="ignore"):    # a bound past the range is inf
+                w2 = self.omega[0, 0] ** 2
+                even = sum(w2 ** i for i in range(0, r, 2))
+                odd = sum(w2 ** i for i in range(1, r, 2))
+                return float(abs(self.amp[0, 0]) * np.sqrt(max(even, odd)))
         return float(np.sqrt(sum(self.deriv_sup(i) ** 2 for i in range(r))))
 
     def y_max(self, r: int) -> float:

@@ -280,7 +280,12 @@ def coasting_run(nf, x0, eta0, t0: float, t1: float,
 
 
 CSV_NUMBER = "%.11e"
-EMPTY_FIELD = "%.0s"      # consumes a value, prints ""
+_TEN = np.array([float(10 ** k) for k in range(23)])      # exact
+# little-endian ASCII words: "dddd" for 0-9999, "\0d.d" for 0-99, "e+", "e-"
+_DIGITS = np.frombuffer(b"".join(b"%04d" % g for g in range(10000)), "<u4")
+_LEAD = np.frombuffer(b"".join(b"\0%d.%d" % divmod(q, 10) for q in range(100)),
+                      "<u4")
+_EXP = np.frombuffer(b"\0\0e+\0\0e-", "<u4")
 
 
 def csv_number(v) -> str:
@@ -288,21 +293,53 @@ def csv_number(v) -> str:
     return CSV_NUMBER % v
 
 
-def write_rows(fh, a, cols, formats, gaps=False) -> None:
-    """One line per sample i, formats[a[i]] % (row i of every column).
+def write_rows(fh, a, cols, blank=(), ints=(), gaps=False) -> None:
+    """One line per sample i: row i of every column, comma-separated.
 
-    cols hold N rows each; formats maps availability 0 and 1 to a line
-    format without its newline.  With gaps, a blank line follows every
-    sample whose availability differs from the next one's.
+    cols hold N rows each, 1-D or 2-D.  A cell holds CSV_NUMBER % v, or %d
+    at the row positions in ints; those in blank stay empty where a[i] is 0.
+    With gaps, a blank line follows each change of availability.
     """
-    ends = [f + nl for f in (formats[0], formats[1]) for nl in ("\n", "\n\n")]
-    key = 2 * np.asarray(a, dtype=np.int8)      # index into ends
-    if gaps:
-        key[:-1] += key[:-1] != key[1:]
-    for lo in range(0, key.size, 4096):     # rows in bounded blocks
-        rows = np.column_stack([c[lo:lo + 4096] for c in cols]).tolist()
-        fmts = [ends[k] for k in key[lo:lo + 4096].tolist()]
-        fh.writelines(map(operator.mod, fmts, map(tuple, rows)))
+    avail = np.asarray(a) != 0
+    gap = np.append(gaps & (avail[:-1] != avail[1:]), False)
+    for lo in range(0, avail.size, 1024):     # rows in bounded blocks
+        v = np.column_stack([c[lo:lo + 1024] for c in cols])
+        n, k = v.shape
+        # a 20-byte slot per cell, one for the gap; zero bytes are cut
+        out = np.zeros((n, k + 1, 20), np.uint8)
+        # CSV_NUMBER % v byte for byte: the digits round m = |v| 10^s, with
+        # 10^s as at most two exact factors or divisors from _TEN, so m is
+        # off by under 3e-4; NaN, inf and m within 1e-3 of a tie or outside
+        # [1e11, 1e12) are written by CSV_NUMBER % v itself
+        av = np.abs(v)
+        with np.errstate(all="ignore"):
+            s = 11 - np.floor(np.log10(av + (av == 0)))    # zero as 0e+00
+            s = np.fmin(np.fmax(s, -44), 44).astype(np.intp)   # NaN, inf: -44
+            p = np.clip([s, s - 22, -s, -s - 22], 0, 22)
+            m = av * _TEN[p[0]] * _TEN[p[1]] / _TEN[p[2]] / _TEN[p[3]]
+            M = np.rint(m)
+            ok = (abs(m - M) < 0.499) & ((m >= 1e11) & (m < 1e12) | (av == 0))
+        carry = M == 1e12               # 9.999999999995 -> 1.00000000000e+01
+        M = np.where(ok, M - 9e11 * carry, 0).astype(np.int64)
+        q, g = M // 10**10, M // 10**6 % 10**4      # digits 1-2, 3-6
+        r, r2 = M // 100 % 10**4, M % 100           # digits 7-10, 11-12
+        E = 11 - s + carry
+        cells = out[:, :k].view("<u4")
+        cells[..., 0] = _LEAD[q] | np.signbit(v) * np.uint32(ord("-"))
+        cells[..., 1], cells[..., 2] = _DIGITS[g], _DIGITS[r]
+        cells[..., 3] = _DIGITS[r2] >> 16 | _EXP[(E < 0).astype(np.intp)]
+        cells[..., 4] = _DIGITS[abs(E)] >> 16
+        slow = [(CSV_NUMBER % x).encode() for x in v[~ok].tolist()]
+        out[:, :k][~ok, :19] = np.array(slow, "S19").view("19u1")
+        for j in ints:
+            u, at = np.unique(v[:, j], return_inverse=True)
+            out[:, j, :19] = np.array([b"%d" % x for x in u.tolist()],
+                                      "S19").view("19u1")[at]
+        out[:, blank, :19] *= avail[lo:lo + n, None, None]
+        out[:, :k, 19] = ord(",")
+        out[:, k - 1, 19] = ord("\n")
+        out[:, k, 0] = gap[lo:lo + n] * ord("\n")
+        fh.write(out[out != 0].tobytes().decode())
 
 
 def _csv_header(m: int, r: int, kdim: int) -> list:
@@ -320,15 +357,12 @@ def _csv_header(m: int, r: int, kdim: int) -> list:
 def write_csv(trace: Trace, path) -> None:
     """Trace to CSV: 12 significant digits, empty funnel radius on dropouts."""
     header = _csv_header(trace.m, trace.r, trace.internal_dim)
-    num, tail = CSV_NUMBER, ",".join([CSV_NUMBER] * (len(header) - 5))
-    formats = {1: f"{num},%d,{num},{num},{num},{tail}",
-               0: f"{num},%d,{num},{num},{EMPTY_FIELD},{tail}"}
     cols = (trace.t, trace.a, trace.tau, trace.phi, trace.psi, trace.y,
             trace.e_norm, trace.stage_norms, trace.u, trace.u_norm,
             trace.eta, trace.eta_norm)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        write_rows(fh, trace.a, cols, formats)
+        write_rows(fh, trace.a, cols, blank=(4,), ints=(1,))
 
 
 def read_csv(path) -> Trace:

@@ -1,6 +1,8 @@
 """Command-line behavior: configs, schedules, commands, exit codes."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from funnelsim import cli, errors
 from funnelsim.errors import ConfigError
@@ -136,6 +140,38 @@ class TestConfig:
         assert capsys.readouterr().err.splitlines() == [
             f"error: ConfigError: {reference['kind']} reference requires "
             f"reference.{key}"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, reference", [
+        # the reference bound overflowed in np.linalg.norm (a warning), and
+        # the run ended as InfeasibleEtaStar blaming the schedule (exit 3)
+        *[(command, {"kind": "sinusoid", "amplitude": 1e200, "omega": 1.0})
+          for command in ("synthesize", "simulate")],
+        ("synthesize", {"kind": "sum_of_sinusoids",
+                        "amplitudes": [[1e200, 1.0]],
+                        "omegas": [[1.0, 2.0]]}),
+        # float ** 2 raised a raw OverflowError (exit 1)
+        ("synthesize", {"kind": "sinusoid", "amplitude": 1.0,
+                        "omega": 1e200}),
+        # under the manual funnel the start check saw inf and the run
+        # ended as InitialConditionViolated (exit 4)
+        ("manual", {"kind": "sinusoid", "amplitude": 1e308, "omega": 1.0})],
+        ids=["amplitude-synthesize", "amplitude-simulate", "sum", "omega",
+             "manual"])
+    def test_overflowing_reference_exits_2(self, tmp_path, capsys, command,
+                                           reference):
+        cfg = manual_cfg(t_end=1.0)
+        del cfg["availability"]
+        cfg["reference"] = reference
+        if command == "manual":
+            command = "simulate"
+        else:
+            cfg["design"] = {"q": 0.95, "theta": 0.9}
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigError: reference derivative bounds overflow to inf"]
 
     def test_schema_error_is_one_line(self, tmp_path, capsys):
         cfg = manual_cfg(t_end=1.0)
@@ -264,13 +300,33 @@ class TestSynthesizeCommand:
             assert "TemplateRejected" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def sim_dir(tmp_path_factory):
-    """One scenario-B simulation shared by the round-trip tests."""
-    out = tmp_path_factory.mktemp("simout")
-    rc = cli.main(["simulate", "--preset", "scenario_b", "--out", str(out)])
-    assert rc == 0
-    return out
+@pytest.fixture(scope="session")
+def reproduced(tmp_path_factory):
+    """The one scenario-B run of these tests: reproduce, with its exit code
+    and standard output."""
+    out = tmp_path_factory.mktemp("reproduced")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        rc = cli.main(["reproduce", "--preset", "scenario_b",
+                       "--out", str(out)])
+    return types.SimpleNamespace(rc=rc, out=stdout.getvalue(), dir=out)
+
+
+@pytest.fixture(scope="session")
+def sim_dir(reproduced):
+    """The scenario-B trace directory shared by the round-trip tests."""
+    assert reproduced.rc == 0
+    return reproduced.dir / "scenario_b"
+
+
+@pytest.fixture(scope="session")
+def plotted(sim_dir, tmp_path_factory):
+    """plot-data of the scenario-B trace, and that trace read back."""
+    out = tmp_path_factory.mktemp("plotted")
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["plot-data", "--trace", str(sim_dir / "trace.csv"),
+                       "--out", str(out)])
+    return types.SimpleNamespace(rc=rc, dir=out,
+                                 trace=read_csv(sim_dir / "trace.csv"))
 
 
 class TestSimulateAndVerify:
@@ -414,11 +470,9 @@ class TestSimulateAndVerify:
 
 class TestPlotData:
 
-    def test_files_and_dropout_gaps(self, sim_dir, tmp_path):
-        rc = cli.main(["plot-data", "--trace", str(sim_dir / "trace.csv"),
-                       "--out", str(tmp_path)])
+    def test_files_and_dropout_gaps(self, plotted):
+        rc, tmp_path, trace = plotted.rc, plotted.dir, plotted.trace
         assert rc == 0
-        trace = read_csv(sim_dir / "trace.csv")
         text = (tmp_path / "error_funnel.dat").read_text()
         rows = [ln for ln in text.splitlines() if ln and not
                 ln.startswith("#")]
@@ -432,10 +486,8 @@ class TestPlotData:
             assert (parts[2] == "") == (avail == 0)
             assert (parts[3] == "") == (avail == 0)
 
-    def test_round_trip_12_digits(self, sim_dir, tmp_path):
-        cli.main(["plot-data", "--trace", str(sim_dir / "trace.csv"),
-                  "--out", str(tmp_path)])
-        trace = read_csv(sim_dir / "trace.csv")
+    def test_round_trip_12_digits(self, plotted):
+        tmp_path, trace = plotted.dir, plotted.trace
         rows = [ln.split(",") for ln in
                 (tmp_path / "input.dat").read_text().splitlines()
                 if ln and not ln.startswith("#")]
@@ -444,17 +496,12 @@ class TestPlotData:
         assert np.array_equal(t, trace.t)
         assert np.array_equal(u1, trace.u[:, 0])
 
-    def test_rows_match_field_formatting(self, tmp_path):
-        # fields joined as csv_number writes them, radius columns empty on
-        # dropout rows, one blank line after every availability change
-        write_csv(test_simulator.TestCsv.edge_value_trace(),
-                  tmp_path / "trace.csv")
-        tr = read_csv(tmp_path / "trace.csv")
-        rc = cli.main(["plot-data", "--trace", str(tmp_path / "trace.csv"),
-                       "--out", str(tmp_path)])
-        assert rc == 0
+    @staticmethod
+    def plot_texts(tr):
+        """The three plot-data files field by field as csv_number writes
+        them: radius columns empty on dropout rows, one blank line after
+        every availability change."""
         gaps = np.flatnonzero(tr.a[:-1] != tr.a[1:])
-        assert gaps.tolist() == [0, 1, 2, 4]
 
         def expected(header, row):
             lines = ["# " + ",".join(header)]
@@ -472,7 +519,7 @@ class TestPlotData:
                 return ["", ""]
             return numbers(tr.psi[i], -tr.psi[i])
 
-        files = {
+        return {
             "error_funnel.dat": expected(
                 ["t", "e_norm", "psi_upper", "psi_lower"],
                 lambda i: numbers(tr.t[i], tr.e_norm[i]) + radius(i)),
@@ -483,8 +530,30 @@ class TestPlotData:
                 ["t", "eta_1", "eta_norm"],
                 lambda i: numbers(tr.t[i], *tr.eta[i], tr.eta_norm[i])),
         }
-        for name, text in files.items():
+
+    def check_plot_data(self, tmp_path, vals):
+        write_csv(test_simulator.TestCsv.edge_value_trace(vals),
+                  tmp_path / "trace.csv")
+        tr = read_csv(tmp_path / "trace.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["plot-data", "--trace", str(tmp_path / "trace.csv"),
+                           "--out", str(tmp_path)])
+        assert rc == 0
+        for name, text in self.plot_texts(tr).items():
             assert (tmp_path / name).read_text() == text, name
+        return tr
+
+    def test_rows_match_field_formatting(self, tmp_path):
+        tr = self.check_plot_data(tmp_path,
+                                  test_simulator.TestCsv.EDGE_VALUES)
+        gaps = np.flatnonzero(tr.a[:-1] != tr.a[1:])
+        assert gaps.tolist()[:4] == [0, 1, 2, 4]
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_drawn_doubles_match_field_formatting(self, tmp_path, vals):
+        self.check_plot_data(tmp_path, vals)
 
     def test_empty_trace(self, sim_dir, tmp_path):
         header = (sim_dir / "trace.csv").read_text().splitlines()[0]
@@ -500,11 +569,9 @@ class TestPlotData:
 
 class TestReproduce:
 
-    def test_single_scenario(self, tmp_path, capsys):
-        rc = cli.main(["reproduce", "--preset", "scenario_b",
-                       "--out", str(tmp_path)])
+    def test_single_scenario(self, reproduced):
+        rc, out, tmp_path = reproduced.rc, reproduced.out, reproduced.dir
         assert rc == 0
-        out = capsys.readouterr().out
         assert "SCENARIO scenario_b PASS" in out
         assert "DISCREPANCY REPORT" in out
         assert (tmp_path / "scenario_b" / "trace.csv").exists()

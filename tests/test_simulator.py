@@ -2,14 +2,18 @@
 exactness, trace output."""
 
 import csv
+import inspect
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from funnelsim import _rk, simulator
+from funnelsim import _rk, cli, simulator
 from funnelsim._rk import radau_segment
 from funnelsim.controller import AvailabilitySchedule, cascade
 from funnelsim.design import FunnelSpec, synthesize
@@ -199,6 +203,66 @@ class TestStepper:
         assert stats["rejected"] == (stats["rejected_error"]
                                      + stats["rejected_newton"]
                                      + stats["rejected_funnel"])
+
+
+def renewing_stepper():
+    """radau_segment as it was: a new Jacobian after every rejection, even
+    when the one it holds was taken at the same (t, x)."""
+    src = inspect.getsource(_rk.radau_segment)
+    held = "J if fresh else jac(t, x)"
+    assert src.count(held) == 1
+    scope = dict(vars(_rk))
+    exec(src.replace(held, "jac(t, x)"), scope)
+    return scope["radau_segment"]
+
+
+class TestJacobianAfterRejection:
+    """A rejection changes only h, so a Jacobian taken at the current
+    (t, x) is kept and only the inverted Newton matrices are renewed."""
+
+    # Jacobian evaluations of the renewing stepper, and how many the held
+    # Jacobian saves
+    BEFORE = {"scenario_a": (1609, 13), "scenario_b": (1390, 31)}
+
+    @pytest.fixture(scope="class", params=sorted(BEFORE))
+    def runs(self, request):
+        """(preset, [(trace, Jacobian points)] of the renewing stepper and
+        of radau_segment); a point is (segment, t, x bytes)."""
+        out = []
+        for stepper in (renewing_stepper(), radau_segment):
+            points, segment = [], itertools.count()
+
+            def recorded(rhs, jac, *args, stepper=stepper, **kwargs):
+                k = next(segment)
+
+                def jac_at(t, x):
+                    points.append((k, t, x.tobytes()))
+                    return jac(t, x)
+                return stepper(rhs, jac_at, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulator, "radau_segment", recorded)
+                trace, *_ = cli._run_simulation(
+                    cli.load_config(preset=request.param))
+            out.append((trace, points))
+        return request.param, out
+
+    def test_trajectory_and_steps_bit_identical(self, runs):
+        _, [(old, _), (new, _)] = runs
+        assert new.stats == old.stats
+        for col in ("t", "x", "u", "phi"):
+            assert getattr(new, col).tobytes() == getattr(old, col).tobytes()
+
+    def test_no_two_consecutive_calls_share_a_point(self, runs):
+        _, [_, (_, points)] = runs
+        assert all(p != q for p, q in zip(points, points[1:]))
+
+    def test_evaluations_fall_by_the_repeats(self, runs):
+        preset, [(_, old), (_, new)] = runs
+        before, saved = self.BEFORE[preset]
+        assert len(old) == before
+        assert sum(p == q for p, q in zip(old, old[1:])) == saved
+        assert len(new) == before - saved
 
 
 class TestJacobian:
@@ -487,12 +551,25 @@ class TestCsv:
         assert float(body[i][5]) == pytest.approx(
             tr.y[i, 0], rel=1e-11, abs=1e-300)
 
+    # CSV forms that are easy to get wrong: ties (half to even), a carry
+    # into the next decade, three-digit exponents, the extremes, signed
+    # zeros, non-finite values, and doubles just off a tie that a formatter
+    # without its tie band rounds the wrong way (found by search)
+    EDGE_VALUES = (
+        np.nan, -0.0, 1e-300, 1e300, -2.5, 0.1,
+        1000000000005.0, 1000000000015.0, 9.99999999999951, 1e-100,
+        9.9999999999995e99, 5e-324, 1.7976931348623157e308,
+        -1.7976931348623157e308, 0.0, np.inf, -np.inf,
+        0.5554677612335, -9.158124893405, 976.7743761695,
+        0.0007846695329755, 9.448868635405e-12, 5.768174155065e+25,
+        -2.157131824925e-30)
+
     @staticmethod
-    def edge_value_trace():
-        """NaN, -0.0, 1e-300 and 1e300 in every column; three dropout rows."""
-        vals = np.array([np.nan, -0.0, 1e-300, 1e300, -2.5, 0.1])
+    def edge_value_trace(vals=EDGE_VALUES):
+        """vals in every column; availability runs 1 0 1 0 0 1, repeated."""
+        vals = np.array(vals, dtype=float)
         n = vals.size
-        a = np.array([1, 0, 1, 0, 0, 1])
+        a = np.resize([1, 0, 1, 0, 0, 1], n)
         return Trace(t=np.arange(n) * 0.1, x=np.zeros((n, 5)), a=a,
                      tau=vals[::-1], phi=vals,
                      psi=np.where(a == 1, vals, -1.0),
@@ -503,23 +580,37 @@ class TestCsv:
                      eta=vals[:, None], eta_norm=np.abs(vals), r=2, m=2,
                      internal_dim=1)
 
-    def test_rows_match_field_formatting(self, tmp_path):
-        # every field as csv_number writes it, psi empty on dropout rows
-        tr = self.edge_value_trace()
-        n, a = tr.samples, tr.a
-        path = tmp_path / "trace.csv"
-        write_csv(tr, path)
+    @staticmethod
+    def csv_text(tr):
+        """The trace CSV field by field as csv_number writes it, psi empty
+        on dropout rows."""
         lines = ["t,a,tau,phi,psi,y_1,y_2,e_norm,e1_norm,e2_norm,u_1,u_2,"
                  "u_norm,eta_1,eta_norm"]
-        for i in range(n):
-            fields = [csv_number(tr.t[i]), str(a[i]), csv_number(tr.tau[i]),
-                      csv_number(tr.phi[i]),
-                      csv_number(tr.psi[i]) if a[i] == 1 else ""]
+        for i in range(tr.samples):
+            fields = [csv_number(tr.t[i]), str(tr.a[i]),
+                      csv_number(tr.tau[i]), csv_number(tr.phi[i]),
+                      csv_number(tr.psi[i]) if tr.a[i] == 1 else ""]
             fields += [csv_number(v) for v in (
                 *tr.y[i], tr.e_norm[i], *tr.stage_norms[i], *tr.u[i],
                 tr.u_norm[i], *tr.eta[i], tr.eta_norm[i])]
             lines.append(",".join(fields))
-        assert path.read_text() == "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+
+    def test_rows_match_field_formatting(self, tmp_path):
+        tr = self.edge_value_trace()
+        path = tmp_path / "trace.csv"
+        write_csv(tr, path)
+        assert path.read_text() == self.csv_text(tr)
+
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_drawn_doubles_match_field_formatting(self, tmp_path, vals):
+        # any double: zeros, subnormals, NaN and inf included
+        tr = self.edge_value_trace(vals)
+        path = tmp_path / "trace.csv"
+        write_csv(tr, path)
+        assert path.read_text() == self.csv_text(tr)
 
     def test_read_back_is_float_of_each_field(self, tmp_path):
         # read_csv(write_csv(tr)) gives float() of every field, bit for bit;
