@@ -293,12 +293,13 @@ def csv_number(v) -> str:
     return CSV_NUMBER % v
 
 
-def write_rows(fh, a, cols, blank=(), ints=(), gaps=False) -> None:
+def write_rows(fh, a, cols, blank=(), flag=None, gaps=False) -> None:
     """One line per sample i: row i of every column, comma-separated.
 
-    cols hold N rows each, 1-D or 2-D.  A cell holds CSV_NUMBER % v, or %d
-    at the row positions in ints; those in blank stay empty where a[i] is 0.
-    With gaps, a blank line follows each change of availability.
+    cols hold N rows each, 1-D or 2-D.  A cell holds CSV_NUMBER % v, or the
+    availability a[i] as 0 or 1 at row position flag; the cells at the
+    positions in blank stay empty where a[i] is 0.  With gaps, a blank line
+    follows each change of availability.
     """
     avail = np.asarray(a) != 0
     gap = np.append(gaps & (avail[:-1] != avail[1:]), False)
@@ -331,10 +332,9 @@ def write_rows(fh, a, cols, blank=(), ints=(), gaps=False) -> None:
         cells[..., 4] = _DIGITS[abs(E)] >> 16
         slow = [(CSV_NUMBER % x).encode() for x in v[~ok].tolist()]
         out[:, :k][~ok, :19] = np.array(slow, "S19").view("19u1")
-        for j in ints:
-            u, at = np.unique(v[:, j], return_inverse=True)
-            out[:, j, :19] = np.array([b"%d" % x for x in u.tolist()],
-                                      "S19").view("19u1")[at]
+        if flag is not None:
+            out[:, flag, :19] = 0
+            out[:, flag, 0] = ord("0") + avail[lo:lo + n]
         out[:, blank, :19] *= avail[lo:lo + n, None, None]
         out[:, :k, 19] = ord(",")
         out[:, k - 1, 19] = ord("\n")
@@ -362,7 +362,7 @@ def write_csv(trace: Trace, path) -> None:
             trace.eta, trace.eta_norm)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        write_rows(fh, trace.a, cols, blank=(4,), ints=(1,))
+        write_rows(fh, trace.a, cols, blank=(4,), flag=1)
 
 
 def read_csv(path) -> Trace:

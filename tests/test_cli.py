@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -335,11 +336,12 @@ class TestSimulateAndVerify:
         header = (sim_dir / "trace.csv").read_text().splitlines()[0]
         assert header.startswith("t,a,tau,phi,psi,y_1,")
 
-    def test_verify_round_trip(self, sim_dir, capsys):
+    def test_verify_round_trip(self, sim_dir, tmp_path, capsys):
+        shutil.copyfile(sim_dir / "trace.csv", tmp_path / "trace.csv")
         rc = cli.main(["verify", "--preset", "scenario_b",
-                       "--out", str(sim_dir)])
+                       "--out", str(tmp_path)])
         assert rc == 0
-        report = (sim_dir / "verify_report.txt").read_text()
+        report = (tmp_path / "verify_report.txt").read_text()
         lines = report.strip().splitlines()
         assert len(lines) == 3
         assert all(" PASS " in ln for ln in lines)
