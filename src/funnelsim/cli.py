@@ -22,7 +22,7 @@ import jsonschema
 
 from . import verify
 from .controller import AvailabilitySchedule
-from .design import FunnelSpec, design_report, synthesize
+from .design import FunnelSpec, design_report, start_gain_floor, synthesize
 from .errors import ConfigError, FunnelSimError
 from .reference import ReferenceSignal
 from .simulator import (
@@ -285,15 +285,8 @@ def _schedule_limits(cfg: dict):
     gen = sec.get("generator")
     if gen is not None and gen["kind"] == "periodic":
         return gen.get("dropout"), gen.get("window")
-    pairs = sec.get("dropouts", [])
-    if not pairs:
-        return None, None
-    longest = max(hi - lo for lo, hi in pairs)
-    windows = [lo2 - hi1 for (_, hi1), (lo2, _) in zip(pairs, pairs[1:])]
-    if pairs[0][0] > 0.0:
-        windows.append(pairs[0][0])
-    shortest = min(windows) if windows else None
-    return longest, shortest
+    lengths, windows = AvailabilitySchedule.spans(sec.get("dropouts", []))
+    return max(lengths, default=None), min(windows.values(), default=None)
 
 
 def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
@@ -365,7 +358,7 @@ def discrepancy_table(dp) -> str:
     for name, rep, ours in rows:
         lines.append(f"{name:<20}{rep:>14g}{ours:>22.10e}")
     lines.append(f"{'funnel_start_ceiling':<20}{'':>14}{dp.gain_hi:>22.10e}")
-    floor_at_reported = cc.p * cc.M / (cc.mu * REPORTED["internal_ceiling"])
+    floor_at_reported = start_gain_floor(cc, REPORTED["internal_ceiling"])
     lines += [
         "",
         "consistency at the reported values:",

@@ -90,21 +90,31 @@ class AvailabilitySchedule:
                if 0.0 < p < self.horizon]
         return sorted(set(pts))
 
+    @staticmethod
+    def spans(pairs):
+        """Dropout lengths and {i: window before dropout i}; the lead-in
+        [0, start] is window 0 unless the schedule starts in a dropout."""
+        windows = {0: pairs[0][0]} if pairs and pairs[0][0] > 0.0 else {}
+        for i in range(1, len(pairs)):
+            windows[i] = pairs[i][0] - pairs[i - 1][1]
+        return [hi - lo for lo, hi in pairs], windows
+
     def check_against_design(self, dropout_bound: float,
                              window_bound: float):
         """Compare the schedule against designed duration limits.
 
+        The lead-in window [0, first dropout start] counts as a window.
         Violations are returned as notes, not raised: a schedule may
         deliberately stress the controller beyond its certificate.
         """
         notes = []
-        for i, (lo, hi) in enumerate(self.dropouts):
-            if hi - lo > dropout_bound * (1.0 + 1e-12):
+        lengths, windows = self.spans(self.dropouts)
+        for i, length in enumerate(lengths):
+            if length > dropout_bound * (1.0 + 1e-12):
                 notes.append(
-                    f"dropout {i} lasts {hi - lo:.6g}, beyond the designed "
+                    f"dropout {i} lasts {length:.6g}, beyond the designed "
                     f"limit {dropout_bound:.6g}")
-        for i in range(1, len(self.dropouts)):
-            gap = self.dropouts[i][0] - self.dropouts[i - 1][1]
+        for i, gap in windows.items():
             if gap < window_bound * (1.0 - 1e-12):
                 notes.append(
                     f"availability window before dropout {i} lasts "

@@ -51,6 +51,12 @@ def partial_geometric_sum(k: int, s: float) -> float:
     return acc
 
 
+def _gain_sum(r: int, q: float) -> float:
+    """Chain gain sum A_r = 1 + alpha(q^2) + ... + alpha(q^2)^r at margin q."""
+    _check_q(q)
+    return partial_geometric_sum(r, alpha(q * q))
+
+
 def _sup_duration(coef: float, beta: float, target: float) -> float:
     """Root of coef * D^2 * exp(beta D) = target, bisected in log space.
 
@@ -80,38 +86,38 @@ def _sup_duration(coef: float, beta: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def max_dropout_duration(cc: ClassConstants, q: float) -> float:
-    """Supremum of certifiable dropout durations.
+def _dropout_conditions(cc: ClassConstants, q: float) -> dict:
+    """(coef, target) of the dropout conditions on the duration D.
 
-    Three growth conditions cap the duration: the coasting state must not
-    outrun the funnel, the internal state must not be re-excited past the
-    design margin, and the internal decay must dominate the dropout length.
-    Returns Unbounded (inf) when the internal dynamics are trivial.
+    The coasting state must not outrun the funnel ("coast"), nor the
+    internal state be re-excited past the design margin ("margin"):
+    coef * D^2 exp(beta D) <= target.  The internal decay must dominate the
+    dropout length ("decay"): coef * D <= target.
     """
-    _check_q(q)
+    sp = cc.s * cc.p
+    return {"coast": (sp * cc.M, 1.0),
+            "margin": (sp * cc.M ** 2, q / _gain_sum(cc.r, q)),
+            "decay": (2.0 * cc.mu * cc.M, 1.0)}
+
+
+def max_dropout_duration(cc: ClassConstants, q: float) -> float:
+    """Supremum of the dropout durations that meet the dropout conditions;
+    Unbounded (inf) when the internal dynamics are trivial."""
+    conditions = _dropout_conditions(cc, q)
     if cc.M == 0.0:
         return Unbounded
-    by_decay = 1.0 / (2.0 * cc.mu * cc.M)
-    sp = cc.s * cc.p
-    if sp == 0.0:
+    coef, target = conditions.pop("decay")
+    by_decay = target / coef
+    if cc.s * cc.p == 0.0:
         return by_decay
-    gain_sum = partial_geometric_sum(cc.r, alpha(q * q))
-    by_coast = _sup_duration(sp * cc.M, cc.beta, 1.0)
-    by_margin = _sup_duration(sp * cc.M ** 2, cc.beta, q / gain_sum)
-    return min(by_coast, by_margin, by_decay)
+    return min(*(_sup_duration(coef, cc.beta, target)
+                 for coef, target in conditions.values()), by_decay)
 
 
-def min_availability_duration(cc: ClassConstants, q: float,
-                              dropout: float) -> float:
-    """Shortest availability window that restores the design invariants.
-
-    Two reset ratios must be pulled below one by the exponential decay over
-    the window; the required window is the larger of their log-scaled
-    durations, floored at zero.
-    """
-    _check_q(q)
-    if dropout < 0.0:
-        raise ValueError("dropout duration must be nonnegative")
+def _reset_ratios(cc: ClassConstants, q: float, dropout: float):
+    """The two reset ratios exp(mu * window) must pull below one, or
+    DeltaTooLarge when the dropout defeats one of them."""
+    gain_sum = _gain_sum(cc.r, q)
     den1 = 1.0 - cc.mu * cc.M * dropout
     if den1 <= 0.0:
         raise DeltaTooLarge(
@@ -121,25 +127,30 @@ def min_availability_duration(cc: ClassConstants, q: float,
     ratio1 = (4.0 * cc.M ** 2 + cc.p * cc.M * dropout) / den1
     sp = cc.s * cc.p
     if sp == 0.0 or cc.M == 0.0 or dropout == 0.0:
-        ratio2 = 0.0
-    else:
-        gain_sum = partial_geometric_sum(cc.r, alpha(q * q))
-        # Evaluate the re-excitation term in log space first so an oversized
-        # dropout is rejected before the exponential can overflow.
-        log_x = (math.log(sp * cc.M ** 2 * gain_sum)
-                 + 2.0 * math.log(dropout) + cc.beta * dropout)
-        if log_x >= math.log(q):
-            raise DeltaTooLarge(
-                f"dropout duration {dropout:.6e} defeats the re-excitation "
-                f"margin (log excess {log_x - math.log(q):.6e})"
-            )
-        x = math.exp(log_x)
-        ratio2 = x * (2.0 * cc.M / dropout) / (cc.mu * (q - x))
+        return ratio1, 0.0
+    # Evaluate the re-excitation term in log space first so an oversized
+    # dropout is rejected before the exponential can overflow.
+    log_x = (math.log(sp * cc.M ** 2 * gain_sum)
+             + 2.0 * math.log(dropout) + cc.beta * dropout)
+    if log_x >= math.log(q):
+        raise DeltaTooLarge(
+            f"dropout duration {dropout:.6e} defeats the re-excitation "
+            f"margin (log excess {log_x - math.log(q):.6e})"
+        )
+    x = math.exp(log_x)
+    return ratio1, x * (2.0 * cc.M / dropout) / (cc.mu * (q - x))
+
+
+def min_availability_duration(cc: ClassConstants, q: float,
+                              dropout: float) -> float:
+    """Shortest availability window that restores the design invariants:
+    the larger log-scaled reset ratio, floored at zero."""
+    if dropout < 0.0:
+        raise ValueError("dropout duration must be nonnegative")
     need = 0.0
-    if ratio1 > 1.0:
-        need = max(need, math.log(ratio1) / cc.mu)
-    if ratio2 > 1.0:
-        need = max(need, math.log(ratio2) / cc.mu)
+    for ratio in _reset_ratios(cc, q, dropout):
+        if ratio > 1.0:
+            need = max(need, math.log(ratio) / cc.mu)
     return need
 
 
@@ -162,24 +173,13 @@ class EtaStarBounds:
         return max(self.forcing, self.coasting, self.regrowth)
 
 
-def _eta_bounds(cc: ClassConstants, dropout: float, window: float, q: float,
-                y_sup: float, chain_sup: float) -> EtaStarBounds:
-    gain_sum = partial_geometric_sum(cc.r, alpha(q * q))
+def _restart_terms(cc: ClassConstants, dropout: float, window: float,
+                   chain_sup: float):
+    """(e, chain_sup (1 + e) + e, mu dropout + 2 M exp(-mu window)) with
+    e = exp(beta dropout), the growth a dropout and its window restart from."""
     e_bd = math.exp(cc.beta * dropout)
-    forcing = cc.p * dropout * math.exp(cc.mu * window) * y_sup
-    coasting = (chain_sup + 1.0) * math.exp(cc.beta * dropout
-                                            + cc.mu * window)
-    num = cc.p * cc.M * gain_sum * (chain_sup * (1.0 + e_bd) + e_bd)
-    den = (cc.mu * q - cc.s * cc.p * cc.M ** 2 * gain_sum * dropout * e_bd
-           * (cc.mu * dropout + 2.0 * cc.M * math.exp(-cc.mu * window)))
-    if num == 0.0:
-        regrowth = 0.0
-    elif den <= 0.0:
-        regrowth = math.inf
-    else:
-        regrowth = num / den
-    return EtaStarBounds(forcing=forcing, coasting=coasting,
-                         regrowth=regrowth, regrowth_denominator=den)
+    return (e_bd, chain_sup * (1.0 + e_bd) + e_bd,
+            cc.mu * dropout + 2.0 * cc.M * math.exp(-cc.mu * window))
 
 
 def eta_star_lower_bound(cc: ClassConstants, dropout: float, window: float,
@@ -187,18 +187,40 @@ def eta_star_lower_bound(cc: ClassConstants, dropout: float, window: float,
     """Least admissible ceiling for the internal state.
 
     ref_bounds is (sup |y_ref|, sup |stacked reference chain|).  Any ceiling
-    at or above .value of the result is admissible.
+    at or above .value of the result is admissible.  When none is, raises
+    InfeasibleEtaStar, whose .bounds holds the bounds if they were computed.
     """
-    _check_q(q)
     y_sup, chain_sup = ref_bounds
-    bounds = _eta_bounds(cc, dropout, window, q, y_sup, chain_sup)
+    gain_sum = _gain_sum(cc.r, q)
+    try:    # the largest exponent here: forcing and e_bd stay below it
+        coasting = (chain_sup + 1.0) * math.exp(cc.beta * dropout
+                                                + cc.mu * window)
+    except OverflowError:
+        raise InfeasibleEtaStar("the coasting bound on the internal ceiling "
+                                "overflows") from None
+    forcing = cc.p * dropout * math.exp(cc.mu * window) * y_sup
+    e_bd, chain_term, regrow = _restart_terms(cc, dropout, window, chain_sup)
+    num = cc.p * cc.M * gain_sum * chain_term
+    den = (cc.mu * q - cc.s * cc.p * cc.M ** 2 * gain_sum * dropout * e_bd
+           * regrow)
+    if num == 0.0:
+        regrowth = 0.0
+    elif den <= 0.0:
+        regrowth = math.inf
+    else:
+        regrowth = num / den
+    bounds = EtaStarBounds(forcing=forcing, coasting=coasting,
+                           regrowth=regrowth, regrowth_denominator=den)
     if not math.isfinite(bounds.value):
         raise InfeasibleEtaStar(
-            f"self-consistent ceiling denominator is "
-            f"{bounds.regrowth_denominator:.6e}; dropout/window durations "
-            f"leave no margin"
-        )
+            f"self-consistent ceiling denominator is {den:.6e}; "
+            f"dropout/window durations leave no margin", bounds)
     return bounds
+
+
+def start_gain_floor(cc: ClassConstants, internal_cap: float) -> float:
+    """Least initial funnel gain p M / (mu internal_cap) for the ceiling."""
+    return cc.p * cc.M / (cc.mu * internal_cap)
 
 
 def phi0_window(cc: ClassConstants, internal_cap: float, dropout: float,
@@ -208,14 +230,10 @@ def phi0_window(cc: ClassConstants, internal_cap: float, dropout: float,
     Returns (gain_lo, gain_hi, rejoin_bound) where rejoin_bound caps the
     stacked error at the end of any dropout.
     """
-    _check_q(q)
-    gain_sum = partial_geometric_sum(cc.r, alpha(q * q))
-    e_bd = math.exp(cc.beta * dropout)
-    rejoin = (chain_sup * (1.0 + e_bd) + e_bd
-              + cc.s * cc.M * dropout * e_bd
-              * (2.0 * cc.M * math.exp(-cc.mu * window)
-                 + cc.mu * dropout) * internal_cap)
-    lo = cc.p * cc.M / (cc.mu * internal_cap)
+    gain_sum = _gain_sum(cc.r, q)
+    e_bd, chain_term, regrow = _restart_terms(cc, dropout, window, chain_sup)
+    rejoin = chain_term + cc.s * cc.M * dropout * e_bd * regrow * internal_cap
+    lo = start_gain_floor(cc, internal_cap)
     hi = q / (gain_sum * rejoin)
     if lo > hi:
         raise EmptyWindow(lo, hi)
@@ -240,6 +258,16 @@ class GainConstants:
     required_level: float
 
 
+def _stage_slope(lead: float, mu0: float, slope: float, cap: float,
+                 comp: float) -> float:
+    """lead + mu0 (1 + pull) + (1 + c^2)/(1 - c^2)^2 (slope + pull), summed
+    in that order, for a stage of cap c with pull = c alpha(c^2); taken via
+    comp = 1 - c^2 so demands near the double-precision ceiling stay finite."""
+    pull = cap / comp
+    return (lead + mu0 * (1.0 + pull)
+            + (2.0 - comp) / comp ** 2 * (slope + pull))
+
+
 def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants:
     """Start-up constants for the cascade stages.
 
@@ -259,18 +287,14 @@ def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants
     caps = [0.0]
     comps = [1.0]
     for k in range(1, r):
-        # pull = c alpha(c^2) and (1+c^2)/(1-c^2)^2, via the complement so
-        # slope demands near the double-precision ceiling stay finite.
-        pull = caps[k - 1] / comps[k - 1]
-        mu_k = (1.0 + mu0 * (1.0 + pull)
-                + (2.0 - comps[k - 1]) / comps[k - 1] ** 2
-                * (slopes[k - 1] + pull))
+        mu_k = _stage_slope(1.0, mu0, slopes[k - 1], caps[k - 1],
+                            comps[k - 1])
         slopes.append(mu_k)
         demand = (1.0 + mu0) if k == 1 else mu_k
         norm_sq = float(init_sq[k - 1])
-        if norm_sq >= 1.0:
-            raise CiOverflow(k, math.sqrt(norm_sq))
         comp = min(1.0 - norm_sq, 1.0 / (1.0 + demand), 1.0 - q * q)
+        if not comp > 0.0:      # the cap c_k = sqrt(1 - comp) reached 1
+            raise CiOverflow(k, math.sqrt(1.0 - comp))
         comps.append(comp)
         caps.append(math.sqrt(1.0 - comp))
     level = 1.0 + caps[r - 1] / comps[r - 1]
@@ -320,19 +344,17 @@ class FunnelSpec:
 
 
 def refine_funnel(window, required_level: float, settle: float,
-                  template=None, phi00: float | None = None) -> FunnelSpec:
+                  phi00: float, template=None) -> FunnelSpec:
     """Pick an exponential funnel meeting the gain window and level demand.
 
-    The gain must start inside `window` (default: at its upper end) and
-    reach `required_level` within the settling time `settle`.  A template
-    (b, c) pins those two parameters and is validated instead of optimized.
+    The gain must start at phi00, inside `window`, and reach
+    `required_level` within the settling time `settle`.  A template (b, c)
+    pins those two parameters and is validated instead of optimized.
     """
     lo, hi = window
     if lo > hi:
         raise EmptyWindow(lo, hi)
-    if phi00 is None:
-        phi00 = hi
-    elif not (lo * (1.0 - 1e-12) <= phi00 <= hi * (1.0 + 1e-12)):
+    if not (lo * (1.0 - 1e-12) <= phi00 <= hi * (1.0 + 1e-12)):
         raise TemplateRejected(
             f"initial funnel gain {phi00:.6e} outside the admissible window "
             f"[{lo:.6e}, {hi:.6e}]"
@@ -348,15 +370,15 @@ def refine_funnel(window, required_level: float, settle: float,
                 f"template floor c = {c:.6e} is not below the initial "
                 f"funnel radius {1.0 / phi00:.6e}"
             )
-        a = 1.0 / phi00 - c
-        reached = 1.0 / (a * math.exp(-b * settle) + c)
+        funnel = FunnelSpec(a=1.0 / phi00 - c, b=b, c=c, d=b)
+        reached = funnel.value(settle)
         if reached < required_level * (1.0 - 1e-12):
             raise TemplateRejected(
                 f"template funnel reaches gain {reached:.6e} within the "
                 f"settling time, below the required level "
                 f"{required_level:.6e}"
             )
-        return FunnelSpec(a=a, b=b, c=c, d=b)
+        return funnel
     c = (1.0 - 1e-3) * min(1.0 / required_level, 1.0 / phi00)
     a = 1.0 / phi00 - c
     target = 1.0 / required_level - c
@@ -364,6 +386,10 @@ def refine_funnel(window, required_level: float, settle: float,
         b = B_FLOOR
     else:
         b = max(math.log(a / target) / settle, B_FLOOR)
+        if b == math.inf:
+            raise InfeasibleRefinement(f"required funnel level "
+                                       f"{required_level:.6e} is out of reach: "
+                                       f"the funnel decay rate overflows")
     b *= 1.0 + 1e-9
     return FunnelSpec(a=a, b=b, c=c, d=b)
 
@@ -399,11 +425,9 @@ def input_bound_certificate(cc: ClassConstants, nf: NormalForm,
     internal_sup = max(internal_cap,
                        cc.M * internal_cap
                        + cc.p * cc.M / cc.mu * (psi0 + ref_sup))
-    cl = gains.stage_caps[r - 1]
-    compl = gains.stage_cap_complements[r - 1]
-    pull = cl / compl
-    drive = (gains.slope_gain * (1.0 + pull)
-             + (2.0 - compl) / compl ** 2 * (gains.stage_slopes[r - 1] + pull)
+    drive = (_stage_slope(0.0, gains.slope_gain, gains.stage_slopes[r - 1],
+                          gains.stage_caps[r - 1],
+                          gains.stage_cap_complements[r - 1])
              + ref_sup / floor + cc.s / floor * internal_sup)
     for i in range(1, r + 1):
         ci = gains.stage_caps[i - 1]
@@ -422,13 +446,13 @@ def input_bound_certificate(cc: ClassConstants, nf: NormalForm,
         root = 2.0 / (k + disc)
         root_comp = 2.0 * k / (2.0 + k + disc)
     er2 = float(gains.stage_init[r - 1] @ gains.stage_init[r - 1])
-    if er2 >= 1.0:
-        raise DegenerateCertificate(drive, gain_at_start)
     candidates = (er2, root, q * q)
     complements = (1.0 - er2, root_comp, 1.0 - q * q)
     pick = max(range(3), key=lambda i: candidates[i])
     cap = math.sqrt(candidates[pick])
     cap_comp = complements[pick]
+    if not cap_comp > 0.0:      # the last stage starts or balances at 1
+        raise DegenerateCertificate(drive, gain_at_start)
     return Certificate(ref_sup=ref_sup, floor=floor,
                        internal_sup=internal_sup, drive_bound=drive,
                        root=root, last_cap=cap,
@@ -478,7 +502,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     feasibility suprema with safety factor theta (or defaults when the
     internal dynamics impose no constraint at all).
     """
-    _check_q(q)
+    gain_sum = _gain_sum(nf.r, q)
     if not (0.0 < theta < 1.0):
         raise ValueError("safety factor theta must lie in (0, 1)")
     if not settle_factor > 0.0:
@@ -486,7 +510,6 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     if y_ref.m != nf.m:
         raise ValueError("reference dimension must match the output dimension")
     cc = class_constants(nf)
-    gain_sum = partial_geometric_sum(cc.r, alpha(q * q))
 
     dropout_sup = max_dropout_duration(cc, q)
     if math.isinf(dropout_sup):
@@ -591,25 +614,16 @@ def check_design(dp: DesignParams) -> dict:
     caller decides what slack to demand.
     """
     cc, q = dp.cc, dp.q
-    sp = cc.s * cc.p
-    e_bd = math.exp(cc.beta * dp.dropout)
+    e_bd = _restart_terms(cc, dp.dropout, dp.window, dp.ref_chain_sup)[0]
     d2 = dp.dropout ** 2
-    margins = {
-        "dropout_coast": 1.0 - sp * cc.M * d2 * e_bd,
-        "dropout_margin": q / dp.gain_sum - sp * cc.M ** 2 * d2 * e_bd,
-        "dropout_decay": 1.0 - 2.0 * cc.mu * cc.M * dp.dropout,
-    }
-    den1 = 1.0 - cc.mu * cc.M * dp.dropout
-    ratio1 = (4.0 * cc.M ** 2 + cc.p * cc.M * dp.dropout) / den1
-    margins["window_reset"] = (math.inf if ratio1 <= 0.0 else
-                               cc.mu * dp.window - math.log(ratio1))
-    x = sp * cc.M ** 2 * dp.gain_sum * d2 * e_bd
-    if x == 0.0:
-        margins["window_regain"] = math.inf
-    else:
-        ratio2 = x * (2.0 * cc.M / dp.dropout) / (cc.mu * (q - x))
-        margins["window_regain"] = (math.inf if ratio2 <= 0.0 else
-                                    cc.mu * dp.window - math.log(ratio2))
+    margins = {}
+    for name, (coef, target) in _dropout_conditions(cc, q).items():
+        grown = coef * dp.dropout if name == "decay" else coef * d2 * e_bd
+        margins[f"dropout_{name}"] = target - grown
+    ratios = _reset_ratios(cc, q, dp.dropout)
+    for name, ratio in zip(("window_reset", "window_regain"), ratios):
+        margins[name] = (math.inf if ratio <= 0.0 else
+                         cc.mu * dp.window - math.log(ratio))
     eb = dp.eta_bounds
     margins["ceiling_forcing"] = dp.internal_cap - eb.forcing
     margins["ceiling_coasting"] = dp.internal_cap - eb.coasting

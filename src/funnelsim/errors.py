@@ -81,9 +81,14 @@ class DeltaTooLarge(FunnelSimError):
 
 
 class InfeasibleEtaStar(FunnelSimError):
-    """No admissible internal-state ceiling exists for the given durations."""
+    """No admissible internal-state ceiling exists for the given durations;
+    bounds holds the bounds that left no margin, when they were computed."""
 
     exit_code = 3
+
+    def __init__(self, message: str, bounds=None):
+        self.bounds = bounds
+        super().__init__(message)
 
 
 class EmptyWindow(FunnelSimError):

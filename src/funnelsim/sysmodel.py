@@ -108,9 +108,7 @@ def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
     n, m = sys.n, sys.m
     norm_A = np.linalg.norm(A, 2)
     scale = np.linalg.norm(B, 2) * np.linalg.norm(C, 2)
-    X = B.copy()
-    for k in range(n):
-        Mk = C @ X
+    for k, Mk in enumerate(markov_parameters(sys, n)):
         nk = np.linalg.norm(Mk, 2)
         tol = _ZERO_TOL * (1.0 + scale)
         if nk < tol:
@@ -130,7 +128,6 @@ def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
                     f"dimension {n}"
                 )
             return r, Mk
-        X = A @ X
         scale *= norm_A
     raise NoRelativeDegree(
         f"all chain coefficients C A^k B vanish for k < {n}"

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from funnelsim.sysmodel import NormalForm
+
+# One profile for every property test: the same examples on every run, no
+# per-example deadline, and tmp_path and capsys shared across examples.
+settings.register_profile(
+    "funnelsim", derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+settings.load_profile("funnelsim")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funnelsim import cli, errors
@@ -43,6 +43,30 @@ def manual_cfg(trace_path=None, t_end=60.0):
     }
     if trace_path is not None:
         cfg["output"] = {"trace": trace_path}
+    return cfg
+
+
+# a plant of two integrators and no internal dynamics
+CHAIN_ONLY = {"mode": "normal_form", "R": [[[0.0]], [[0.0]]],
+              "Gamma": [[1.0]], "Q": [[]], "S": [[]], "P": [[]]}
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def synthesis_cfg(system, dropout, window, amplitude=1.0, omega=1.0,
+                  q=0.95, theta=0.9):
+    """A synthesis config with a sinusoid reference and, when dropout and
+    window are given, a periodic dropout generator."""
+    cfg = {"system": system,
+           "reference": {"kind": "sinusoid", "amplitude": amplitude,
+                         "omega": omega},
+           "design": {"q": q, "theta": theta}}
+    if dropout is not None:
+        cfg["availability"] = {"generator": {
+            "kind": "periodic", "dropout": dropout, "window": window}}
     return cfg
 
 
@@ -300,6 +324,68 @@ class TestSynthesizeCommand:
         else:
             assert "TemplateRejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dropout, window", [(0.1, 1e6), (1000.0, 1.0)])
+    def test_overflowing_ceiling_exits_3(self, tmp_path, capsys, dropout,
+                                         window):
+        # exp(beta dropout + mu window) overflowed in math.exp, a raw
+        # OverflowError that exited 1
+        cfg = synthesis_cfg(CHAIN_ONLY, dropout, window)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: InfeasibleEtaStar: the coasting bound on the internal "
+            "ceiling overflows"]
+
+    def test_unreachable_funnel_level_exits_3(self, tmp_path, capsys):
+        # the refined funnel's decay rate overflowed to inf, and the run
+        # exited 2 blaming funnel parameter b, which the config never set
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None,
+                            amplitude=1e150)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: InfeasibleRefinement: required "
+                                 "funnel level 2.297412e+153 is out of reach")
+
+    @pytest.mark.parametrize("amplitude, window, q, err", [
+        # the start gain underflows, so the first stage cap is 1
+        (1.0, 1.0, 1e-308,
+         "CiOverflow: recursion constant c_1 = 1.000000e+00 is not < 1"),
+        # the drive constant is inf, so the certificate's last cap is 1
+        (1e109, 0.01, 0.95,
+         "DegenerateCertificate: input bound degenerate: C~ = inf, "
+         "gamma*phi0(0) = 2.194019e-112")])
+    def test_cap_reaching_one_exits_3(self, tmp_path, capsys, amplitude,
+                                      window, q, err):
+        # both divided by 1 - cap^2 = 0, a raw ZeroDivisionError
+        cfg = synthesis_cfg(CHAIN_ONLY, 1.0, window, amplitude, q=q)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+
+    @settings(max_examples=150)
+    @given(system=st.sampled_from([CHAIN_ONLY, {"mode": "mass_on_car"}]),
+           dropout=log_uniform(1e-6, 1e6), window=log_uniform(1e-6, 1e6),
+           amplitude=log_uniform(1e-6, 1e200),
+           omega=log_uniform(1e-6, 1e200), q=OPEN_UNIT, theta=OPEN_UNIT)
+    def test_drawn_configs_exit_typed(self, tmp_path, capsys, system,
+                                      dropout, window, amplitude, omega, q,
+                                      theta):
+        cfg = synthesis_cfg(system, dropout, window, amplitude, omega,
+                            q=q, theta=theta)
+        path = write_cfg(tmp_path, cfg)
+        capsys.readouterr()
+        rc = cli.main(["synthesize", "--config", path, "--out",
+                       str(tmp_path)])
+        assert rc in (0, 2, 3, 4)
+        err = capsys.readouterr().err.splitlines()
+        if rc:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+
 
 @pytest.fixture(scope="session")
 def reproduced(tmp_path_factory):
@@ -416,8 +502,9 @@ class TestSimulateAndVerify:
         assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
 
     def test_schedule_note_logged_once(self, tmp_path):
-        # one dropout 5% beyond the designed limit: its note is logged once
-        # and not also raised as a Python warning
+        # one dropout 5% beyond the designed limit, after a 1 s lead-in
+        # shorter than the designed window: each note is logged once and
+        # not also raised as a Python warning
         cfg = copy.deepcopy(cli.PRESETS["scenario_a"])
         cfg["availability"]["generator"] = {
             "kind": "from_design", "dropout_factor": 1.05, "start": 1.0,
@@ -431,8 +518,10 @@ class TestSimulateAndVerify:
             capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0
         err = run.stderr.splitlines()
-        assert len(err) == 1
+        assert len(err) == 2
         assert err[0].startswith("WARNING funnelsim: dropout 0 lasts ")
+        assert err[1].startswith("WARNING funnelsim: availability window "
+                                 "before dropout 0 lasts 1, below ")
 
     @pytest.mark.parametrize("system, design, dropouts", [
         # a chain-only plant: empty internal dynamics, a manual funnel
@@ -551,8 +640,7 @@ class TestPlotData:
         gaps = np.flatnonzero(tr.a[:-1] != tr.a[1:])
         assert gaps.tolist()[:4] == [0, 1, 2, 4]
 
-    @settings(derandomize=True, max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_drawn_doubles_match_field_formatting(self, tmp_path, vals):
         self.check_plot_data(tmp_path, vals)

@@ -135,10 +135,12 @@ class TestSchedule:
         assert notes == [
             "dropout 0 lasts 1, beyond the designed limit 0.5",
             "dropout 1 lasts 1, beyond the designed limit 0.5",
+            "availability window before dropout 0 lasts 1, below the "
+            "designed minimum 2",
             "availability window before dropout 1 lasts 0.5, below the "
             "designed minimum 2"]
         assert not caught
-        ok = AvailabilitySchedule.from_pairs([(1.0, 1.4), (4.0, 4.4)], 10.0)
+        ok = AvailabilitySchedule.from_pairs([(2.0, 2.4), (4.5, 4.9)], 10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert ok.check_against_design(0.5, 2.0) == []

@@ -24,7 +24,6 @@ from funnelsim.design import (
     phi0_window,
     refine_funnel,
     synthesize,
-    _eta_bounds,
 )
 from funnelsim.errors import (
     CiOverflow,
@@ -182,9 +181,9 @@ class TestEtaStarLowerBound:
         # self-consistent bound has a negative denominator, so the reported
         # ceiling 133145 passes the first two bounds and fails the third.
         cc = bench_cc()
-        with pytest.raises(InfeasibleEtaStar):
+        with pytest.raises(InfeasibleEtaStar) as ei:
             eta_star_lower_bound(cc, 5.01e-2, 18.8, 0.95, (1.0, 1.0))
-        raw = _eta_bounds(cc, 5.01e-2, 18.8, 0.95, 1.0, 1.0)
+        raw = ei.value.bounds
         assert raw.regrowth_denominator < 0.0
         assert 133145.0 >= raw.forcing and 133145.0 >= raw.coasting
         assert not 133145.0 >= raw.regrowth
@@ -300,13 +299,13 @@ class TestGainRecursion:
 class TestRefineFunnel:
 
     def test_level_one_closed_form(self):
-        f = refine_funnel((1e-3, 0.5), 1.0, 2.0)
+        f = refine_funnel((1e-3, 0.5), 1.0, 2.0, phi00=0.5)
         assert f.phi00 == pytest.approx(0.5, rel=1e-12)
         assert f.value(2.0) == pytest.approx(1.0, rel=1e-8)
         assert f.value(2.0) >= 1.0 - 1e-12
 
     def test_already_tight_enough(self):
-        f = refine_funnel((0.5, 2.0), 1.0, 3.0)
+        f = refine_funnel((0.5, 2.0), 1.0, 3.0, phi00=2.0)
         assert f.b == pytest.approx(1e-6, rel=1e-6)
         assert f.phi00 == pytest.approx(2.0, rel=1e-12)
 
@@ -323,7 +322,8 @@ class TestRefineFunnel:
 
     def test_template_floor_too_high(self):
         with pytest.raises(InfeasibleRefinement):
-            refine_funnel((0.5, 1.0), 2.0, 1.0, template=(1.0, 2.0))
+            refine_funnel((0.5, 1.0), 2.0, 1.0, phi00=1.0,
+                          template=(1.0, 2.0))
 
     def test_start_gain_outside_window(self):
         with pytest.raises(TemplateRejected):
@@ -331,7 +331,7 @@ class TestRefineFunnel:
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindow):
-            refine_funnel((2.0, 1.0), 2.0, 1.0)
+            refine_funnel((2.0, 1.0), 2.0, 1.0, phi00=1.0)
 
     def test_family_membership(self, rng):
         # Emitted funnels are nondecreasing with slope below d(1 + phi0).
@@ -339,7 +339,7 @@ class TestRefineFunnel:
             phi00 = 10.0 ** rng.uniform(-4, 0)
             level = 10.0 ** rng.uniform(0.1, 3)
             f = refine_funnel((phi00 / 2, phi00), level,
-                              rng.uniform(0.5, 20.0))
+                              rng.uniform(0.5, 20.0), phi00=phi00)
             ts = np.linspace(0.0, 100.0, 1000)
             vals = f.value(ts)
             assert np.all(np.diff(vals) >= -1e-12)

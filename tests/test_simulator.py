@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -602,8 +602,7 @@ class TestCsv:
         write_csv(tr, path)
         assert path.read_text() == self.csv_text(tr)
 
-    @settings(derandomize=True, max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=150)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_drawn_doubles_match_field_formatting(self, tmp_path, vals):
         # any double: zeros, subnormals, NaN and inf included
