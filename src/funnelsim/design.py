@@ -57,12 +57,16 @@ def _gain_sum(r: int, q: float) -> float:
     return partial_geometric_sum(r, alpha(q * q))
 
 
-def _sup_duration(coef: float, beta: float, target: float) -> float:
+def _sup_duration(name: str, coef: float, beta: float,
+                  target: float) -> float:
     """Root of coef * D^2 * exp(beta D) = target, bisected in log space.
 
     The left side is strictly increasing in D > 0, so the root is unique.
-    Relative tolerance 1e-12.
+    Relative tolerance 1e-12.  A target of 0 admits no dropout at all.
     """
+    if not target > 0.0:
+        raise DeltaTooLarge(f"no dropout meets the {name!r} dropout "
+                            f"condition: its target is {target:.6e}")
     lt = math.log(target) - math.log(coef)
 
     def f(d):
@@ -110,8 +114,8 @@ def max_dropout_duration(cc: ClassConstants, q: float) -> float:
     by_decay = target / coef
     if cc.s * cc.p == 0.0:
         return by_decay
-    return min(*(_sup_duration(coef, cc.beta, target)
-                 for coef, target in conditions.values()), by_decay)
+    return min(*(_sup_duration(name, coef, cc.beta, target)
+                 for name, (coef, target) in conditions.items()), by_decay)
 
 
 def _reset_ratios(cc: ClassConstants, q: float, dropout: float):
@@ -235,7 +239,7 @@ def phi0_window(cc: ClassConstants, internal_cap: float, dropout: float,
     rejoin = chain_term + cc.s * cc.M * dropout * e_bd * regrow * internal_cap
     lo = start_gain_floor(cc, internal_cap)
     hi = q / (gain_sum * rejoin)
-    if lo > hi:
+    if lo > hi or not hi > 0.0:
         raise EmptyWindow(lo, hi)
     return lo, hi, rejoin
 

@@ -1,16 +1,17 @@
 """Exception hierarchy shared by all funnelsim modules.
 
 Every error carries enough numeric context to diagnose the failure without
-re-running the computation.  Each class names the process exit code the
-CLI returns for it in ``exit_code``: 2 for configuration and input errors,
-3 for model and synthesis failures, 4 for integration failures.
+re-running the computation.  Each class inherits from its category the
+process exit code the CLI returns for it, ``exit_code``: ConfigError 2 for
+configuration and input errors, ModelError 3 for model and synthesis
+failures, RunError 4 for start and integration failures.
 """
 
 from __future__ import annotations
 
 
 class FunnelSimError(Exception):
-    """Base class for all package errors; each subclass sets exit_code."""
+    """Base class for all package errors; each category sets exit_code."""
 
 
 class ConfigError(FunnelSimError):
@@ -19,19 +20,27 @@ class ConfigError(FunnelSimError):
     exit_code = 2
 
 
+class ModelError(FunnelSimError):
+    """The plant is outside the model class, or no design meets the bounds."""
+
+    exit_code = 3
+
+
+class RunError(FunnelSimError):
+    """The closed loop cannot start or cannot be integrated to the horizon."""
+
+    exit_code = 4
+
+
 # --- system model -----------------------------------------------------------
 
 
-class NoRelativeDegree(FunnelSimError):
+class NoRelativeDegree(ModelError):
     """No well-defined strict relative degree exists for (A, B, C)."""
 
-    exit_code = 3
 
-
-class AmbiguousZero(FunnelSimError):
+class AmbiguousZero(ModelError):
     """An early output-chain coefficient sits too close to the zero threshold."""
-
-    exit_code = 3
 
     def __init__(self, k: int, norm: float, tol: float):
         self.k = k
@@ -43,71 +52,55 @@ class AmbiguousZero(FunnelSimError):
         )
 
 
-class TransformSingular(FunnelSimError):
+class TransformSingular(ModelError):
     """The coordinate-change matrix could not be completed to full rank."""
 
-    exit_code = 3
 
-
-class NotHurwitz(FunnelSimError):
+class NotHurwitz(ModelError):
     """An internal-dynamics matrix has an eigenvalue off the open left half plane."""
-
-    exit_code = 3
 
     def __init__(self, eigenvalue: complex):
         self.eigenvalue = eigenvalue
         super().__init__(f"matrix is not Hurwitz: eigenvalue {eigenvalue}")
 
 
-class IndefiniteGamma(FunnelSimError):
+class IndefiniteGamma(ModelError):
     """The symmetrized high-frequency gain matrix is not sign definite."""
-
-    exit_code = 3
 
 
 # --- design -----------------------------------------------------------------
 
 
-class InvalidQ(FunnelSimError):
+class InvalidQ(ModelError):
     """Design margin q must lie strictly inside (0, 1)."""
 
-    exit_code = 3
+
+class DeltaTooLarge(ModelError):
+    """A dropout condition rules out the requested dropout, or any dropout."""
 
 
-class DeltaTooLarge(FunnelSimError):
-    """Requested dropout duration breaks a feasibility denominator."""
-
-    exit_code = 3
-
-
-class InfeasibleEtaStar(FunnelSimError):
+class InfeasibleEtaStar(ModelError):
     """No admissible internal-state ceiling exists for the given durations;
     bounds holds the bounds that left no margin, when they were computed."""
-
-    exit_code = 3
 
     def __init__(self, message: str, bounds=None):
         self.bounds = bounds
         super().__init__(message)
 
 
-class EmptyWindow(FunnelSimError):
+class EmptyWindow(ModelError):
     """The admissible interval for the initial funnel value is empty."""
-
-    exit_code = 3
 
     def __init__(self, lo: float, hi: float):
         self.lo = lo
         self.hi = hi
         super().__init__(
-            f"initial funnel value window is empty: lower {lo:.6e} > upper {hi:.6e}"
+            f"initial funnel value window [{lo:.6e}, {hi:.6e}] is empty"
         )
 
 
-class CiOverflow(FunnelSimError):
+class CiOverflow(ModelError):
     """A gain-recursion stage left the open unit interval."""
-
-    exit_code = 3
 
     def __init__(self, k: int, value: float):
         self.k = k
@@ -115,22 +108,16 @@ class CiOverflow(FunnelSimError):
         super().__init__(f"recursion constant c_{k} = {value:.6e} is not < 1")
 
 
-class InfeasibleRefinement(FunnelSimError):
+class InfeasibleRefinement(ModelError):
     """No funnel of the built-in family satisfies the requested constraints."""
 
-    exit_code = 3
 
-
-class TemplateRejected(FunnelSimError):
+class TemplateRejected(ModelError):
     """A user-supplied funnel template violates a design constraint."""
 
-    exit_code = 3
 
-
-class DegenerateCertificate(FunnelSimError):
+class DegenerateCertificate(ModelError):
     """The input-bound certificate collapsed (a cascade constant reached 1)."""
-
-    exit_code = 3
 
     def __init__(self, c_tilde: float, gain_term: float):
         self.c_tilde = c_tilde
@@ -141,10 +128,8 @@ class DegenerateCertificate(FunnelSimError):
         )
 
 
-class InitialConditionViolated(FunnelSimError):
+class InitialConditionViolated(RunError):
     """The initial error chain or internal state breaks a start-up condition."""
-
-    exit_code = 4
 
     def __init__(self, index: int | str, value: float, bound: float):
         self.index = index
@@ -159,10 +144,8 @@ class InitialConditionViolated(FunnelSimError):
 # --- controller / simulator -------------------------------------------------
 
 
-class FunnelViolation(FunnelSimError):
+class FunnelViolation(RunError):
     """A cascade stage left the open unit ball while the output was available."""
-
-    exit_code = 4
 
     def __init__(self, stage: int, norm: float, t: float | None = None):
         self.stage = stage
@@ -173,10 +156,8 @@ class FunnelViolation(FunnelSimError):
         super().__init__(f"{which} has norm {norm:.6e} >= 1{at}")
 
 
-class StepUnderflow(FunnelSimError):
+class StepUnderflow(RunError):
     """Adaptive integration could not proceed with any step above the floor."""
-
-    exit_code = 4
 
     def __init__(self, t: float, e_r_norm: float, phi: float):
         self.t = t
@@ -188,13 +169,9 @@ class StepUnderflow(FunnelSimError):
         )
 
 
-class IntegrationStalled(FunnelSimError):
+class IntegrationStalled(RunError):
     """The step budget was exhausted before the horizon was reached."""
 
-    exit_code = 4
 
-
-class SingularMassMatrix(FunnelSimError):
+class SingularMassMatrix(ModelError):
     """The benchmark mass matrix is numerically singular."""
-
-    exit_code = 3

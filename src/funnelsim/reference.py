@@ -102,10 +102,6 @@ class ReferenceSignal:
         """Derivatives 0..order at t: shape (order+1, m) for a scalar t,
         (order+1, N, m) for N times."""
         t = np.asarray(t, dtype=float)
-        if self.n_terms == 0:
-            out = np.zeros((order + 1,) + t.shape + (self.m,))
-            out[0] = self.offset
-            return out
         wpow, shift = self._powers(order)
         at = (slice(None),) + (None,) * t.ndim     # broadcast over the times
         # axes: (order, time..., output, term)

@@ -1,8 +1,9 @@
 """Numerical checks of the closed-loop guarantees and the proof lemmas.
 
 Each check is pure and deterministic: it reads a trace (or a seed, for the
-property checks), never mutates anything, and reports a pass flag with the
-worst margin and its location.  Two slack levels apply throughout: 1e-6
+property checks), never mutates anything, and reports its first least
+margin and that margin's location.  It passes when that margin is >= 0
+(> 0 for funnel containment), so a NaN fails.  Two slack levels apply: 1e-6
 relative for quantities that passed through the integrator, 1e-12 for
 algebraic identities evaluated directly.
 """
@@ -50,59 +51,50 @@ def report_lines(results) -> str:
     return "\n".join(r.line() for r in results)
 
 
+def _worst(name, margins, times, strict=False) -> CheckResult:
+    """The first least margin and its time.  The check passes when that
+    margin is >= 0 (> 0 if strict); a NaN margin is least, so it fails."""
+    margins = np.asarray(margins, dtype=float)
+    i = int(np.argmin(margins))
+    worst = float(margins[i])
+    return CheckResult(name, bool(worst > 0.0 if strict else worst >= 0.0),
+                       worst, float(times[i]))
+
+
+def _scaled(bound, value):
+    """Margin of value under bound, with integration slack, relative to the
+    bound once it exceeds one."""
+    return (bound * (1.0 + SLACK_INTEGRATED) - value) / np.maximum(bound, 1.0)
+
+
 def funnel_containment(trace) -> CheckResult:
     """phi(t) |e(t)| < 1 at every sample; trivial during dropouts."""
-    prod = trace.phi * trace.e_norm
-    margins = 1.0 - prod
-    i = int(np.argmin(margins))
-    return CheckResult("funnel_containment", bool(margins[i] > 0.0),
-                       float(margins[i]), float(trace.t[i]))
+    return _worst("funnel_containment", 1.0 - trace.phi * trace.e_norm,
+                  trace.t, strict=True)
 
 
 def input_and_state_bounds(trace, design) -> CheckResult:
     """Input below its certificate, zero on dropouts, internal state within
     the reacquisition ceiling and the global envelope."""
-    slack = SLACK_INTEGRATED
-    u_max = design.cert.input_sup
-    eta_cap = design.internal_cap
-    eta_env = design.cert.internal_sup
-    worst = math.inf
-    at = float(trace.t[0])
-    ok = True
-
-    def fold(margin, t, passed):
-        nonlocal worst, at, ok
-        if margin < worst:
-            worst, at = margin, t
-        ok = ok and passed
-
-    scale = max(u_max, 1.0)
+    t = trace.t
     i = int(np.argmax(trace.u_norm))
-    fold((u_max * (1.0 + slack) - trace.u_norm[i]) / scale,
-         float(trace.t[i]), bool(trace.u_norm[i] <= u_max * (1.0 + slack)))
-
-    lost = trace.a == 0
-    if np.any(lost):
-        u_lost = trace.u_norm[lost]
-        j = int(np.argmax(u_lost))
-        # exact equality constraint; only folds in when violated
-        if u_lost[j] != 0.0:
-            fold(-float(u_lost[j]), float(trace.t[lost][j]), False)
-
+    margins = [_scaled(design.cert.input_sup, trace.u_norm[i])]
+    times = [t[i]]
+    u_lost = np.where(trace.a == 0, trace.u_norm, 0.0)
+    j = int(np.argmax(u_lost))
+    if u_lost[j] != 0.0:    # exact equality constraint; enters when violated
+        margins.append(-u_lost[j])
+        times.append(t[j])
     if trace.internal_dim:
         # reacquisition samples: dropout end followed by availability
         a = trace.a
         ends = np.flatnonzero((a[:-1] == 0) & (a[1:] == 1))
-        for j in ends:
-            val = trace.eta_norm[j]
-            fold((eta_cap * (1.0 + slack) - val) / max(eta_cap, 1.0),
-                 float(trace.t[j]), bool(val <= eta_cap * (1.0 + slack)))
-        i = int(np.argmax(trace.eta_norm))
-        fold((eta_env * (1.0 + slack) - trace.eta_norm[i])
-             / max(eta_env, 1.0), float(trace.t[i]),
-             bool(trace.eta_norm[i] <= eta_env * (1.0 + slack)))
-
-    return CheckResult("input_and_state_bounds", ok, float(worst), at)
+        k = int(np.argmax(trace.eta_norm))
+        margins += [_scaled(design.internal_cap, trace.eta_norm[ends]),
+                    _scaled(design.cert.internal_sup, trace.eta_norm[k])]
+        times += [t[ends], t[k]]
+    return _worst("input_and_state_bounds", np.hstack(margins),
+                  np.hstack(times))
 
 
 def coasting_bound_check(trace, cc) -> CheckResult:
@@ -111,9 +103,7 @@ def coasting_bound_check(trace, cc) -> CheckResult:
     The running sup of the chain norm must stay below
     (|x(t0)| + s M |eta(t0)| (1 - e^{-mu dt})/mu) e^{beta dt}.
     """
-    slack = SLACK_INTEGRATED
-    t0 = trace.t[0]
-    dt = trace.t - t0
+    dt = trace.t - trace.t[0]
     rm = trace.r * trace.m
     chain_norm = np.linalg.norm(trace.x[:, :rm], axis=1)
     running = np.maximum.accumulate(chain_norm)
@@ -124,30 +114,21 @@ def coasting_bound_check(trace, cc) -> CheckResult:
     else:
         accum = dt * 0.0
     bound = (x0 + cc.s * cc.M * eta0 * accum) * np.exp(cc.beta * dt)
-    margins = (bound * (1.0 + slack) - running) / np.maximum(bound, 1.0)
-    i = int(np.argmin(margins))
-    return CheckResult("coasting_bound", bool(margins[i] >= 0.0),
-                       float(margins[i]), float(trace.t[i]))
+    return _worst("coasting_bound", _scaled(bound, running), trace.t)
 
 
 def internal_envelope_check(trace, cc) -> CheckResult:
     """Internal state below its decay-plus-forcing envelope."""
-    slack = SLACK_INTEGRATED
     if trace.internal_dim == 0:
-        return CheckResult("internal_envelope", True, math.inf,
-                           float(trace.t[0]))
-    t0 = trace.t[0]
-    dt = trace.t - t0
+        return _worst("internal_envelope", [math.inf], trace.t)
+    dt = trace.t - trace.t[0]
     y_sup = np.maximum.accumulate(np.linalg.norm(trace.y, axis=1))
     eta0 = trace.eta_norm[0]
     factor = np.minimum(cc.M / cc.mu if cc.mu > 0 else math.inf,
                         cc.M * dt)
     bound = cc.M * np.exp(-cc.mu * dt) * eta0 + cc.p * y_sup * factor
-    margins = (bound * (1.0 + slack) - trace.eta_norm) / np.maximum(bound,
-                                                                    1.0)
-    i = int(np.argmin(margins))
-    return CheckResult("internal_envelope", bool(margins[i] >= 0.0),
-                       float(margins[i]), float(trace.t[i]))
+    return _worst("internal_envelope", _scaled(bound, trace.eta_norm),
+                  trace.t)
 
 
 def lemma_ar_property(seed: int, r: int, q: float, trials: int,
@@ -162,9 +143,7 @@ def lemma_ar_property(seed: int, r: int, q: float, trials: int,
     rng = np.random.default_rng(seed)
     gain_sum = partial_geometric_sum(r, ell(q * q))
     slack = SLACK_ALGEBRAIC
-    worst = math.inf
-    at = 0.0
-    ok = True
+    margins, times = [math.inf], [0.0]
     for trial in range(trials):
         m = int(rng.integers(1, 4))
         lam_e = float(rng.uniform(0.0, 1.0)) * q / gain_sum
@@ -179,14 +158,9 @@ def lemma_ar_property(seed: int, r: int, q: float, trials: int,
             zeta = lam * xi + ell(float(zeta @ zeta)) * zeta
             cap = lam_e * partial_geometric_sum(k, ell(q * q))
             zn = float(np.linalg.norm(zeta))
-            m1 = cap * (1.0 + slack) - zn
-            m2 = q * (1.0 + slack) - cap
-            for mg in (m1, m2):
-                if mg < worst:
-                    worst, at = mg, float(trial)
-                if mg < 0.0:
-                    ok = False
-    return CheckResult("lemma_ar", ok, worst, at)
+            margins += [cap * (1.0 + slack) - zn, q * (1.0 + slack) - cap]
+            times += [float(trial)] * 2
+    return _worst("lemma_ar", margins, times)
 
 
 def _gamma(w):
@@ -214,9 +188,7 @@ def rho_map(stack):
 def cascade_rho_equivalence(seed: int, r: int, trials: int) -> CheckResult:
     """Controller cascade equals the proof's composed map on its domain."""
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    at = 0.0
-    ok = True
+    margins, times = [math.inf], [0.0]
     for done in range(trials):
         m = int(rng.integers(1, 4))
         stack = rng.normal(size=(r, m)) * 0.4
@@ -224,26 +196,22 @@ def cascade_rho_equivalence(seed: int, r: int, trials: int) -> CheckResult:
             stages, n_sq = cascade(1.0, stack)
         via_rho, in_dom = rho_map(stack)
         # a stage with n_sq >= 1 leaves the domain; NaN passes, as at start
-        if in_dom == bool(np.any(n_sq >= 1.0)):
-            ok = False
-            worst, at = -1.0, float(done)
-        elif in_dom:
-            diff = float(np.linalg.norm(stages[-1] - via_rho))
-            margin = SLACK_ALGEBRAIC - diff
-            if margin < worst:
-                worst, at = margin, float(done)
-            if diff > SLACK_ALGEBRAIC:
-                ok = False
-    return CheckResult("cascade_rho", ok, worst, at)
+        mismatch = in_dom == bool(np.any(n_sq >= 1.0))
+        if mismatch or in_dom:
+            margins.append(-1.0 if mismatch else SLACK_ALGEBRAIC
+                           - float(np.linalg.norm(stages[-1] - via_rho)))
+            times.append(float(done))
+    return _worst("cascade_rho", margins, times)
 
 
 def global_solution(trace, horizon: float) -> CheckResult:
     """The run reached the end of the horizon (no abort mid-way).
 
     A trace read back from CSV ends at the horizon as the CSV writes it,
-    rounded to 12 significant digits; that end counts as reached.
+    rounded to 12 significant digits; that end counts as reached.  Any
+    other end fails with margin -|end - horizon|.
     """
     reached = float(trace.t[-1])
-    passed = reached in (horizon, float(csv_number(horizon)))
-    return CheckResult("global_solution", passed,
-                       0.0 if passed else reached - horizon, reached)
+    short = (0.0 if reached in (horizon, float(csv_number(horizon)))
+             else -abs(reached - horizon))
+    return _worst("global_solution", [short], [reached])

@@ -15,7 +15,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funnelsim import cli, errors
@@ -367,7 +367,31 @@ class TestSynthesizeCommand:
         assert rc == 3
         assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
 
+    def test_underflowing_dropout_target_exits_3(self, tmp_path, capsys):
+        # q / A_r underflows to 0, and the dropout supremum took
+        # math.log(0), a raw ValueError that exited 2
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None, q=5e-324)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: DeltaTooLarge: no dropout meets the 'margin' dropout "
+            "condition: its target is 0.000000e+00"]
+
+    def test_underflowing_window_top_exits_3(self, tmp_path, capsys):
+        # the start gain window was [0, 0], and gain_recursion then exited 2
+        # blaming a start gain that was not positive
+        cfg = synthesis_cfg(CHAIN_ONLY, 0.1, 1.0, q=5e-324)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: EmptyWindow: initial funnel value window "
+            "[0.000000e+00, 0.000000e+00] is empty"]
+
     @settings(max_examples=150)
+    @example(system=CHAIN_ONLY, dropout=0.1, window=1.0, amplitude=1.0,
+             omega=1.0, q=5e-324, theta=0.9)
     @given(system=st.sampled_from([CHAIN_ONLY, {"mode": "mass_on_car"}]),
            dropout=log_uniform(1e-6, 1e6), window=log_uniform(1e-6, 1e6),
            amplitude=log_uniform(1e-6, 1e200),
@@ -671,7 +695,7 @@ class TestReproduce:
 
 # Exit code of every package error, as the CLI returns it.
 EXIT_CODES = {
-    "ConfigError": 2,
+    "ConfigError": 2, "ModelError": 3, "RunError": 4,
     "NoRelativeDegree": 3, "AmbiguousZero": 3, "TransformSingular": 3,
     "NotHurwitz": 3, "IndefiniteGamma": 3, "InvalidQ": 3,
     "DeltaTooLarge": 3, "InfeasibleEtaStar": 3, "EmptyWindow": 3,

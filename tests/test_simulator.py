@@ -221,8 +221,9 @@ class TestJacobianAfterRejection:
     (t, x) is kept and only the inverted Newton matrices are renewed."""
 
     # Jacobian evaluations of the renewing stepper, and how many the held
-    # Jacobian saves
-    BEFORE = {"scenario_a": (1609, 13), "scenario_b": (1390, 31)}
+    # Jacobian saves, over the first HORIZON seconds of each preset
+    HORIZON = 12.0
+    BEFORE = {"scenario_a": (132, 2), "scenario_b": (218, 4)}
 
     @pytest.fixture(scope="class", params=sorted(BEFORE))
     def runs(self, request):
@@ -240,10 +241,11 @@ class TestJacobianAfterRejection:
                     return jac(t, x)
                 return stepper(rhs, jac_at, *args, **kwargs)
 
+            cfg = cli.load_config(preset=request.param)
+            cfg["sim"]["t_end"] = self.HORIZON
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(simulator, "radau_segment", recorded)
-                trace, *_ = cli._run_simulation(
-                    cli.load_config(preset=request.param))
+                trace, *_ = cli._run_simulation(cfg)
             out.append((trace, points))
         return request.param, out
 

@@ -328,6 +328,85 @@ class TestGlobalSolution:
         assert res.margin == -0.5
 
 
+def random_trace(rng, internal_dim, dp):
+    """Synthetic trace whose checks pass or fail at random."""
+    n = int(rng.integers(2, 12))
+    t = np.cumsum(rng.uniform(0.0, 1.0, n))
+    a = (rng.uniform(size=n) < 0.7).astype(np.int8)
+    u_norm = rng.uniform(0.0, 1.1, n) * dp.cert.input_sup
+    u_norm[a == 0] *= rng.uniform() < 0.2
+    return mk_trace(t, internal_dim=internal_dim, a=a, u_norm=u_norm,
+                    phi=rng.uniform(0.0, 2.0, n),
+                    e_norm=rng.uniform(0.0, 0.6, n),
+                    x=rng.normal(size=(n, 1 + internal_dim)),
+                    y=rng.normal(size=(n, 1)),
+                    eta=np.zeros((n, internal_dim)),
+                    eta_norm=rng.uniform(0.0, 1.1, n) * dp.internal_cap)
+
+
+def trace_checks(trace, dp, horizon):
+    cc = ClassConstants(r=1, sign=1, gamma_min=1.0, M=1.0, mu=1.0, s=1.0,
+                        p=1.0, beta=0.5, r_norms=(0.0,))
+    return [verify.funnel_containment(trace),
+            verify.input_and_state_bounds(trace, dp),
+            verify.coasting_bound_check(trace, cc),
+            verify.internal_envelope_check(trace, cc),
+            verify.global_solution(trace, horizon)]
+
+
+class TestPassRule:
+    """A check passes exactly when its margin is >= 0 (> 0 for funnel
+    containment); a NaN in a checked column fails it."""
+
+    @staticmethod
+    def assert_rule(res):
+        if res.name == "funnel_containment":
+            assert res.passed == (res.margin > 0.0), res
+        else:
+            assert res.passed == (res.margin >= 0.0), res
+
+    def test_trace_checks(self, bench_dp):
+        rng = np.random.default_rng(20260815)
+        seen = set()
+        for k in range(200):
+            trace = random_trace(rng, k % 2, bench_dp)
+            horizon = float(trace.t[-1]) + (k % 3 == 0)
+            for res in trace_checks(trace, bench_dp, horizon):
+                self.assert_rule(res)
+                seen.add((res.name, res.passed))
+        assert len(seen) == 10      # each check both passed and failed
+
+    @pytest.mark.parametrize("q", [0.5, 0.95, 1.0 - 1e-15])
+    def test_property_checks(self, q):
+        for seed in range(8):
+            self.assert_rule(verify.lemma_ar_property(seed, 3, q, 50))
+            self.assert_rule(verify.cascade_rho_equivalence(seed, 3, 50))
+
+    @pytest.mark.parametrize("column, internal_dim", [
+        ("e_norm", 0), ("u_norm", 0), ("x", 0), ("eta_norm", 1),
+        ("t", 0)])
+    def test_nan_in_a_column_fails(self, bench_dp, column, internal_dim):
+        rng = np.random.default_rng(3)
+        trace = random_trace(rng, internal_dim, bench_dp)
+        getattr(trace, column)[-1] = math.nan
+        failed = [res.name for res in trace_checks(trace, bench_dp, 5.0)
+                  if not res.passed]
+        reads = {"e_norm": ["funnel_containment"],
+                 "u_norm": ["input_and_state_bounds"],
+                 "x": ["coasting_bound"],
+                 "eta_norm": ["input_and_state_bounds",
+                              "internal_envelope"],
+                 "t": ["coasting_bound", "global_solution"]}[column]
+        assert set(reads) <= set(failed)
+
+    def test_nan_lemma_margin_fails(self):
+        # a NaN margin used to pass: mg < 0 is false for NaN
+        res = verify.lemma_ar_property(3, 2, 0.9, 10,
+                                       bijection=lambda s: math.nan)
+        assert math.isnan(res.margin)
+        assert not res.passed
+
+
 @pytest.fixture(scope="module")
 def run():
     nf = mass_on_car_normal_form()
