@@ -63,8 +63,12 @@ def _worst(name, margins, times, strict=False) -> CheckResult:
 
 def _scaled(bound, value):
     """Margin of value under bound, with integration slack, relative to the
-    bound once it exceeds one."""
-    return (bound * (1.0 + SLACK_INTEGRATED) - value) / np.maximum(bound, 1.0)
+    bound once it exceeds one.  An infinite bound (an overflowed exponential)
+    leaves a finite value margin 1; a NaN value keeps margin NaN."""
+    with np.errstate(invalid="ignore"):
+        margin = ((bound * (1.0 + SLACK_INTEGRATED) - value)
+                  / np.maximum(bound, 1.0))
+    return np.where(np.isposinf(bound) & np.isfinite(value), 1.0, margin)
 
 
 def funnel_containment(trace) -> CheckResult:

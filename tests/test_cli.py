@@ -293,6 +293,23 @@ class TestSynthesizeCommand:
         assert "DISCREPANCY REPORT" in text
         assert capsys.readouterr().out == text
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: neither the import nor a
+        # synthesis may load it
+        code = ("import sys, funnelsim\n"
+                "assert 'scipy' not in sys.modules\n"
+                "from funnelsim import cli\n"
+                "rc = cli.main(['synthesize', '--preset', 'scenario_a',"
+                " '--out', sys.argv[1]])\n"
+                "assert rc == 0 and 'scipy' not in sys.modules\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "design_report.txt").is_file()
+
     def test_invalid_q_exits_3(self, tmp_path, capsys):
         cfg = manual_cfg()
         cfg["design"] = {"q": 1.2}

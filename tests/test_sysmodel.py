@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from funnelsim import sysmodel
 from funnelsim.errors import (
     AmbiguousZero,
     IndefiniteGamma,
@@ -68,6 +69,41 @@ class TestDecayEnvelope:
         with pytest.raises(NotHurwitz) as ei:
             decay_envelope(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert abs(ei.value.eigenvalue.real) < 1e-9
+
+    @staticmethod
+    def assert_matches_scipy(Q):
+        from scipy.linalg import solve_continuous_lyapunov
+        K = solve_continuous_lyapunov(Q.T, -np.eye(Q.shape[0]))
+        ev = np.linalg.eigvalsh(0.5 * (K + K.T))
+        M, mu = decay_envelope(Q)
+        assert M == pytest.approx(np.sqrt(ev[-1] / ev[0]), rel=1e-12, abs=0)
+        assert mu == pytest.approx(1.0 / (2.0 * ev[-1]), rel=1e-12, abs=0)
+
+    def test_random_hurwitz_matches_scipy(self, rng):
+        for _ in range(300):
+            k = int(rng.integers(1, 17))
+            Q = rng.normal(size=(k, k)) * rng.uniform(0.1, 3.0)
+            shift = max(np.linalg.eigvals(Q).real.max(), 0.0)
+            Q -= (shift + rng.uniform(0.01, 2.0)) * np.eye(k)
+            self.assert_matches_scipy(Q)
+
+    @pytest.mark.parametrize("Q", [
+        -np.eye(4) + np.diag(np.ones(3), 1),            # Jordan block
+        -5.0 * np.eye(8) + np.diag(np.ones(7), 1),
+        np.array([[-1e-9, 1.0], [-1.0, -1e-9]]),         # 1e-9 off the axis
+        np.diag([-1e-9, -1.0, -3.0]),
+        np.diag([-1e-3, -1.0, -1e3, -1e6]),              # stiff
+    ], ids=["jordan4", "jordan8", "axis_pair", "axis_real", "stiff"])
+    def test_edge_cases_match_scipy(self, Q):
+        self.assert_matches_scipy(Q)
+
+    def test_unconverged_iteration_is_not_hurwitz(self, monkeypatch):
+        # Hurwitz, and the iteration needs 5 steps for it
+        Q = np.array([[-1.0, 4.0, 0.0], [0.0, -0.2, 1.0], [0.0, 0.0, -3.0]])
+        decay_envelope(Q)
+        monkeypatch.setattr(sysmodel, "_SIGN_ITERATIONS", 2)
+        with pytest.raises(NotHurwitz):
+            decay_envelope(Q)
 
 
 class TestRelativeDegree:
@@ -202,6 +238,28 @@ class TestNormalFormConstruction:
             z = np.concatenate([c for c in
                                 (x0[:nf.r * nf.m],)])  # chain part of x0
             assert np.allclose(nf.chain0.reshape(-1), z, atol=1e-9)
+
+    def test_internal_rows_span_scipy_null_space(self, rng):
+        # The internal coordinates are the left null space of the
+        # reachability block [B, AB, ..., A^(r-1) B]; compare projectors,
+        # since a basis of a null space is unique only up to rotation.
+        from scipy.linalg import null_space
+        for _ in range(25):
+            src = random_normal_form(rng, m_max=3, k_max=4,
+                                     with_internal=int(rng.integers(1, 5)))
+            ss = src.realization()
+            orth, _ = np.linalg.qr(rng.normal(size=(ss.n, ss.n)))
+            T = orth @ np.diag(rng.uniform(0.5, 2.0, ss.n))
+            Ti = np.linalg.inv(T)
+            hidden = StateSpace(T @ ss.A @ Ti, T @ ss.B, ss.C @ Ti)
+            nf = to_normal_form(hidden)
+            Br = np.hstack([np.linalg.matrix_power(hidden.A, i) @ hidden.B
+                            for i in range(nf.r)])
+            V = nf.transform[nf.r * nf.m:]
+            N = null_space(Br.T)
+            assert V.shape == N.T.shape
+            np.testing.assert_allclose(V @ V.T, np.eye(len(V)), atol=1e-13)
+            np.testing.assert_allclose(V.T @ V, N @ N.T, atol=1e-12)
 
     def test_full_chain_no_internal(self):
         A = np.diag(np.ones(2), 1)

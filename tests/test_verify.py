@@ -200,6 +200,21 @@ class TestCoastingBound:
         # beta = 0 makes the bound tight: slack absorbs the equality
         assert res.margin == pytest.approx(0.0, abs=2e-6)
 
+    @pytest.mark.parametrize("last, passed", [(1.0, True),
+                                              (math.nan, False)])
+    def test_overflowed_bound(self, last, passed):
+        # beta = 28.9 over 30 s: e^{beta t} overflows from t = 24.6 on, and
+        # an infinite bound cannot be exceeded; a NaN state still fails
+        cc = ClassConstants(r=1, sign=1, gamma_min=1.0, M=0.0, mu=0.0,
+                            s=0.0, p=0.0, beta=28.9, r_norms=(0.0,))
+        t = np.linspace(0.0, 30.0, 301)
+        x = np.ones((301, 1))
+        x[-1] = last
+        with np.errstate(over="ignore"):
+            res = verify.coasting_bound_check(mk_trace(t, x=x), cc)
+        assert res.passed is passed
+        assert math.isfinite(res.margin) is passed
+
     def test_zero_state_trivial(self):
         cc = ClassConstants(r=1, sign=1, gamma_min=1.0, M=1.0, mu=1.0,
                             s=1.0, p=1.0, beta=2.0, r_norms=(0.0,))
