@@ -22,7 +22,6 @@ from .simulator import (
     ManualDesign,
     SimOptions,
     Trace,
-    coasting_run,
     integrate,
     read_csv,
     write_csv,
@@ -59,7 +58,6 @@ __all__ = [
     "Trace",
     "check_design",
     "class_constants",
-    "coasting_run",
     "decay_envelope",
     "design_report",
     "integrate",

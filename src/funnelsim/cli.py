@@ -275,8 +275,8 @@ def build_schedule(cfg: dict, horizon: float, dp=None) -> AvailabilitySchedule:
     if "generator" in sec:
         pairs = _generated_pairs(sec["generator"], horizon, dp)
     else:
-        pairs = [tuple(p) for p in sec.get("dropouts", [])]
-    return AvailabilitySchedule.from_pairs(pairs, horizon)
+        pairs = sec.get("dropouts", [])
+    return AvailabilitySchedule(pairs, horizon)
 
 
 def _schedule_limits(cfg: dict):
@@ -565,7 +565,7 @@ def main(argv=None) -> int:
         print(f"error: ValidationError: {exc.message} at {exc.json_path}",
               file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, FileNotFoundError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ derivatives.  Everything here is derivable from the schedule and the time
 alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,23 @@ __all__ = [
     "cascade",
     "check_start",
 ]
+
+
+def _dropout_pairs(pairs, horizon=np.inf):
+    """pairs as float (start, end) tuples, or ConfigError naming the first
+    dropout that is empty or reversed, leaves [0, horizon] or overlaps."""
+    out = []
+    for i, pair in enumerate(pairs):
+        lo, hi = float(pair[0]), float(pair[1])
+        if not (lo < hi):
+            raise ConfigError(f"dropout {i} is empty or reversed: ({lo}, {hi}]")
+        if lo < 0.0 or hi > horizon:
+            raise ConfigError(f"dropout {i} leaves the horizon [0, {horizon}]")
+        if out and lo <= out[-1][1]:
+            raise ConfigError(f"dropout {i} starts at {lo}, not after the "
+                              f"previous end {out[-1][1]}")
+        out.append((lo, hi))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -35,46 +52,22 @@ class AvailabilitySchedule:
 
     dropouts: tuple
     horizon: float
-    # sorted endpoint arrays for np.searchsorted
-    _starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pairs = []
-        for pair in self.dropouts:
-            lo, hi = float(pair[0]), float(pair[1])
-            pairs.append((lo, hi))
-        object.__setattr__(self, "dropouts", tuple(pairs))
         object.__setattr__(self, "horizon", float(self.horizon))
         if not (self.horizon > 0.0):
             raise ConfigError("schedule horizon must be positive")
-        prev_end = None
-        for i, (lo, hi) in enumerate(pairs):
-            if not (lo < hi):
-                raise ConfigError(
-                    f"dropout {i} is empty or reversed: ({lo}, {hi}]")
-            if lo < 0.0 or hi > self.horizon:
-                raise ConfigError(
-                    f"dropout {i} leaves the horizon [0, {self.horizon}]")
-            if prev_end is not None and lo <= prev_end:
-                raise ConfigError(
-                    f"dropout {i} starts at {lo}, not after the previous "
-                    f"end {prev_end}")
-            prev_end = hi
-        object.__setattr__(self, "_starts", np.array([p[0] for p in pairs]))
-        object.__setattr__(self, "_ends", np.array([p[1] for p in pairs]))
-
-    @classmethod
-    def from_pairs(cls, pairs, horizon):
-        return cls(dropouts=tuple(tuple(p) for p in pairs), horizon=horizon)
+        object.__setattr__(self, "dropouts",
+                           _dropout_pairs(self.dropouts, self.horizon))
 
     def at_times(self, t):
         """(availability, tau) at every time of an array: tau(t) is t during
         a dropout, else the latest dropout end before t, else 0."""
-        j = np.searchsorted(self._starts, t) - 1   # last dropout starting < t
-        last_end = np.concatenate([[0.0], self._ends])[j + 1]
+        starts, ends = np.reshape(self.dropouts, (-1, 2)).T
+        j = np.searchsorted(starts, t) - 1   # last dropout starting < t
+        last_end = np.concatenate([[0.0], ends])[j + 1]
         inside = (j >= 0) & (t <= last_end)
-        if self._starts.size and self._starts[0] == 0.0:
+        if starts.size and starts[0] == 0.0:
             inside |= t == 0.0
         return np.where(inside, 0, 1), np.where(inside, t, last_end)
 
@@ -94,6 +87,7 @@ class AvailabilitySchedule:
     def spans(pairs):
         """Dropout lengths and {i: window before dropout i}; the lead-in
         [0, start] is window 0 unless the schedule starts in a dropout."""
+        pairs = _dropout_pairs(pairs)      # as a schedule checks them
         windows = {0: pairs[0][0]} if pairs and pairs[0][0] > 0.0 else {}
         for i in range(1, len(pairs)):
             windows[i] = pairs[i][0] - pairs[i - 1][1]

@@ -147,13 +147,12 @@ class InitialConditionViolated(RunError):
 class FunnelViolation(RunError):
     """A cascade stage left the open unit ball while the output was available."""
 
-    def __init__(self, stage: int, norm: float, t: float | None = None):
+    def __init__(self, stage: int, norm: float, t: float):
         self.stage = stage
         self.norm = norm
         self.t = t
-        at = f" at t = {t:.9g}" if t is not None else ""
-        which = f"cascade stage {stage}" if stage > 0 else "final cascade stage"
-        super().__init__(f"{which} has norm {norm:.6e} >= 1{at}")
+        super().__init__(
+            f"cascade stage {stage} has norm {norm:.6e} >= 1 at t = {t:.9g}")
 
 
 class StepUnderflow(RunError):

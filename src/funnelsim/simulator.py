@@ -29,7 +29,7 @@ from .errors import (
 from .reference import ReferenceSignal
 
 __all__ = ["SimOptions", "ManualDesign", "Trace", "integrate",
-           "coasting_run", "write_rows", "write_csv", "read_csv"]
+           "write_rows", "write_csv", "read_csv"]
 
 DOMAIN_MARGIN = 1e-10     # stages must stay below 1 - this during availability
 MAX_GRID_ROWS = 10_000_000    # output grid points a run may ask for
@@ -161,18 +161,18 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
     return rhs, jac, signals
 
 
-def _run_segments(nf, funnel, sched_segments, y_ref, x0, opts):
+def _run_segments(nf, funnel, sched_segments, y_ref, opts):
     """Integrate across smooth segments, at most MAX_STEPS step attempts.
 
     Returns (cols, stats): cols holds the columns a, tau, t, x, phi, n_sq
-    and u as one piece per segment, the first led by the start sample.  The
+    and u as one piece per segment, the first led by nf's start.  The
     signals come from each segment's closure, tested like its steps.
     """
     lim = 1.0 - DOMAIN_MARGIN
     lim_sq = lim * lim
     cols = [[] for _ in range(7)]
     stats = {"segments": len(sched_segments), "accepted": 0, "rejected": 0}
-    x = x0.astype(float).copy()
+    x = np.concatenate([nf.chain0.reshape(-1), nf.eta0])
     n = sched_segments[-1][1] / opts.grid_dt
     if n > MAX_GRID_ROWS:
         raise ConfigError(f"output grid of {n:.3g} points exceeds the cap "
@@ -229,54 +229,24 @@ def _build_trace(nf, y_ref, cols, stats) -> Trace:
 
 
 def integrate(nf, cc, design, sched: AvailabilitySchedule,
-              y_ref: ReferenceSignal, ic=None, opts: SimOptions = None) -> Trace:
+              y_ref: ReferenceSignal, opts: SimOptions = None) -> Trace:
     """Closed-loop run of the plant under the synthesized feedback.
 
-    ic overrides the realization's initial state as (chain0, eta0).  The
-    start must satisfy the feasibility conditions checked at synthesis
-    time: cascade stages strictly inside the unit ball at the initial
-    funnel gain, internal state within its ceiling.
+    The run starts from the normal form's (chain0, eta0), which must satisfy
+    the feasibility conditions checked at synthesis time: cascade stages
+    strictly inside the unit ball at the initial funnel gain, internal state
+    within its ceiling.  While the output is lost the input is zero, so a
+    schedule with the one dropout (0, horizon] gives an open-loop run.
     """
     opts = opts or SimOptions()
     funnel = design.funnel
-    r, m, kdim = nf.r, nf.m, nf.internal_dim
-    if ic is None:
-        chain0, eta0 = nf.chain0, nf.eta0
-    else:
-        chain0, eta0 = ic
-    chain0 = np.asarray(chain0, dtype=float).reshape(r, m)
-    eta0 = np.asarray(eta0, dtype=float).reshape(kdim)
-    x0 = np.concatenate([chain0.reshape(-1), eta0])
-
     segs = _segments(sched, sched.horizon)
     # a run that starts in a dropout has no funnel to start inside
     check_start(funnel.phi00 if segs[0][2] else 0.0,
-                chain0 - y_ref.derivatives(0.0, r - 1), eta0,
+                nf.chain0 - y_ref.derivatives(0.0, nf.r - 1), nf.eta0,
                 design.internal_cap)
-    cols, stats = _run_segments(nf, funnel, segs, y_ref, x0, opts)
+    cols, stats = _run_segments(nf, funnel, segs, y_ref, opts)
     return _build_trace(nf, y_ref, cols, stats)
-
-
-def coasting_run(nf, x0, eta0, t0: float, t1: float,
-                 opts: SimOptions = None) -> Trace:
-    """Open-loop segment with the input forced to zero.
-
-    Used to exercise the inter-dropout growth bound: the chain and internal
-    state evolve freely from (x0, eta0) on [t0, t1], 0 <= t0 < t1.  The
-    trace is that of a run under one dropout (0, t1] and a zero reference.
-    """
-    if not 0.0 <= t0 < t1:
-        raise ValueError("coasting interval must have 0 <= t0 < t1")
-    opts = opts or SimOptions()
-    r, m, kdim = nf.r, nf.m, nf.internal_dim
-    chain0 = np.asarray(x0, dtype=float).reshape(r * m)
-    eta0 = np.asarray(eta0, dtype=float).reshape(kdim)
-    state0 = np.concatenate([chain0, eta0])
-    # one unavailable segment forces u = 0 and reads no funnel or reference
-    cols, stats = _run_segments(nf, None, [(t0, t1, 0, 0.0)], None,
-                                state0, opts)
-    return _build_trace(nf, ReferenceSignal.constant(np.zeros(m)), cols,
-                        stats)
 
 
 CSV_NUMBER = "%.11e"

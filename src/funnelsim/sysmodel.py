@@ -35,13 +35,6 @@ _SIGN_ITERATIONS = 60
 
 def _as_matrix(x, rows=None, cols=None, name="matrix"):
     a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        if rows == 1:
-            a = a.reshape(1, -1)
-        elif cols == 1:
-            a = a.reshape(-1, 1)
-        else:
-            raise ValueError(f"{name} must be 2-dimensional")
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional")
     if rows is not None and a.shape[0] != rows:
@@ -65,11 +58,9 @@ class StateSpace:
         n = self.A.shape[0]
         if self.A.shape[1] != n:
             raise ValueError("A must be square")
-        self.B = _as_matrix(self.B, rows=n, cols=1 if np.ndim(self.B) == 1 else None,
-                            name="B")
+        self.B = _as_matrix(self.B, rows=n, name="B")
         m = self.B.shape[1]
-        self.C = _as_matrix(self.C, rows=1 if np.ndim(self.C) == 1 else None,
-                            cols=n, name="C")
+        self.C = _as_matrix(self.C, cols=n, name="C")
         if self.C.shape[0] != m:
             raise ValueError("plant must be square: C rows must equal B columns")
         self.x0 = np.asarray(np.zeros(n) if self.x0 is None else self.x0,

@@ -1,9 +1,14 @@
 """Shared fixtures and generators for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from funnelsim.controller import AvailabilitySchedule
+from funnelsim.reference import ReferenceSignal
+from funnelsim.simulator import ManualDesign, integrate
 from funnelsim.sysmodel import NormalForm
 
 # One profile for every property test: the same examples on every run, no
@@ -50,3 +55,13 @@ def random_normal_form(rng, m_max=2, r_max=3, k_max=2, allow_negative=True,
         P = np.zeros((0, m))
     return NormalForm(R=R, S=S, Gamma=Gamma, Q=Q, P=P,
                       chain0=np.zeros((r, m)), eta0=np.zeros(k))
+
+
+def coast(nf, chain0, eta0, horizon, opts=None):
+    """Open-loop run of nf from (chain0, eta0) over [0, horizon]: integrate
+    under the one dropout (0, horizon], where the input is zero and no
+    funnel is read, with a zero reference."""
+    nf = dataclasses.replace(nf, chain0=chain0, eta0=eta0)
+    sched = AvailabilitySchedule([(0.0, horizon)], horizon)
+    return integrate(nf, None, ManualDesign(None), sched,
+                     ReferenceSignal.constant(np.zeros(nf.m)), opts=opts)

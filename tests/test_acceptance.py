@@ -22,7 +22,6 @@ from funnelsim.reference import ReferenceSignal
 from funnelsim.simulator import (
     ManualDesign,
     SimOptions,
-    coasting_run,
     integrate,
 )
 from funnelsim.sysmodel import (
@@ -35,7 +34,7 @@ from funnelsim.sysmodel import (
     to_normal_form,
 )
 
-from conftest import random_normal_form
+from conftest import coast, random_normal_form
 
 
 def _emit(line, capsys):
@@ -131,7 +130,7 @@ def test_acceptance_05_dropout_recovery_run(bench_design, capsys):
         gap = 1.02 * dp.window
         pairs = [(gap, gap + dlen),
                  (gap + dlen + gap, gap + dlen + gap + dlen)]
-        sched = AvailabilitySchedule.from_pairs(pairs, horizon=60.0)
+        sched = AvailabilitySchedule(pairs, horizon=60.0)
         cc = class_constants(dp.nf)
         trace = integrate(dp.nf, cc, dp, sched, cos_ref())
         results = [
@@ -152,7 +151,7 @@ def test_acceptance_06_long_loss_run(capsys):
         nf = mass_on_car_normal_form()
         design = ManualDesign(FunnelSpec(5.0, 1.0, 0.2, 1.0))
         pairs = [(5.0 * k, 5.0 * k + 2.0) for k in range(1, 12)]
-        sched = AvailabilitySchedule.from_pairs(pairs, horizon=60.0)
+        sched = AvailabilitySchedule(pairs, horizon=60.0)
         trace = integrate(nf, class_constants(nf), design, sched, cos_ref())
         assert verify.funnel_containment(trace).passed
         assert verify.global_solution(trace, 60.0).passed
@@ -177,7 +176,9 @@ def test_acceptance_07_coasting_growth_bound(bench_design, capsys):
                 eta0 = rng.normal(size=nf.internal_dim)
                 t0 = rng.uniform(0.0, 5.0)
                 t1 = t0 + rng.uniform(0.1, 1.0) * dp.dropout
-                trace = coasting_run(nf, x0, eta0, t0, t1)
+                # the plant is time-invariant: a coast over [t0, t1] is one
+                # over [0, t1 - t0]
+                trace = coast(nf, x0, eta0, t1 - t0)
                 res = verify.coasting_bound_check(trace, cc)
                 assert res.passed, res.line()
                 runs += 1
@@ -233,7 +234,7 @@ def test_acceptance_10_chain_only_plant(capsys):
         # dropouts of ten seconds separated by half-second windows
         design = ManualDesign(FunnelSpec(1e4, 10.0, 0.5, 10.0))
         pairs = [(0.5, 10.5), (11.0, 21.0), (21.5, 31.5)]
-        sched = AvailabilitySchedule.from_pairs(pairs, horizon=35.0)
+        sched = AvailabilitySchedule(pairs, horizon=35.0)
         trace = integrate(nf, class_constants(nf), design, sched, cos_ref())
         assert verify.funnel_containment(trace).passed
         assert verify.global_solution(trace, 35.0).passed

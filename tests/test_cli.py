@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funnelsim import cli, errors
+from funnelsim import cli, errors, sysmodel
 from funnelsim.errors import ConfigError
 from funnelsim.simulator import csv_number, read_csv, write_csv
 
@@ -108,6 +109,24 @@ class TestConfig:
         rc = cli.main(["synthesize", "--config", str(tmp_path / "none.json"),
                        "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("args", [
+        ["plot-data", "--trace", "{dir}"],
+        ["synthesize", "--config", "{dir}"],
+        ["synthesize", "--preset", "scenario_a", "--out", "{file}"],
+        ["reproduce", "--out", "{file}"],
+    ], ids=["trace-dir", "config-dir", "synthesize-out-file",
+            "reproduce-out-file"])
+    def test_os_error_exits_2(self, tmp_path, capsys, args):
+        # exit 1 is kept for a failed check
+        (tmp_path / "file").touch()
+        where = {"dir": str(tmp_path), "file": str(tmp_path / "file")}
+        rc = cli.main([a.format(**where) for a in args])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(("error: IsADirectoryError: ",
+                                  "error: FileExistsError: "))
 
     def test_schema_passes_meta_schema(self):
         # load_config does not check SCHEMA against its meta-schema
@@ -280,6 +299,25 @@ class TestScheduleBuilding:
     def test_limits_absent_without_schedule(self):
         assert cli._schedule_limits({}) == (None, None)
 
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    @pytest.mark.parametrize("dropouts, message", [
+        ([[20.0, 20.001], [20.0005, 20.002]],
+         "dropout 1 starts at 20.0005, not after the previous end 20.001"),
+        ([[20.002, 20.001]],
+         "dropout 0 is empty or reversed: (20.002, 20.001]"),
+    ], ids=["overlapping", "reversed"])
+    def test_bad_dropout_list_exits_2_before_synthesis(
+            self, tmp_path, capsys, command, dropouts, message):
+        # synthesis reads its limits from the list, so it is checked first
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None)
+        cfg["availability"] = {"dropouts": dropouts}
+        cfg["sim"] = {"t_end": 25.0}
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {message}"]
+
 
 class TestSynthesizeCommand:
 
@@ -309,6 +347,34 @@ class TestSynthesizeCommand:
                              timeout=120)
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "design_report.txt").is_file()
+
+    def test_state_space_matches_mass_on_car_params(self, tmp_path):
+        # both go through to_normal_form; only mass_on_car appends the
+        # discrepancy table
+        plant = sysmodel.mass_on_car()
+        params = {name: p.default for name, p in
+                  inspect.signature(sysmodel.mass_on_car).parameters.items()}
+        reports = []
+        for system in ({"mode": "state_space", "A": plant.A.tolist(),
+                        "B": plant.B.tolist(), "C": plant.C.tolist()},
+                       {"mode": "mass_on_car", "params": params}):
+            cfg = synthesis_cfg(system, None, None)
+            rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(tmp_path)])
+            assert rc == 0
+            reports.append((tmp_path / "design_report.txt").read_text())
+        state_space, mass_on_car = reports
+        assert mass_on_car.startswith(state_space + "\nDISCREPANCY REPORT")
+
+    def test_state_space_requires_c(self, tmp_path, capsys):
+        plant = sysmodel.mass_on_car()
+        cfg = synthesis_cfg({"mode": "state_space", "A": plant.A.tolist(),
+                             "B": plant.B.tolist()}, None, None)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigError: state_space mode requires system.C"]
 
     def test_invalid_q_exits_3(self, tmp_path, capsys):
         cfg = manual_cfg()

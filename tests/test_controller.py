@@ -1,5 +1,6 @@
 """Controller-side semantics: schedules, reset clock, cascade, input law."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ UNIT_GAIN = FunnelSpec(a=0.5, b=1.0, c=0.5, d=1.0)
 
 
 def sched_34(horizon=10.0):
-    return AvailabilitySchedule.from_pairs([(3.0, 4.0)], horizon)
+    return AvailabilitySchedule([(3.0, 4.0)], horizon)
 
 
 def chain_plant(r=1, m=1, sign=1):
@@ -39,17 +40,18 @@ def zero_ref(m=1):
 def input_at_start(e_r, sign=1, dropouts=()):
     """The input the trace records at t = 0 for an r = 1 error e_r."""
     e_r = np.asarray(e_r, dtype=float)
-    nf = chain_plant(m=e_r.size, sign=sign)
-    sched = AvailabilitySchedule.from_pairs(dropouts, 1.0)
+    nf = dataclasses.replace(chain_plant(m=e_r.size, sign=sign),
+                             chain0=e_r[None])
+    sched = AvailabilitySchedule(dropouts, 1.0)
     tr = integrate(nf, None, ManualDesign(UNIT_GAIN), sched,
-                   zero_ref(e_r.size), ic=(e_r[None], np.zeros(0)))
+                   zero_ref(e_r.size))
     return tr.u[0]
 
 
 class TestSchedule:
 
     def test_empty_always_available(self):
-        s = AvailabilitySchedule.from_pairs([], 5.0)
+        s = AvailabilitySchedule([], 5.0)
         for t in (0.0, 1.0, 5.0):
             assert s.availability(t) == 1
             assert s.reset_time(t) == 0.0
@@ -68,7 +70,7 @@ class TestSchedule:
         assert s.availability(4.0 + 1e-12) == 1
 
     def test_reset_clock(self):
-        s = AvailabilitySchedule.from_pairs([(3.0, 4.0), (6.0, 6.5)], 10.0)
+        s = AvailabilitySchedule([(3.0, 4.0), (6.0, 6.5)], 10.0)
         assert s.reset_time(2.0) == 0.0
         assert s.reset_time(3.5) == 3.5
         assert s.reset_time(4.0) == 4.0
@@ -80,7 +82,7 @@ class TestSchedule:
     @pytest.mark.parametrize("pairs", [
         [], [(3.0, 4.0), (6.0, 6.5)], [(0.0, 1.0), (2.5, 3.0), (9.0, 10.0)]])
     def test_at_times_matches_interval_scan(self, pairs):
-        s = AvailabilitySchedule.from_pairs(pairs, 10.0)
+        s = AvailabilitySchedule(pairs, 10.0)
         ends = [p for pair in pairs for p in pair]
         # every endpoint exactly, one ulp either side, and a dense grid
         t = np.concatenate([
@@ -100,7 +102,7 @@ class TestSchedule:
         assert np.array_equal(tau, want[:, 1])
 
     def test_loss_at_start(self):
-        s = AvailabilitySchedule.from_pairs([(0.0, 1.0)], 5.0)
+        s = AvailabilitySchedule([(0.0, 1.0)], 5.0)
         assert s.availability(0.0) == 0
         assert s.reset_time(0.0) == 0.0
         assert s.availability(1.0) == 0
@@ -109,26 +111,33 @@ class TestSchedule:
         assert sched_34().availability(0.0) == 1
 
     def test_breakpoints(self):
-        s = AvailabilitySchedule.from_pairs([(0.0, 1.0), (3.0, 4.0)], 4.0)
+        s = AvailabilitySchedule([(0.0, 1.0), (3.0, 4.0)], 4.0)
         assert s.breakpoints() == [1.0, 3.0]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            AvailabilitySchedule.from_pairs([(2.0, 2.0)], 5.0)
+            AvailabilitySchedule([(2.0, 2.0)], 5.0)
         with pytest.raises(ConfigError):
-            AvailabilitySchedule.from_pairs([(3.0, 2.0)], 5.0)
+            AvailabilitySchedule([(3.0, 2.0)], 5.0)
         with pytest.raises(ConfigError):
-            AvailabilitySchedule.from_pairs([(1.0, 2.0), (2.0, 3.0)], 5.0)
+            AvailabilitySchedule([(1.0, 2.0), (2.0, 3.0)], 5.0)
         with pytest.raises(ConfigError):
-            AvailabilitySchedule.from_pairs([(1.0, 6.0)], 5.0)
+            AvailabilitySchedule([(1.0, 6.0)], 5.0)
         with pytest.raises(ConfigError):
-            AvailabilitySchedule.from_pairs([(-1.0, 2.0)], 5.0)
+            AvailabilitySchedule([(-1.0, 2.0)], 5.0)
         with pytest.raises(ConfigError):
-            AvailabilitySchedule.from_pairs([], 0.0)
+            AvailabilitySchedule([], 0.0)
+
+    @pytest.mark.parametrize("pairs", [
+        [(2.0, 2.0)], [(3.0, 2.0)], [(-1.0, 2.0)], [(1.0, 2.0), (2.0, 3.0)]])
+    def test_spans_checks_pairs(self, pairs):
+        # as the schedule does, without a horizon
+        with pytest.raises(ConfigError):
+            AvailabilitySchedule.spans(pairs)
 
     def test_design_conformance_warnings(self):
         # the notes are returned, not warned: the CLI logs each one once
-        s = AvailabilitySchedule.from_pairs([(1.0, 2.0), (2.5, 3.5)], 10.0)
+        s = AvailabilitySchedule([(1.0, 2.0), (2.5, 3.5)], 10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             notes = s.check_against_design(0.5, 2.0)
@@ -140,7 +149,7 @@ class TestSchedule:
             "availability window before dropout 1 lasts 0.5, below the "
             "designed minimum 2"]
         assert not caught
-        ok = AvailabilitySchedule.from_pairs([(2.0, 2.4), (4.5, 4.9)], 10.0)
+        ok = AvailabilitySchedule([(2.0, 2.4), (4.5, 4.9)], 10.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert ok.check_against_design(0.5, 2.0) == []
@@ -162,12 +171,11 @@ class TestErrorCascade:
     def test_violation_stage_index(self):
         # integrate's start check names the first stage at the boundary
         def start(phi00, chain0):
-            nf = chain_plant(r=2)
+            nf = dataclasses.replace(chain_plant(r=2), chain0=chain0)
             design = ManualDesign(FunnelSpec(1.0 / phi00 - 0.2, 1.0, 0.2,
                                              1.0))
-            sched = AvailabilitySchedule.from_pairs([], 1.0)
-            integrate(nf, None, design, sched, zero_ref(),
-                      ic=(chain0, np.zeros(0)))
+            sched = AvailabilitySchedule([], 1.0)
+            integrate(nf, None, design, sched, zero_ref())
 
         with pytest.raises(InitialConditionViolated) as ei:
             start(1.0, [[0.5], [10.0]])

@@ -2,8 +2,7 @@
 exactness, trace output."""
 
 import csv
-import inspect
-import itertools
+import dataclasses
 import re
 
 import numpy as np
@@ -32,7 +31,6 @@ from funnelsim.simulator import (
     Trace,
     _closed_loop_rhs,
     _segments,
-    coasting_run,
     csv_number,
     integrate,
     read_csv,
@@ -46,7 +44,7 @@ from funnelsim.sysmodel import (
     to_normal_form,
 )
 
-from conftest import random_normal_form
+from conftest import coast, random_normal_form
 
 
 def chain_nf(r=1, m=1, R_blocks=None, chain0=None):
@@ -65,7 +63,7 @@ def scenario_b_setup(horizon=10.0, dropouts=((3.0, 5.0), (8.0, 10.0))):
     nf = mass_on_car_normal_form()
     cc = class_constants(nf)
     design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2, d=1.0))
-    sched = AvailabilitySchedule.from_pairs(dropouts, horizon)
+    sched = AvailabilitySchedule(dropouts, horizon)
     y_ref = ReferenceSignal.sinusoid(1.0, 1.0)
     return nf, cc, design, sched, y_ref
 
@@ -130,7 +128,7 @@ class TestEquilibrium:
     def test_trivial_plant_stays_at_zero(self):
         nf = chain_nf()
         dp = synthesize(nf, ReferenceSignal.constant([0.0]), 0.9)
-        sched = AvailabilitySchedule.from_pairs([], 2.0)
+        sched = AvailabilitySchedule([], 2.0)
         tr = integrate(nf, class_constants(nf), dp, sched,
                        ReferenceSignal.constant([0.0]))
         assert np.all(np.abs(tr.y) < 1e-14)
@@ -139,7 +137,7 @@ class TestEquilibrium:
 
     def test_zero_coasting(self):
         nf = mass_on_car_normal_form()
-        tr = coasting_run(nf, np.zeros(2), np.zeros(2), 0.0, 0.5)
+        tr = coast(nf, np.zeros(2), np.zeros(2), 0.5)
         assert np.all(tr.x == 0.0)
         assert np.all(tr.u == 0.0)
 
@@ -205,66 +203,52 @@ class TestStepper:
                                      + stats["rejected_funnel"])
 
 
-def renewing_stepper():
-    """radau_segment as it was: a new Jacobian after every rejection, even
-    when the one it holds was taken at the same (t, x)."""
-    src = inspect.getsource(_rk.radau_segment)
-    held = "J if fresh else jac(t, x)"
-    assert src.count(held) == 1
-    scope = dict(vars(_rk))
-    exec(src.replace(held, "jac(t, x)"), scope)
-    return scope["radau_segment"]
-
-
 class TestJacobianAfterRejection:
     """A rejection changes only h, so a Jacobian taken at the current
     (t, x) is kept and only the inverted Newton matrices are renewed."""
 
-    # Jacobian evaluations of the renewing stepper, and how many the held
-    # Jacobian saves, over the first HORIZON seconds of each preset
+    # Jacobian evaluations over the first HORIZON seconds of each preset
     HORIZON = 12.0
-    BEFORE = {"scenario_a": (132, 2), "scenario_b": (218, 4)}
+    EVALUATIONS = {"scenario_a": 130, "scenario_b": 214}
 
-    @pytest.fixture(scope="class", params=sorted(BEFORE))
-    def runs(self, request):
-        """(preset, [(trace, Jacobian points)] of the renewing stepper and
-        of radau_segment); a point is (segment, t, x bytes)."""
-        out = []
-        for stepper in (renewing_stepper(), radau_segment):
-            points, segment = [], itertools.count()
+    @pytest.fixture(scope="class", params=sorted(EVALUATIONS))
+    def run(self, request):
+        """(preset, Jacobian calls, jac of each segment); a call is (point,
+        the bytes jac returned) with point = (segment, t, x bytes)."""
+        calls, jacs = [], []
 
-            def recorded(rhs, jac, *args, stepper=stepper, **kwargs):
-                k = next(segment)
+        def recorded(rhs, jac, *args, **kwargs):
+            k = len(jacs)
+            jacs.append(jac)
 
-                def jac_at(t, x):
-                    points.append((k, t, x.tobytes()))
-                    return jac(t, x)
-                return stepper(rhs, jac_at, *args, **kwargs)
+            def jac_at(t, x):
+                J = jac(t, x)
+                calls.append(((k, t, x.tobytes()), J.tobytes()))
+                return J
+            return radau_segment(rhs, jac_at, *args, **kwargs)
 
-            cfg = cli.load_config(preset=request.param)
-            cfg["sim"]["t_end"] = self.HORIZON
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(simulator, "radau_segment", recorded)
-                trace, *_ = cli._run_simulation(cfg)
-            out.append((trace, points))
-        return request.param, out
+        cfg = cli.load_config(preset=request.param)
+        cfg["sim"]["t_end"] = self.HORIZON
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "radau_segment", recorded)
+            cli._run_simulation(cfg)
+        return request.param, calls, jacs
 
-    def test_trajectory_and_steps_bit_identical(self, runs):
-        _, [(old, _), (new, _)] = runs
-        assert new.stats == old.stats
-        for col in ("t", "x", "u", "phi"):
-            assert getattr(new, col).tobytes() == getattr(old, col).tobytes()
+    def test_jacobian_evaluations_pinned(self, run):
+        preset, calls, _ = run
+        assert len(calls) == self.EVALUATIONS[preset]
 
-    def test_no_two_consecutive_calls_share_a_point(self, runs):
-        _, [_, (_, points)] = runs
+    def test_no_two_consecutive_calls_share_a_point(self, run):
+        _, calls, _ = run
+        points = [point for point, _ in calls]
         assert all(p != q for p, q in zip(points, points[1:]))
 
-    def test_evaluations_fall_by_the_repeats(self, runs):
-        preset, [(_, old), (_, new)] = runs
-        before, saved = self.BEFORE[preset]
-        assert len(old) == before
-        assert sum(p == q for p, q in zip(old, old[1:])) == saved
-        assert len(new) == before - saved
+    def test_jacobian_bytes_repeat_at_a_point(self, run):
+        # so the held Jacobian is the one a new call would return; taken in
+        # reverse, each call finds the law's memo at another time
+        _, calls, jacs = run
+        for (k, t, x), J in reversed(calls):
+            assert jacs[k](t, np.frombuffer(x)).tobytes() == J
 
 
 class TestJacobian:
@@ -329,18 +313,10 @@ class TestCoasting:
 
     def test_scalar_exponential(self):
         # y' = 0.7 y with no input: exact solution known
-        nf = chain_nf(R_blocks=[[[0.7]]], chain0=[[1.3]])
-        tr = coasting_run(nf, [1.3], [], 0.0, 2.0,
-                          opts=SimOptions(rtol=1e-10, atol=1e-12))
+        nf = chain_nf(R_blocks=[[[0.7]]])
+        tr = coast(nf, [[1.3]], [], 2.0,
+                   opts=SimOptions(rtol=1e-10, atol=1e-12))
         exact = 1.3 * np.exp(0.7 * tr.t)
-        assert np.allclose(tr.y[:, 0], exact, rtol=1e-8)
-
-    def test_interval_offset(self):
-        nf = chain_nf(R_blocks=[[[-0.4]]])
-        tr = coasting_run(nf, [2.0], [], 1.5, 3.0,
-                          opts=SimOptions(rtol=1e-10, atol=1e-12))
-        assert tr.t[0] == 1.5 and tr.t[-1] == 3.0
-        exact = 2.0 * np.exp(-0.4 * (tr.t - 1.5))
         assert np.allclose(tr.y[:, 0], exact, rtol=1e-8)
 
     def test_internal_dynamics_match_matrix_exponential(self):
@@ -351,16 +327,11 @@ class TestCoasting:
         x0 = np.array([0.3, -0.2, 0.5, 0.1])
         z0 = nf.transform @ x0
         rm = nf.r * nf.m
-        tr = coasting_run(nf, z0[:rm], z0[rm:], 0.0, 5.0,
-                          opts=SimOptions(rtol=1e-10, atol=1e-12))
+        tr = coast(nf, z0[:rm], z0[rm:], 5.0,
+                   opts=SimOptions(rtol=1e-10, atol=1e-12))
         exact = np.array([ss.C @ expm(ss.A * t) @ x0 for t in tr.t])
         err = np.max(np.abs(tr.y - exact))
         assert err <= 1e-8 * np.max(np.abs(exact))
-
-    def test_bad_interval(self):
-        nf = chain_nf()
-        with pytest.raises(ValueError):
-            coasting_run(nf, [0.0], [], 1.0, 1.0)
 
 
 class TestEventExactness:
@@ -476,16 +447,16 @@ class TestFailureModes:
 
     def test_infeasible_start_raises(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
+        nf = dataclasses.replace(nf, chain0=[[40.0], [0.0]])
         with pytest.raises(InitialConditionViolated):
-            integrate(nf, cc, design, sched, y_ref,
-                      ic=(np.array([[40.0], [0.0]]), np.zeros(2)))
+            integrate(nf, cc, design, sched, y_ref)
 
     def test_reacquisition_outside_funnel(self):
         # a long dropout lets the error drift far outside the restarted
         # funnel; reacquisition is then infeasible and the run aborts
         nf = chain_nf(R_blocks=[[[1.0]]], chain0=[[0.5]])
         design = ManualDesign(FunnelSpec(a=0.5, b=1.0, c=0.5, d=1.0))
-        sched = AvailabilitySchedule.from_pairs([(0.5, 8.0)], 9.0)
+        sched = AvailabilitySchedule([(0.5, 8.0)], 9.0)
         y_ref = ReferenceSignal.constant([0.0])
         with pytest.raises((FunnelViolation, StepUnderflow)):
             integrate(nf, class_constants(nf), design, sched, y_ref)

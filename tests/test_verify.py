@@ -426,7 +426,7 @@ class TestPassRule:
 def run():
     nf = mass_on_car_normal_form()
     design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2, d=1.0))
-    sched = AvailabilitySchedule.from_pairs([(3.0, 4.0)], horizon=8.0)
+    sched = AvailabilitySchedule([(3.0, 4.0)], horizon=8.0)
     y_ref = ReferenceSignal.sinusoid(amplitude=0.5, omega=1.0, m=1)
     trace = integrate(nf, class_constants(nf), design, sched, y_ref)
     return trace, class_constants(nf)
