@@ -157,8 +157,26 @@ SCHEMA = {
         },
     },
 }
+_DRAFT = jsonschema.validators.validator_for(SCHEMA)
+
+
+def _numbers(xs) -> bool:
+    return all(type(x) in (int, float) for x in xs)     # bool is no number
+
+
+def _items(validator, items, instance, schema):
+    """The draft's items, with a number vector or matrix accepted in one
+    pass instead of one descent per number; the rest is left to the draft."""
+    if type(instance) is list and (
+            items is _NUM and _numbers(instance)
+            or items is _VEC and all(type(row) is list and _numbers(row)
+                                     for row in instance)):
+        return
+    yield from _DRAFT.VALIDATORS["items"](validator, items, instance, schema)
+
+
 # Built once; tests/test_cli.py checks SCHEMA against its meta-schema.
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(_DRAFT, {"items": _items})(SCHEMA)
 
 PRESETS = {
     "scenario_a": {
@@ -205,23 +223,41 @@ def load_config(path=None, preset=None) -> dict:
     return cfg
 
 
+# The keys each system mode and reference kind reads: required, optional.
+_READS = {
+    "mass_on_car": ((), ("params",)),
+    "state_space": (("A", "B", "C"), ("x0",)),
+    "normal_form": (("R", "Gamma", "Q", "P", "S"), ("chain0", "eta0")),
+    "constant": (("values",), ()),
+    "sinusoid": (("amplitude", "omega"), ("phase", "offset")),
+    "sum_of_sinusoids": (("amplitudes", "omegas"), ("phases", "offset")),
+}
+
+
+def _read_keys(sec: dict, section: str, field: str, noun: str) -> str:
+    """sec[field], once sec has every key it requires and none it ignores."""
+    kind = sec[field]
+    required, optional = _READS[kind]
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"{kind} {noun} requires {section}.{key}")
+    for key in sec:
+        if key != field and key not in required + optional:
+            raise ConfigError(f"{kind} {noun} does not read {section}.{key}")
+    return kind
+
+
 def build_system(cfg: dict) -> NormalForm:
     sec = cfg["system"]
-    mode = sec["mode"]
+    mode = _read_keys(sec, "system", "mode", "mode")
     if mode == "mass_on_car":
         params = sec.get("params")
         if params:
             return to_normal_form(mass_on_car(**params))
         return mass_on_car_normal_form()
     if mode == "state_space":
-        for key in ("A", "B", "C"):
-            if key not in sec:
-                raise ConfigError(f"state_space mode requires system.{key}")
         return to_normal_form(StateSpace(sec["A"], sec["B"], sec["C"],
                                          x0=sec.get("x0")))
-    for key in ("R", "Gamma", "Q", "P", "S"):
-        if key not in sec:
-            raise ConfigError(f"normal_form mode requires system.{key}")
     # NormalForm converts the blocks and zeroes a missing start state
     return NormalForm(R=sec["R"], S=sec["S"], Gamma=sec["Gamma"], Q=sec["Q"],
                       P=sec["P"], chain0=sec.get("chain0"),
@@ -232,6 +268,7 @@ def build_reference(cfg: dict) -> ReferenceSignal:
     sec = cfg.get("reference")
     if sec is None:
         raise ConfigError("a reference section is required")
+    _read_keys(sec, "reference", "kind", "reference")
     return ReferenceSignal.from_config(sec)
 
 

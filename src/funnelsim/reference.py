@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 def _per_output(x, m, name):
     a = np.asarray(x, dtype=float).reshape(-1)
@@ -149,11 +147,6 @@ class ReferenceSignal:
     @classmethod
     def from_config(cls, cfg: dict) -> "ReferenceSignal":
         kind = cfg["kind"]
-        needs = {"constant": ["values"], "sinusoid": ["amplitude", "omega"],
-                 "sum_of_sinusoids": ["amplitudes", "omegas"]}
-        for key in needs.get(kind, []):
-            if key not in cfg:
-                raise ConfigError(f"{kind} reference requires reference.{key}")
         if kind == "constant":
             return cls.constant(cfg["values"])
         if kind == "sinusoid":

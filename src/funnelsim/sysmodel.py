@@ -77,13 +77,19 @@ class StateSpace:
         return self.B.shape[1]
 
 
+def _chain_coefficients(sys: StateSpace):
+    """C A^k B for k = 0, 1, ..., each formed only when asked for."""
+    X = sys.B
+    while True:
+        yield sys.C @ X
+        X = sys.A @ X
+
+
 def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
     """First `count` impulse-response coefficients C A^k B, k = 0..count-1."""
     out = np.empty((count, sys.m, sys.m))
-    X = sys.B.copy()
-    for k in range(count):
-        out[k] = sys.C @ X
-        X = sys.A @ X
+    for k, Mk in zip(range(count), _chain_coefficients(sys)):
+        out[k] = Mk
     return out
 
 
@@ -94,35 +100,37 @@ def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
     impulse-response coefficient that is decisively nonzero, and all earlier
     ones vanish.  Gamma must be invertible for the chain structure to exist.
 
-    Raises NoRelativeDegree when no such r exists within the state dimension
-    or the candidate gain is singular, and AmbiguousZero when a coefficient
-    falls inside the undecidable band around the zero threshold.
+    Raises NoRelativeDegree when no such r exists within the state dimension,
+    the candidate gain is singular, or a coefficient or its zero threshold
+    overflows; AmbiguousZero when a coefficient is inside the ambiguity band.
     """
-    A, B, C = sys.A, sys.B, sys.C
     n, m = sys.n, sys.m
-    norm_A = np.linalg.norm(A, 2)
-    scale = np.linalg.norm(B, 2) * np.linalg.norm(C, 2)
-    for k, Mk in enumerate(markov_parameters(sys, n)):
-        nk = np.linalg.norm(Mk, 2)
-        tol = _ZERO_TOL * (1.0 + scale)
-        if nk < tol:
-            pass  # exactly zero for classification purposes
-        elif nk < _AMBIGUITY_FACTOR * tol:
-            raise AmbiguousZero(k, nk, tol)
-        else:
-            sv = np.linalg.svd(Mk, compute_uv=False)
-            if sv[-1] <= 1e-10 * sv[0]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_A = np.linalg.norm(sys.A, 2)
+        scale = np.linalg.norm(sys.B, 2) * np.linalg.norm(sys.C, 2)
+        for k, Mk in zip(range(n), _chain_coefficients(sys)):
+            if not (np.isfinite(scale) and np.isfinite(Mk).all()):
                 raise NoRelativeDegree(
-                    f"first nonzero chain coefficient C A^{k} B is singular"
-                )
-            r = k + 1
-            if r * m > n:
-                raise NoRelativeDegree(
-                    f"chain of length {r} with {m} outputs exceeds state "
-                    f"dimension {n}"
-                )
-            return r, Mk
-        scale *= norm_A
+                    f"coefficient C A^{k} B or its zero threshold overflows")
+            nk = np.linalg.norm(Mk, 2)
+            tol = _ZERO_TOL * (1.0 + scale)
+            if nk < tol:
+                pass  # exactly zero for classification purposes
+            elif nk < _AMBIGUITY_FACTOR * tol:
+                raise AmbiguousZero(k, nk, tol)
+            else:
+                sv = np.linalg.svd(Mk, compute_uv=False)
+                if sv[-1] <= 1e-10 * sv[0]:
+                    raise NoRelativeDegree(
+                        f"first nonzero chain coefficient C A^{k} B is "
+                        "singular")
+                r = k + 1
+                if r * m > n:
+                    raise NoRelativeDegree(
+                        f"chain of length {r} with {m} outputs exceeds state "
+                        f"dimension {n}")
+                return r, Mk
+            scale *= norm_A
     raise NoRelativeDegree(
         f"all chain coefficients C A^k B vanish for k < {n}"
     )

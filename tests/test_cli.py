@@ -71,6 +71,61 @@ def synthesis_cfg(system, dropout, window, amplitude=1.0, omega=1.0,
     return cfg
 
 
+# every (section, key) of SCHEMA whose value may be a number array
+ARRAY_KEYS = [(section, key)
+              for section, sec in cli.SCHEMA["properties"].items()
+              for key, sub in sec.get("properties", {}).items()
+              if sub.get("type") == "array" or "oneOf" in sub]
+# not a number, and not an array of numbers
+NOT_NUMBERS = [True, False, "1.0", None, {}, {"x": 1.0}]
+DRAFT_VALIDATOR = jsonschema.validators.validator_for(cli.SCHEMA)(cli.SCHEMA)
+
+
+def valid_value(draw, schema):
+    """A drawn value that schema accepts; arrays hold at least one item."""
+    if "oneOf" in schema:
+        return valid_value(draw, draw(st.sampled_from(schema["oneOf"])))
+    if schema.get("type") == "array":
+        size = draw(st.integers(schema.get("minItems", 1),
+                                schema.get("maxItems", 3)))
+        return [valid_value(draw, schema["items"]) for _ in range(size)]
+    return draw(st.integers(-5, 5) | st.floats(-1e3, 1e3))
+
+
+def positions(value, at=()):
+    """Index paths of value itself and of everything nested in it."""
+    yield at
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from positions(item, at + (i,))
+
+
+@st.composite
+def malformed_array(draw, section, key):
+    """A valid value for section.key with one item replaced by a value the
+    schema refuses there: a non-number anywhere, or a list in place of a
+    number inside an array."""
+    value = valid_value(draw, cli.SCHEMA["properties"][section]
+                        ["properties"][key])
+    at = draw(st.sampled_from(list(positions(value))))
+    if not at:
+        return draw(st.sampled_from(NOT_NUMBERS))
+    *outer, last = at
+    parent = value
+    for i in outer:
+        parent = parent[i]
+    bad = NOT_NUMBERS
+    if not isinstance(parent[last], list):
+        bad = bad + [[], [1.0], [[1.0]]]
+    parent[last] = draw(st.sampled_from(bad))
+    return value
+
+
+def errors_of(validator, cfg):
+    return sorted((e.message, e.json_path, tuple(e.schema_path))
+                  for e in validator.iter_errors(cfg))
+
+
 class TestConfig:
 
     def test_presets_validate(self):
@@ -143,6 +198,96 @@ class TestConfig:
         assert got.value.message == want.value.message
         assert list(got.value.path) == list(want.value.path)
         assert list(got.value.schema_path) == list(want.value.schema_path)
+
+    @pytest.mark.parametrize("section, key", ARRAY_KEYS,
+                             ids=[key for _, key in ARRAY_KEYS])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_array_errors_match_draft(self, section, key, data):
+        # load_config's validator accepts a number array in one pass and
+        # must report exactly what the draft's own validator reports
+        cfg = {"system": {"mode": "normal_form"},
+               "reference": {"kind": "constant"}, "availability": {}}
+        cfg[section][key] = data.draw(malformed_array(section, key))
+        want = errors_of(DRAFT_VALIDATOR, cfg)
+        assert want
+        assert errors_of(cli._VALIDATOR, cfg) == want
+        best = jsonschema.exceptions.best_match(
+            DRAFT_VALIDATOR.iter_errors(cfg))
+        got = jsonschema.exceptions.best_match(cli._VALIDATOR.iter_errors(cfg))
+        assert (got.message, got.json_path) == (best.message, best.json_path)
+
+    def test_descents_do_not_grow_with_matrix_size(self, monkeypatch):
+        # one descent per number made validation grow with n^2
+        counted = []
+        validator = type(cli._VALIDATOR)
+        descend = validator.descend
+
+        def counting(self, *args, **kwargs):
+            counted.append(1)
+            return descend(self, *args, **kwargs)
+
+        monkeypatch.setattr(validator, "descend", counting)
+        calls = []
+        for n in (4, 40):
+            counted.clear()
+            cfg = {"system": {"mode": "state_space",
+                              "A": np.eye(n).tolist(),
+                              "B": np.ones((n, 1)).tolist(),
+                              "C": np.ones((1, n)).tolist(), "x0": [0] * n}}
+            assert not list(cli._VALIDATOR.iter_errors(cfg))
+            calls.append(len(counted))
+        assert calls[0] == calls[1]
+
+    @settings(max_examples=100)
+    @given(where=st.sampled_from(ARRAY_KEYS), data=st.data())
+    def test_drawn_malformed_arrays_exit_2(self, tmp_path, capsys, where,
+                                           data):
+        section, key = where
+        cfg = manual_cfg(t_end=0.1)
+        cfg[section][key] = data.draw(malformed_array(section, key))
+        capsys.readouterr()
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ValidationError: ")
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("system", {"mode": "mass_on_car", "chain0": [[1.0, 2.0, 3.0]]},
+         "chain0"),
+        ("system", {"mode": "mass_on_car", "x0": [1.0, 0.0, 0.0, 0.0]},
+         "x0"),
+        ("system", {"mode": "mass_on_car", "A": [[0.0]]}, "A"),
+        ("system", dict(CHAIN_ONLY, mode="state_space", A=[[0.0]],
+                        B=[[1.0]], C=[[1.0]]), "R"),
+        ("system", {"mode": "state_space", "A": [[0.0]], "B": [[1.0]],
+                    "C": [[1.0]], "eta0": [0.0]}, "eta0"),
+        ("system", dict(CHAIN_ONLY, params={"m1": 4.0}), "params"),
+        ("reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0,
+                       "values": [1.0]}, "values"),
+        ("reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0,
+                       "amplitudes": [[1.0]]}, "amplitudes"),
+        ("reference", {"kind": "constant", "values": [1.0],
+                       "offset": 1.0}, "offset"),
+    ], ids=["chain0", "x0", "A", "normal_form-blocks", "eta0", "params",
+            "values", "amplitudes", "offset"])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_unread_key_exits_2(self, tmp_path, capsys, command, section,
+                                value, key):
+        # the key was dropped without a word, and the run went on
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None)
+        cfg["sim"] = {"t_end": 0.1}
+        cfg[section] = value
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        kind = value.get("mode", value.get("kind"))
+        noun = "mode" if section == "system" else "reference"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {kind} {noun} does not read "
+            f"{section}.{key}"]
 
     @pytest.mark.parametrize("command, section, key, value", [
         ("synthesize", "design", "rho_factor", -1.0),
@@ -375,6 +520,24 @@ class TestSynthesizeCommand:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: ConfigError: state_space mode requires system.C"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("B, C", [
+        # C A B = 1e308, but the zero threshold's scale |B||C||A| was inf:
+        # every coefficient counted as zero, after numpy overflow warnings
+        ([[0.0], [1.0]], [[1.0, 0.0]]),
+        # C A B itself overflows to inf
+        ([[0.0], [1.0]], [[10.0, 0.0]])], ids=["scale", "coefficient"])
+    def test_overflowing_plant_exits_3(self, tmp_path, capsys, B, C):
+        cfg = synthesis_cfg({"mode": "state_space", "B": B, "C": C,
+                             "A": [[1e308, 1e308], [1e308, 1e308]]},
+                            None, None)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NoRelativeDegree: coefficient C A^1 B or its zero "
+            "threshold overflows"]
 
     def test_invalid_q_exits_3(self, tmp_path, capsys):
         cfg = manual_cfg()
