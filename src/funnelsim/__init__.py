@@ -32,7 +32,6 @@ from .sysmodel import (
     StateSpace,
     class_constants,
     decay_envelope,
-    markov_parameters,
     mass_on_car,
     mass_on_car_normal_form,
     relative_degree,
@@ -61,7 +60,6 @@ __all__ = [
     "decay_envelope",
     "design_report",
     "integrate",
-    "markov_parameters",
     "mass_on_car",
     "mass_on_car_normal_form",
     "read_csv",

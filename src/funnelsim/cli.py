@@ -133,7 +133,7 @@ SCHEMA = {
                 "funnel": {
                     "type": "object",
                     "additionalProperties": False,
-                    "required": ["a", "b", "c"],
+                    "required": ["b", "c"],
                     "properties": {"a": _POS, "b": _POS, "c": _POS,
                                    "d": _POS},
                 },
@@ -223,21 +223,41 @@ def load_config(path=None, preset=None) -> dict:
     return cfg
 
 
-# The keys each system mode and reference kind reads: required, optional.
+# The keys each kind of a section reads besides the one naming the kind:
+# required, optional.  A design is manual or synthesized.
 _READS = {
-    "mass_on_car": ((), ("params",)),
-    "state_space": (("A", "B", "C"), ("x0",)),
-    "normal_form": (("R", "Gamma", "Q", "P", "S"), ("chain0", "eta0")),
-    "constant": (("values",), ()),
-    "sinusoid": (("amplitude", "omega"), ("phase", "offset")),
-    "sum_of_sinusoids": (("amplitudes", "omegas"), ("phases", "offset")),
+    "system": {
+        "mass_on_car": ((), ("params",)),
+        "state_space": (("A", "B", "C"), ("x0",)),
+        "normal_form": (("R", "Gamma", "Q", "P", "S"), ("chain0", "eta0")),
+    },
+    "reference": {
+        "constant": (("values",), ()),
+        "sinusoid": (("amplitude", "omega"), ("phase", "offset")),
+        "sum_of_sinusoids": (("amplitudes", "omegas"), ("phases", "offset")),
+    },
+    "availability.generator": {
+        "periodic": (("dropout", "window"), ("start", "count")),
+        "from_design": ((), ("dropout_factor", "window_factor", "start",
+                             "count")),
+    },
+    "design": {
+        "manual": (("funnel",), ("eta_star",)),
+        "synthesized": (("q",), ("theta", "eta_star", "phi0_0",
+                                 "rho_factor", "funnel")),
+    },
+    "design.funnel": {
+        "manual": (("a", "b", "c"), ("d",)),
+        "synthesized": (("b", "c"), ()),    # a and d are derived
+    },
 }
 
 
-def _read_keys(sec: dict, section: str, field: str, noun: str) -> str:
-    """sec[field], once sec has every key it requires and none it ignores."""
-    kind = sec[field]
-    required, optional = _READS[kind]
+def _read_keys(sec: dict, section: str, kind: str, noun: str,
+               field: str = "") -> str:
+    """kind, once sec holds every key kind requires and only keys it reads
+    (field names the kind itself)."""
+    required, optional = _READS[section][kind]
     for key in required:
         if key not in sec:
             raise ConfigError(f"{kind} {noun} requires {section}.{key}")
@@ -249,7 +269,7 @@ def _read_keys(sec: dict, section: str, field: str, noun: str) -> str:
 
 def build_system(cfg: dict) -> NormalForm:
     sec = cfg["system"]
-    mode = _read_keys(sec, "system", "mode", "mode")
+    mode = _read_keys(sec, "system", sec["mode"], "mode", "mode")
     if mode == "mass_on_car":
         params = sec.get("params")
         if params:
@@ -268,7 +288,7 @@ def build_reference(cfg: dict) -> ReferenceSignal:
     sec = cfg.get("reference")
     if sec is None:
         raise ConfigError("a reference section is required")
-    _read_keys(sec, "reference", "kind", "reference")
+    _read_keys(sec, "reference", sec["kind"], "reference", "kind")
     return ReferenceSignal.from_config(sec)
 
 
@@ -279,13 +299,9 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
                 "from_design availability requires a synthesized design")
         dlen = gen.get("dropout_factor", 0.95) * dp.dropout
         wlen = gen.get("window_factor", 1.0) * dp.window
-        start = gen.get("start", wlen)
     else:
-        for key in ("dropout", "window"):
-            if key not in gen:
-                raise ConfigError(f"periodic availability requires {key}")
         dlen, wlen = gen["dropout"], gen["window"]
-        start = gen.get("start", wlen)
+    start = gen.get("start", wlen)
     if not (dlen > 0 and wlen > 0):
         raise ConfigError("generated dropouts and windows must be positive")
     count = gen.get("count")
@@ -304,24 +320,33 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
     return pairs
 
 
+def _generator(sec: dict):
+    """The availability generator, once it has the keys its kind reads."""
+    gen = sec.get("generator")
+    if gen is not None:
+        _read_keys(gen, "availability.generator", gen["kind"], "generator",
+                   "kind")
+    return gen
+
+
 def build_schedule(cfg: dict, horizon: float, dp=None) -> AvailabilitySchedule:
     sec = cfg.get("availability", {})
     if "dropouts" in sec and "generator" in sec:
         raise ConfigError("availability takes dropouts or a generator, "
                           "not both")
-    if "generator" in sec:
-        pairs = _generated_pairs(sec["generator"], horizon, dp)
-    else:
-        pairs = sec.get("dropouts", [])
+    gen = _generator(sec)
+    pairs = (sec.get("dropouts", []) if gen is None
+             else _generated_pairs(gen, horizon, dp))
     return AvailabilitySchedule(pairs, horizon)
 
 
 def _schedule_limits(cfg: dict):
-    """Dropout/window bounds the synthesis must honour, from the config."""
+    """Dropout/window bounds for synthesis; the lead-in counts as a window."""
     sec = cfg.get("availability", {})
-    gen = sec.get("generator")
+    gen = _generator(sec)
     if gen is not None and gen["kind"] == "periodic":
-        return gen.get("dropout"), gen.get("window")
+        window, start = gen["window"], gen.get("start", gen["window"])
+        return gen["dropout"], min(window, start) if start > 0 else window
     lengths, windows = AvailabilitySchedule.spans(sec.get("dropouts", []))
     return max(lengths, default=None), min(windows.values(), default=None)
 
@@ -331,20 +356,18 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     if not math.isfinite(y_ref.chain_sup(nf.r) + y_ref.y_max(nf.r)):
         raise ConfigError("reference derivative bounds overflow to inf")
     sec = cfg.get("design", {})
-    if sec.get("manual", False):
-        fun = sec.get("funnel")
-        if fun is None:
-            raise ConfigError("manual design requires design.funnel")
+    mode = "manual" if sec.get("manual", False) else "synthesized"
+    _read_keys(sec, "design", mode, "design", "manual")
+    fun = sec.get("funnel")
+    if fun is not None:
+        _read_keys(fun, "design.funnel", mode, "design")
+    if mode == "manual":
         spec = FunnelSpec(fun["a"], fun["b"], fun["c"],
                           fun.get("d", fun["b"]))
         cap = sec.get("eta_star", math.inf)
         return ManualDesign(spec, internal_cap=cap)
-    if "q" not in sec:
-        raise ConfigError("design.q is required unless design.manual is set")
     dropout_limit, availability_floor = _schedule_limits(cfg)
-    template = None
-    if "funnel" in sec:        # a and d are derived by the synthesis
-        template = (sec["funnel"]["b"], sec["funnel"]["c"])
+    template = None if fun is None else (fun["b"], fun["c"])
     return synthesize(
         nf, y_ref, sec["q"],
         theta=sec.get("theta", 0.9),

@@ -8,7 +8,7 @@ of every order are available exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class ReferenceSignal:
     amp: np.ndarray             # (m, K)
     omega: np.ndarray           # (m, K)
     phase: np.ndarray           # (m, K)
-    _pow_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float).reshape(-1)
@@ -88,23 +87,14 @@ class ReferenceSignal:
     def n_terms(self) -> int:
         return self.amp.shape[1]
 
-    def _powers(self, order: int):
-        cached = self._pow_cache.get(order)
-        if cached is None:
-            i = np.arange(order + 1, dtype=float)[:, None, None]
-            cached = (self.omega[None] ** i, i * (np.pi / 2.0))
-            self._pow_cache[order] = cached
-        return cached
-
     def derivatives(self, t, order: int) -> np.ndarray:
         """Derivatives 0..order at t: shape (order+1, m) for a scalar t,
         (order+1, N, m) for N times."""
         t = np.asarray(t, dtype=float)
-        wpow, shift = self._powers(order)
-        at = (slice(None),) + (None,) * t.ndim     # broadcast over the times
         # axes: (order, time..., output, term)
-        phase = self.omega * t[..., None, None] + self.phase + shift[at]
-        out = (self.amp * wpow[at] * np.cos(phase)).sum(axis=-1)
+        i = np.arange(order + 1.0).reshape((-1,) + (1,) * (t.ndim + 2))
+        phase = self.omega * t[..., None, None] + self.phase + i * (np.pi / 2)
+        out = (self.amp * self.omega ** i * np.cos(phase)).sum(axis=-1)
         out[0] += self.offset
         return out
 

@@ -85,14 +85,6 @@ def _chain_coefficients(sys: StateSpace):
         X = sys.A @ X
 
 
-def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
-    """First `count` impulse-response coefficients C A^k B, k = 0..count-1."""
-    out = np.empty((count, sys.m, sys.m))
-    for k, Mk in zip(range(count), _chain_coefficients(sys)):
-        out[k] = Mk
-    return out
-
-
 def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
     """Length of the differentiation chain from input to output.
 

@@ -1,0 +1,121 @@
+"""Test oracles for the proofs behind the closed-loop guarantees.
+
+The open-loop growth bound, the cascade's bounded-amplification lemma, the
+proof's composed rho map, and the impulse-response coefficients of a plant.
+No command runs them; the acceptance criteria and the verify tests do.
+Each check reports through the same verdict rule as the trace checks,
+`verify._worst`, so a NaN margin fails.  Algebraic identities evaluated
+directly get 1e-12 relative slack.
+"""
+
+import math
+
+import numpy as np
+
+from funnelsim.controller import alpha, cascade
+from funnelsim.design import partial_geometric_sum
+from funnelsim.sysmodel import StateSpace, _chain_coefficients
+from funnelsim.verify import CheckResult, _scaled, _worst
+
+SLACK_ALGEBRAIC = 1e-12     # direct formula evaluation
+
+
+def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
+    """First `count` impulse-response coefficients C A^k B, k = 0..count-1."""
+    out = np.empty((count, sys.m, sys.m))
+    for k, Mk in zip(range(count), _chain_coefficients(sys)):
+        out[k] = Mk
+    return out
+
+
+def coasting_bound_check(trace, cc) -> CheckResult:
+    """Open-loop growth bound on the chain state.
+
+    The running sup of the chain norm must stay below
+    (|x(t0)| + s M |eta(t0)| (1 - e^{-mu dt})/mu) e^{beta dt}.
+    """
+    dt = trace.t - trace.t[0]
+    rm = trace.r * trace.m
+    chain_norm = np.linalg.norm(trace.x[:, :rm], axis=1)
+    running = np.maximum.accumulate(chain_norm)
+    x0 = chain_norm[0]
+    eta0 = trace.eta_norm[0] if trace.internal_dim else 0.0
+    if cc.M > 0.0 and cc.mu > 0.0:
+        accum = (1.0 - np.exp(-cc.mu * dt)) / cc.mu
+    else:
+        accum = dt * 0.0
+    bound = (x0 + cc.s * cc.M * eta0 * accum) * np.exp(cc.beta * dt)
+    return _worst("coasting_bound", _scaled(bound, running), trace.t)
+
+
+def lemma_ar_property(seed: int, r: int, q: float, trials: int,
+                      bijection=None) -> CheckResult:
+    """Bounded-amplification property of the cascade recursion.
+
+    Draws (lam, E, xi_0..xi_{r-1}) with lam E below q over the gain sum and
+    checks |zeta_k| <= lam E A_{k-1} <= q for every stage, where zeta is
+    built by the recursion zeta_{k+1} = lam xi_k + l(|zeta_k|^2) zeta_k.
+    """
+    ell = bijection or alpha
+    rng = np.random.default_rng(seed)
+    gain_sum = partial_geometric_sum(r, ell(q * q))
+    slack = SLACK_ALGEBRAIC
+    margins, times = [math.inf], [0.0]
+    for trial in range(trials):
+        m = int(rng.integers(1, 4))
+        lam_e = float(rng.uniform(0.0, 1.0)) * q / gain_sum
+        lam = math.exp(float(rng.uniform(-3.0, 3.0)))
+        big_e = lam_e / lam
+        zeta = np.zeros(m)
+        for k in range(r):
+            xi = rng.normal(size=m)
+            nrm = np.linalg.norm(xi)
+            if nrm > 0.0:
+                xi *= float(rng.uniform(0.0, 1.0)) * big_e / nrm
+            zeta = lam * xi + ell(float(zeta @ zeta)) * zeta
+            cap = lam_e * partial_geometric_sum(k, ell(q * q))
+            zn = float(np.linalg.norm(zeta))
+            margins += [cap * (1.0 + slack) - zn, q * (1.0 + slack) - cap]
+            times += [float(trial)] * 2
+    return _worst("lemma_ar", margins, times)
+
+
+def _gamma(w):
+    return alpha(float(w @ w)) * w
+
+
+def rho_map(stack):
+    """Proof-construction composition of the cascade.
+
+    stack rows are already scaled by the funnel gain.  Returns
+    (final stage vector, in_domain flag); the flag drops when any
+    intermediate composition leaves the open unit ball.
+    """
+    stack = np.atleast_2d(np.asarray(stack, dtype=float))
+    out = stack[0]
+    if float(out @ out) >= 1.0 and stack.shape[0] > 1:
+        return out, False
+    for k in range(1, stack.shape[0]):
+        out = stack[k] + _gamma(out)
+        if k < stack.shape[0] - 1 and float(out @ out) >= 1.0:
+            return out, False
+    return out, bool(float(out @ out) < 1.0)
+
+
+def cascade_rho_equivalence(seed: int, r: int, trials: int) -> CheckResult:
+    """Controller cascade equals the proof's composed map on its domain."""
+    rng = np.random.default_rng(seed)
+    margins, times = [math.inf], [0.0]
+    for done in range(trials):
+        m = int(rng.integers(1, 4))
+        stack = rng.normal(size=(r, m)) * 0.4
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            stages, n_sq = cascade(1.0, stack)
+        via_rho, in_dom = rho_map(stack)
+        # a stage with n_sq >= 1 leaves the domain; NaN passes, as at start
+        mismatch = in_dom == bool(np.any(n_sq >= 1.0))
+        if mismatch or in_dom:
+            margins.append(-1.0 if mismatch else SLACK_ALGEBRAIC
+                           - float(np.linalg.norm(stages[-1] - via_rho)))
+            times.append(float(done))
+    return _worst("cascade_rho", margins, times)

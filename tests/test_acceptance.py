@@ -28,13 +28,13 @@ from funnelsim.sysmodel import (
     NormalForm,
     class_constants,
     decay_envelope,
-    markov_parameters,
     mass_on_car,
     mass_on_car_normal_form,
     to_normal_form,
 )
 
 from conftest import coast, random_normal_form
+import proofs
 
 
 def _emit(line, capsys):
@@ -93,8 +93,8 @@ def test_acceptance_02_normal_form_equivalence(capsys):
         want = np.sort_complex(np.array([-1.0 - 1j * math.sqrt(3.0),
                                          -1.0 + 1j * math.sqrt(3.0)]))
         assert np.max(np.abs(eigs - want)) <= 1e-9
-        got = markov_parameters(nf.realization(), 8)
-        ref = markov_parameters(plant, 8)
+        got = proofs.markov_parameters(nf.realization(), 8)
+        ref = proofs.markov_parameters(plant, 8)
         assert np.max(np.abs(got - ref)) <= 1e-9
 
 
@@ -179,7 +179,7 @@ def test_acceptance_07_coasting_growth_bound(bench_design, capsys):
                 # the plant is time-invariant: a coast over [t0, t1] is one
                 # over [0, t1 - t0]
                 trace = coast(nf, x0, eta0, t1 - t0)
-                res = verify.coasting_bound_check(trace, cc)
+                res = proofs.coasting_bound_check(trace, cc)
                 assert res.passed, res.line()
                 runs += 1
         assert runs == 100
@@ -191,7 +191,7 @@ def test_acceptance_08_gain_amplification_bound(capsys):
         for r in (1, 2, 3):
             for q in (0.5, 0.9, 0.95):
                 seed = 1000 * r + int(100 * q)
-                res = verify.lemma_ar_property(seed, r, q, 1000)
+                res = proofs.lemma_ar_property(seed, r, q, 1000)
                 assert res.passed, res.line()
         assert time.perf_counter() - start < 5.0
 
@@ -208,7 +208,7 @@ def test_acceptance_09_cascade_composition_equality(capsys):
                 assert draws < 100000
                 m = int(rng.integers(1, 4))
                 stack = 0.25 * rng.normal(size=(r, m))
-                vec, in_domain = verify.rho_map(stack)
+                vec, in_domain = proofs.rho_map(stack)
                 stages, n_sq = cascade(1.0, stack)
                 if np.any(n_sq >= 1.0):
                     assert not in_domain

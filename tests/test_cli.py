@@ -5,6 +5,7 @@ import copy
 import inspect
 import io
 import json
+import logging
 import math
 import os
 import shutil
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funnelsim import cli, errors, sysmodel
+from funnelsim import cli, errors, simulator, sysmodel
 from funnelsim.errors import ConfigError
 from funnelsim.simulator import csv_number, read_csv, write_csv
 
@@ -289,6 +290,100 @@ class TestConfig:
             f"error: ConfigError: {kind} {noun} does not read "
             f"{section}.{key}"]
 
+    @pytest.mark.parametrize("design, generator, message", [
+        *[({"manual": True, "funnel": {"a": 5.0, "b": 1.0, "c": 0.2},
+            key: value}, None, f"manual design does not read design.{key}")
+          for key, value in [("q", 0.3), ("theta", 0.1), ("phi0_0", 7.0),
+                             ("rho_factor", 2.0)]],
+        ({"manual": True, "funnel": {"b": 1.0, "c": 0.2}}, None,
+         "manual design requires design.funnel.a"),
+        *[({"q": 0.95, "funnel": dict({"b": 2.0, "c": 1e-4}, **{key: 1.0})},
+           None, f"synthesized design does not read design.funnel.{key}")
+          for key in ("a", "d")],
+        *[({"q": 0.95}, dict(generator, **{key: 1.0}),
+           f"{generator['kind']} generator does not read "
+           f"availability.generator.{key}")
+          for generator, keys in [
+              ({"kind": "periodic", "dropout": 0.01, "window": 30.0},
+               ("dropout_factor", "window_factor")),
+              ({"kind": "from_design"}, ("dropout", "window"))]
+          for key in keys],
+    ], ids=["manual-q", "manual-theta", "manual-phi0_0", "manual-rho_factor",
+            "manual-no-a", "template-a", "template-d",
+            "periodic-dropout_factor", "periodic-window_factor",
+            "from_design-dropout", "from_design-window"])
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_design_or_generator_key_exits_2(self, tmp_path, capsys, command,
+                                              design, generator, message):
+        # an unread key was dropped without a word (exit 0), and a manual
+        # funnel with no a failed the schema, not the table
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None)
+        cfg["design"] = design
+        if generator is not None:
+            cfg["availability"] = {"generator": generator}
+        cfg["sim"] = {"t_end": 0.1}
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {message}"]
+
+    @pytest.mark.parametrize("command, section, value, message", [
+        ("synthesize", "design", {"q": 0.95, "theta": 1.5},
+         "ValueError: safety factor theta must lie in (0, 1)"),
+        ("synthesize", "reference", {"kind": "sinusoid", "amplitude": [1, 2],
+                                     "omega": 1.0},
+         "ValueError: reference dimension must match the output dimension"),
+        ("synthesize", "system", {"mode": "state_space", "A": [[0.0, 1.0]],
+                                  "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]},
+         "ValueError: A must be square"),
+        ("synthesize", "system", dict(CHAIN_ONLY, Q=[[-1.0, 0.0]],
+                                      S=[[1.0]], P=[[1.0]]),
+         "ValueError: Q must be square"),
+        ("synthesize", "reference", None,
+         "ConfigError: a reference section is required"),
+        ("synthesize", "availability",
+         {"generator": {"kind": "periodic", "dropout": 1.0}},
+         "ConfigError: periodic generator requires "
+         "availability.generator.window"),
+        ("simulate", "design", {"manual": True},
+         "ConfigError: manual design requires design.funnel"),
+        ("synthesize", "design", {"theta": 0.9},
+         "ConfigError: synthesized design requires design.q"),
+        ("verify", "output", {"trace": "header_only.csv"},
+         "ConfigError: {out}/header_only.csv: trace has no samples"),
+    ], ids=["theta", "amplitude", "A", "Q", "reference", "window", "funnel",
+            "q", "header-only"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, command, section,
+                               value, message):
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None)
+        cfg["sim"] = {"t_end": 0.1}
+        if value is None:
+            del cfg[section]
+        else:
+            cfg[section] = value
+        (tmp_path / "header_only.csv").write_text(
+            ",".join(simulator._csv_header(1, 2, 2)) + "\n")
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(out=tmp_path)]
+
+    @pytest.mark.parametrize("value, level", [
+        ("bogus", logging.WARNING), (None, logging.WARNING),
+        ("debug", logging.DEBUG), ("info", logging.INFO)])
+    def test_log_level_from_environment(self, monkeypatch, value, level):
+        seen = {}
+        monkeypatch.setattr(cli.logging, "basicConfig",
+                            lambda **kwargs: seen.update(kwargs))
+        if value is None:
+            monkeypatch.delenv("FUNNELSIM_LOG", raising=False)
+        else:
+            monkeypatch.setenv("FUNNELSIM_LOG", value)
+        cli._setup_logging()
+        assert seen["level"] == level
+
     @pytest.mark.parametrize("command, section, key, value", [
         ("synthesize", "design", "rho_factor", -1.0),
         ("synthesize", "design", "rho_factor", 0.0),
@@ -444,6 +539,34 @@ class TestScheduleBuilding:
     def test_limits_absent_without_schedule(self):
         assert cli._schedule_limits({}) == (None, None)
 
+    @pytest.mark.parametrize("start, floor", [(None, 3.0), (0.0, 3.0),
+                                              (1.0, 1.0), (5.0, 3.0)])
+    def test_limits_from_periodic_generator(self, start, floor):
+        # the lead-in [0, start] is a window, as in an explicit list
+        gen = {"kind": "periodic", "dropout": 2.0, "window": 3.0}
+        if start is not None:
+            gen["start"] = start
+        limits = cli._schedule_limits({"availability": {"generator": gen}})
+        assert limits == (2.0, floor)
+
+    @pytest.mark.parametrize("availability", [
+        {"generator": {"kind": "periodic", "dropout": 0.01, "window": 30.0,
+                       "start": 1.0}},
+        {"dropouts": [[1.0, 1.01], [31.01, 31.02]]}],
+        ids=["generator", "list"])
+    def test_lead_in_gets_one_verdict(self, tmp_path, capsys, availability):
+        # the generator ignored its 1 s lead-in and synthesized (exit 0);
+        # the same pairs as a list exited 3
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None)
+        cfg["availability"] = availability
+        cfg["sim"] = {"t_end": 40.0}
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: DeltaTooLarge: schedule availability floor 1.000000e+00 "
+            "is below the required window 1.967421e+01"]
+
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     @pytest.mark.parametrize("dropouts, message", [
         ([[20.0, 20.001], [20.0005, 20.002]],
@@ -556,11 +679,12 @@ class TestSynthesizeCommand:
 
     @pytest.mark.parametrize("b, c, code", [(2.0, 1e-4, 0), (1.0, 0.03, 3)])
     def test_funnel_template(self, tmp_path, capsys, b, c, code):
-        # a synthesized design takes (b, c) from design.funnel; a is unread
+        # a synthesized design takes (b, c) from design.funnel and derives
+        # a and d, so the template gives neither
         cfg = manual_cfg()
         del cfg["availability"]
         cfg["design"] = {"q": 0.95, "theta": 0.9,
-                         "funnel": {"a": 1.0, "b": b, "c": c}}
+                         "funnel": {"b": b, "c": c}}
         rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == code
@@ -792,6 +916,22 @@ class TestSimulateAndVerify:
         assert err[0].startswith("WARNING funnelsim: dropout 0 lasts ")
         assert err[1].startswith("WARNING funnelsim: availability window "
                                  "before dropout 0 lasts 1, below ")
+
+    def test_short_lead_in_logs_one_note(self, tmp_path, caplog):
+        cfg = copy.deepcopy(cli.PRESETS["scenario_a"])
+        cfg["availability"]["generator"] = {
+            "kind": "from_design", "start": 1.0, "count": 1}
+        cfg["sim"]["t_end"] = 2.0
+        with caplog.at_level(logging.INFO, logger="funnelsim"), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(tmp_path)])
+        assert rc == 0
+        notes = [r.getMessage() for r in caplog.records
+                 if r.levelno >= logging.WARNING]
+        assert len(notes) == 1
+        assert notes[0].startswith("availability window before dropout 0 "
+                                   "lasts 1, below the designed minimum ")
 
     @pytest.mark.parametrize("system, design, dropouts", [
         # a chain-only plant: empty internal dynamics, a manual funnel

@@ -395,6 +395,44 @@ class TestInputBoundCertificate:
         assert cert.floor == dp.funnel.c
         assert math.isfinite(cert.input_sup)
 
+    def test_benchmark_certificate_by_value(self):
+        # scenario_a (q = 0.95, theta = 0.9): the drive constant C~ and the
+        # input bound recomputed from their formulas, written out here
+        dp = synthesize(mass_on_car_normal_form(), cos_ref(), 0.95,
+                        theta=0.9)
+        cc, g, cert, phi00 = dp.cc, dp.gains, dp.cert, dp.funnel.phi00
+        r, floor = cc.r, dp.funnel.c
+        assert cert.ref_sup == 1.0          # unit sinusoid, orders 0..r
+        ref = cert.ref_sup / floor
+        eta_sup = max(dp.internal_cap, cc.M * dp.internal_cap
+                      + cc.p * cc.M / cc.mu * (1.0 / phi00 + cert.ref_sup))
+        assert cert.internal_sup == pytest.approx(eta_sup, rel=1e-12)
+        # last stage: mu0 (1 + pull) + (1 + c^2)/(1 - c^2)^2 (mu_r + pull)
+        # with pull = c alpha(c^2); then the reference, the internal state
+        # and each chain block R_i
+        c, comp = g.stage_caps[r - 1], g.stage_cap_complements[r - 1]
+        pull = c / comp
+        drive = (g.slope_gain * (1.0 + pull)
+                 + (1.0 + c * c) / comp ** 2 * (g.stage_slopes[r - 1] + pull)
+                 + ref + cc.s / floor * eta_sup)
+        for norm, ci, comp_i in zip(cc.r_norms, g.stage_caps,
+                                    g.stage_cap_complements):
+            drive += norm * (1.0 + ci / comp_i + ref)
+        assert cert.drive_bound == pytest.approx(drive, rel=1e-12)
+        assert drive == pytest.approx(3.0127e11, rel=1e-4)
+        # balance point x of C~ (1 - x^2) = gamma_min phi0(0) x, and 1 - x
+        # without cancellation; the last cap squared is the largest of
+        # |e_r(0)|^2, x and q^2, and the input bound is cap / (1 - cap^2)
+        k = cc.gamma_min * phi00 / drive
+        disc = math.sqrt(k * k + 4.0)
+        x, x_comp = 2.0 / (k + disc), k * (1.0 + k / (disc + 2.0)) / (k + disc)
+        er2 = float(g.stage_init[r - 1] @ g.stage_init[r - 1])
+        cap_sq, cap_comp = max((er2, 1.0 - er2), (x, x_comp),
+                               (dp.q ** 2, 1.0 - dp.q ** 2))
+        assert cert.input_sup == pytest.approx(math.sqrt(cap_sq) / cap_comp,
+                                               rel=1e-12)
+        assert cert.input_sup == pytest.approx(1.9966e16, rel=1e-4)
+
     def test_degenerate_when_last_stage_starts_outside(self):
         gains = gain_recursion(0.5, 1.0, [[0.1], [10.0]], 0.9)
         nf = mass_on_car_normal_form()

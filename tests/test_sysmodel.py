@@ -19,7 +19,6 @@ from funnelsim.sysmodel import (
     class_constants,
     decay_envelope,
     gain_sign,
-    markov_parameters,
     mass_on_car,
     mass_on_car_normal_form,
     relative_degree,
@@ -27,6 +26,7 @@ from funnelsim.sysmodel import (
 )
 
 from conftest import random_normal_form
+from proofs import markov_parameters
 
 # Impulse-response coefficients of the default benchmark, worked out by hand
 # in exact fractions.

@@ -14,6 +14,8 @@ from funnelsim.sysmodel import (ClassConstants, class_constants,
                                 mass_on_car_normal_form)
 from funnelsim import verify
 
+import proofs
+
 
 def mk_trace(t, *, r=1, m=1, internal_dim=0, **cols):
     """Synthetic trace with zero defaults, for exercising single checks."""
@@ -171,7 +173,7 @@ class TestCoastingBound:
                             s=0.0, p=0.0, beta=1.5, r_norms=(0.5,))
         t = np.linspace(0.0, 2.0, 101)
         x = np.exp(0.5 * t)[:, None]
-        res = verify.coasting_bound_check(
+        res = proofs.coasting_bound_check(
             mk_trace(t, x=x), cc)
         assert res.passed
         assert res.margin > 0.0
@@ -181,7 +183,7 @@ class TestCoastingBound:
                             s=0.0, p=0.0, beta=0.1, r_norms=(0.0,))
         t = np.linspace(0.0, 2.0, 101)
         x = np.exp(1.0 * t)[:, None]
-        res = verify.coasting_bound_check(mk_trace(t, x=x), cc)
+        res = proofs.coasting_bound_check(mk_trace(t, x=x), cc)
         assert not res.passed
         assert res.margin < 0.0
 
@@ -195,7 +197,7 @@ class TestCoastingBound:
         tr = mk_trace(t, internal_dim=1, x=x[:, None],
                       eta=np.full((201, 1), eta0),
                       eta_norm=np.full(201, eta0))
-        res = verify.coasting_bound_check(tr, cc)
+        res = proofs.coasting_bound_check(tr, cc)
         assert res.passed
         # beta = 0 makes the bound tight: slack absorbs the equality
         assert res.margin == pytest.approx(0.0, abs=2e-6)
@@ -211,14 +213,14 @@ class TestCoastingBound:
         x = np.ones((301, 1))
         x[-1] = last
         with np.errstate(over="ignore"):
-            res = verify.coasting_bound_check(mk_trace(t, x=x), cc)
+            res = proofs.coasting_bound_check(mk_trace(t, x=x), cc)
         assert res.passed is passed
         assert math.isfinite(res.margin) is passed
 
     def test_zero_state_trivial(self):
         cc = ClassConstants(r=1, sign=1, gamma_min=1.0, M=1.0, mu=1.0,
                             s=1.0, p=1.0, beta=2.0, r_norms=(0.0,))
-        res = verify.coasting_bound_check(
+        res = proofs.coasting_bound_check(
             mk_trace(np.linspace(0.0, 1.0, 11)), cc)
         assert res.passed
 
@@ -270,24 +272,24 @@ class TestLemmaAr:
 
     @pytest.mark.parametrize("r,q", [(1, 0.5), (2, 0.9), (3, 0.95)])
     def test_property_holds(self, r, q):
-        res = verify.lemma_ar_property(20260815, r, q, 400)
+        res = proofs.lemma_ar_property(20260815, r, q, 400)
         assert res.passed
         assert res.margin > 0.0
 
     def test_deterministic(self):
-        a = verify.lemma_ar_property(7, 2, 0.9, 100)
-        b = verify.lemma_ar_property(7, 2, 0.9, 100)
+        a = proofs.lemma_ar_property(7, 2, 0.9, 100)
+        b = proofs.lemma_ar_property(7, 2, 0.9, 100)
         assert a == b
 
     def test_alternative_bijection(self):
         # any increasing bijection from [0,1) onto [1,inf) works
-        res = verify.lemma_ar_property(3, 2, 0.9, 200,
+        res = proofs.lemma_ar_property(3, 2, 0.9, 200,
                                        bijection=lambda s: (1 + s) / (1 - s))
         assert res.passed
 
     def test_single_stage_reduces_to_scaling(self):
         # r = 1: zeta_1 = lam xi_0 so the bound is immediate
-        res = verify.lemma_ar_property(11, 1, 0.95, 500)
+        res = proofs.lemma_ar_property(11, 1, 0.95, 500)
         assert res.passed
 
 
@@ -295,18 +297,18 @@ class TestCascadeRhoEquivalence:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_agreement(self, r):
-        res = verify.cascade_rho_equivalence(20260815, r, 400)
+        res = proofs.cascade_rho_equivalence(20260815, r, 400)
         assert res.passed
         assert res.margin >= 0.0
 
     def test_deterministic(self):
-        a = verify.cascade_rho_equivalence(5, 3, 150)
-        b = verify.cascade_rho_equivalence(5, 3, 150)
+        a = proofs.cascade_rho_equivalence(5, 3, 150)
+        b = proofs.cascade_rho_equivalence(5, 3, 150)
         assert a == b
 
     def test_rho_map_hand_value(self):
         # one stage of composition: out = xi2 + alpha(|xi1|^2) xi1
-        out, ok = verify.rho_map(np.array([[0.5], [0.2]]))
+        out, ok = proofs.rho_map(np.array([[0.5], [0.2]]))
         assert ok
         assert out[0] == pytest.approx(0.2 + 0.5 / 0.75, rel=1e-15)
         direct, _ = cascade(1.0, np.array([[0.5], [0.2]]))
@@ -314,7 +316,7 @@ class TestCascadeRhoEquivalence:
 
     def test_first_stage_boundary_flagged_by_both(self):
         stack = np.array([[1.0], [0.0]])
-        _, ok = verify.rho_map(stack)
+        _, ok = proofs.rho_map(stack)
         assert not ok
         with np.errstate(divide="ignore"):      # stage 2 divides by 1 - 1
             _, n_sq = cascade(1.0, stack)
@@ -322,7 +324,7 @@ class TestCascadeRhoEquivalence:
 
     def test_final_stage_boundary_flagged_by_both(self):
         stack = np.array([[0.5], [0.9]])
-        _, ok = verify.rho_map(stack)
+        _, ok = proofs.rho_map(stack)
         assert not ok
         _, n_sq = cascade(1.0, stack)
         assert np.flatnonzero(n_sq >= 1.0)[0] == 1      # stage 2
@@ -364,7 +366,7 @@ def trace_checks(trace, dp, horizon):
                         p=1.0, beta=0.5, r_norms=(0.0,))
     return [verify.funnel_containment(trace),
             verify.input_and_state_bounds(trace, dp),
-            verify.coasting_bound_check(trace, cc),
+            proofs.coasting_bound_check(trace, cc),
             verify.internal_envelope_check(trace, cc),
             verify.global_solution(trace, horizon)]
 
@@ -394,8 +396,8 @@ class TestPassRule:
     @pytest.mark.parametrize("q", [0.5, 0.95, 1.0 - 1e-15])
     def test_property_checks(self, q):
         for seed in range(8):
-            self.assert_rule(verify.lemma_ar_property(seed, 3, q, 50))
-            self.assert_rule(verify.cascade_rho_equivalence(seed, 3, 50))
+            self.assert_rule(proofs.lemma_ar_property(seed, 3, q, 50))
+            self.assert_rule(proofs.cascade_rho_equivalence(seed, 3, 50))
 
     @pytest.mark.parametrize("column, internal_dim", [
         ("e_norm", 0), ("u_norm", 0), ("x", 0), ("eta_norm", 1),
@@ -416,7 +418,7 @@ class TestPassRule:
 
     def test_nan_lemma_margin_fails(self):
         # a NaN margin used to pass: mg < 0 is false for NaN
-        res = verify.lemma_ar_property(3, 2, 0.9, 10,
+        res = proofs.lemma_ar_property(3, 2, 0.9, 10,
                                        bijection=lambda s: math.nan)
         assert math.isnan(res.margin)
         assert not res.passed
