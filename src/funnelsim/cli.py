@@ -1,12 +1,12 @@
 """Configuration-driven command line: synthesize, simulate, verify, reproduce.
 
-Configs are JSON validated against a closed schema (unknown keys are
-rejected, non-finite literals are rejected).  Two built-in presets drive the
-benchmark plant: ``scenario_a`` synthesizes a design and schedules dropouts
-just inside its certified limits; ``scenario_b`` skips synthesis and runs a
-user funnel against long dropouts.  Exit codes: 0 success, 1 verification
-failure, 2 configuration error, 3 synthesis infeasibility, 4 integration
-failure.
+Configs are JSON checked against one table of the keys each section reads
+and their types (unknown keys and non-finite literals are rejected).  Two
+built-in presets drive the benchmark plant: ``scenario_a`` synthesizes a
+design and schedules dropouts just inside its certified limits;
+``scenario_b`` skips synthesis and runs a user funnel against long
+dropouts.  Exit codes: 0 success, 1 verification failure, 2 configuration
+error, 3 synthesis infeasibility, 4 integration failure.
 """
 
 import argparse
@@ -17,8 +17,6 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import jsonschema
 
 from . import verify
 from .controller import AvailabilitySchedule
@@ -58,126 +56,6 @@ REPORTED = {
 
 MAX_GENERATED_DROPOUTS = 100_000     # dropouts a generator may lay out
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_VEC = {"type": "array", "items": _NUM}
-_MAT = {"type": "array", "items": _VEC}
-_NUM_OR_VEC = {"oneOf": [_NUM, _VEC]}
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system"],
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["mode"],
-            "properties": {
-                "mode": {"enum": ["state_space", "normal_form",
-                                  "mass_on_car"]},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"m1": _NUM, "m2": _NUM, "k": _NUM,
-                                   "d": _NUM, "theta": _NUM},
-                },
-                "A": _MAT, "B": _MAT, "C": _MAT, "x0": _VEC,
-                "R": {"type": "array", "items": _MAT},
-                "S": _MAT, "Gamma": _MAT, "Q": _MAT, "P": _MAT,
-                "chain0": _MAT, "eta0": _VEC,
-            },
-        },
-        "reference": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["constant", "sinusoid",
-                                  "sum_of_sinusoids"]},
-                "values": _VEC,
-                "amplitude": _NUM_OR_VEC, "omega": _NUM_OR_VEC,
-                "phase": _NUM_OR_VEC, "offset": _NUM_OR_VEC,
-                "amplitudes": _MAT, "omegas": _MAT, "phases": _MAT,
-            },
-        },
-        "availability": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dropouts": {
-                    "type": "array",
-                    "items": {"type": "array", "items": _NUM,
-                              "minItems": 2, "maxItems": 2},
-                },
-                "generator": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind"],
-                    "properties": {
-                        "kind": {"enum": ["periodic", "from_design"]},
-                        "dropout": _POS, "window": _POS, "start": _NUM,
-                        "count": {"type": "integer", "minimum": 0},
-                        "dropout_factor": _POS, "window_factor": _POS,
-                    },
-                },
-            },
-        },
-        "design": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "manual": {"type": "boolean"},
-                "q": _NUM, "theta": _NUM,
-                "eta_star": _POS, "phi0_0": _POS, "rho_factor": _POS,
-                "funnel": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["b", "c"],
-                    "properties": {"a": _POS, "b": _POS, "c": _POS,
-                                   "d": _POS},
-                },
-            },
-        },
-        "sim": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_end": _POS, "rtol": _POS, "atol": _POS, "grid_dt": _POS,
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trace": {"type": "string"},
-                "report": {"type": "string"},
-                "design_report": {"type": "string"},
-            },
-        },
-    },
-}
-_DRAFT = jsonschema.validators.validator_for(SCHEMA)
-
-
-def _numbers(xs) -> bool:
-    return all(type(x) in (int, float) for x in xs)     # bool is no number
-
-
-def _items(validator, items, instance, schema):
-    """The draft's items, with a number vector or matrix accepted in one
-    pass instead of one descent per number; the rest is left to the draft."""
-    if type(instance) is list and (
-            items is _NUM and _numbers(instance)
-            or items is _VEC and all(type(row) is list and _numbers(row)
-                                     for row in instance)):
-        return
-    yield from _DRAFT.VALIDATORS["items"](validator, items, instance, schema)
-
-
-# Built once; tests/test_cli.py checks SCHEMA against its meta-schema.
-_VALIDATOR = jsonschema.validators.extend(_DRAFT, {"items": _items})(SCHEMA)
-
 PRESETS = {
     "scenario_a": {
         "system": {"mode": "mass_on_car"},
@@ -203,6 +81,122 @@ PRESETS = {
 
 # --- configuration ----------------------------------------------------------
 
+# The type of a config value, named as its error names it.
+NUM, POS, START = "a number", "a positive number", "a number >= 0"
+COUNT, TEXT, FLAG = "a whole number >= 0", "a string", "true or false"
+VEC, MAT, MATS = "a number list", "a list of number lists", "a matrix list"
+NUM_OR_VEC = "a number or a number list"
+PAIRS, SECTION = "a list of [start, end] number pairs", "an object"
+
+
+def _number(x) -> bool:
+    return type(x) in (int, float)      # bool is no number
+
+
+def _list_of(ok):
+    return lambda v: type(v) is list and all(map(ok, v))
+
+
+_vec = _list_of(_number)
+_IS = {
+    NUM: _number,
+    POS: lambda v: _number(v) and v > 0,
+    START: lambda v: _number(v) and v >= 0,
+    COUNT: lambda v: (type(v) is int or type(v) is float
+                      and v.is_integer()) and v >= 0,
+    VEC: _vec,
+    MAT: _list_of(_vec),
+    MATS: _list_of(_list_of(_vec)),
+    NUM_OR_VEC: lambda v: _number(v) or _vec(v),
+    PAIRS: _list_of(lambda pair: _vec(pair) and len(pair) == 2),
+    TEXT: lambda v: type(v) is str,
+    FLAG: lambda v: type(v) is bool,
+    SECTION: lambda v: type(v) is dict,
+}
+
+# What a config reads, section by section: (the key naming the section's
+# kind, the noun its errors use, and for each kind the keys it requires
+# and those it may hold, with their types).  A section with no kind key
+# takes the kind of the section holding it; a design is manual or
+# synthesized by its manual flag.
+_READS = {
+    "": (None, "config", {"": (
+        {"system": SECTION, "reference": SECTION},
+        {"availability": SECTION, "design": SECTION, "sim": SECTION,
+         "output": SECTION})}),
+    "system": ("mode", "mode", {
+        "mass_on_car": ({}, {"params": SECTION}),
+        "state_space": ({"A": MAT, "B": MAT, "C": MAT}, {"x0": VEC}),
+        "normal_form": ({"R": MATS, "Gamma": MAT, "Q": MAT, "P": MAT,
+                         "S": MAT}, {"chain0": MAT, "eta0": VEC}),
+    }),
+    "system.params": (None, "params", {"mass_on_car": (
+        {}, dict.fromkeys(("m1", "m2", "k", "d", "theta"), NUM))}),
+    "reference": ("kind", "reference", {
+        "constant": ({"values": VEC}, {}),
+        "sinusoid": ({"amplitude": NUM_OR_VEC, "omega": NUM_OR_VEC},
+                     {"phase": NUM_OR_VEC, "offset": NUM_OR_VEC}),
+        "sum_of_sinusoids": ({"amplitudes": MAT, "omegas": MAT},
+                             {"phases": MAT, "offset": NUM_OR_VEC}),
+    }),
+    "availability": (None, "availability", {"": (
+        {}, {"dropouts": PAIRS, "generator": SECTION})}),
+    "availability.generator": ("kind", "generator", {
+        "periodic": ({"dropout": POS, "window": POS},
+                     {"start": START, "count": COUNT}),
+        "from_design": ({}, {"dropout_factor": POS, "window_factor": POS,
+                             "start": START, "count": COUNT}),
+    }),
+    "design": ("manual", "design", {
+        "manual": ({"funnel": SECTION}, {"eta_star": POS}),
+        "synthesized": ({"q": NUM}, {
+            "theta": NUM, "eta_star": POS, "phi0_0": POS, "rho_factor": POS,
+            "funnel": SECTION}),
+    }),
+    "design.funnel": (None, "design", {
+        "manual": ({"a": POS, "b": POS, "c": POS}, {"d": POS}),
+        "synthesized": ({"b": POS, "c": POS}, {}),  # a and d are derived
+    }),
+    "sim": (None, "sim", {"": ({}, dict.fromkeys(
+        ("t_end", "rtol", "atol", "grid_dt"), POS))}),
+    "output": (None, "output", {"": ({}, dict.fromkeys(
+        ("trace", "report", "design_report"), TEXT))}),
+}
+
+
+def _walk(sec: dict, path: str = "", kind: str = "") -> None:
+    """Check the section at path, then the sections it holds: its kind,
+    every key the kind requires, no key it does not read, and each
+    value's type."""
+    field, noun, kinds = _READS[path]
+    if field == "manual":
+        flag = sec.get(field, False)
+        if not _IS[FLAG](flag):
+            raise ConfigError(f"{path}.{field} must be {FLAG}")
+        kind = "manual" if flag else "synthesized"
+    elif field is not None:
+        kind = sec.get(field)
+        if type(kind) is not str or kind not in kinds:
+            raise ConfigError(f"{path}.{field} must be one of "
+                              + ", ".join(kinds))
+    required, optional = kinds[kind]
+    label = f"{kind} {noun}".lstrip()
+    at = path + "." if path else ""
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"{label} requires {at}{key}")
+    for key, value in sec.items():
+        if key == field:
+            continue
+        want = required.get(key) or optional.get(key)
+        if want is None:
+            raise ConfigError(f"{label} does not read {at}{key}")
+        if not _IS[want](value):
+            raise ConfigError(f"{at}{key} must be {want}")
+        if want is SECTION:
+            _walk(value, at + key, kind)
+
+
 def _reject_nonfinite(token):
     raise ValueError(f"non-finite literal {token!r} is not allowed")
 
@@ -217,65 +211,20 @@ def load_config(path=None, preset=None) -> dict:
     else:
         cfg = json.loads(Path(path).read_text(),
                          parse_constant=_reject_nonfinite)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise error
+    if not _IS[SECTION](cfg):
+        raise ConfigError(f"a config must be {SECTION}")
+    _walk({"design": {}, **cfg})    # no design section is a synthesized one
     return cfg
-
-
-# The keys each kind of a section reads besides the one naming the kind:
-# required, optional.  A design is manual or synthesized.
-_READS = {
-    "system": {
-        "mass_on_car": ((), ("params",)),
-        "state_space": (("A", "B", "C"), ("x0",)),
-        "normal_form": (("R", "Gamma", "Q", "P", "S"), ("chain0", "eta0")),
-    },
-    "reference": {
-        "constant": (("values",), ()),
-        "sinusoid": (("amplitude", "omega"), ("phase", "offset")),
-        "sum_of_sinusoids": (("amplitudes", "omegas"), ("phases", "offset")),
-    },
-    "availability.generator": {
-        "periodic": (("dropout", "window"), ("start", "count")),
-        "from_design": ((), ("dropout_factor", "window_factor", "start",
-                             "count")),
-    },
-    "design": {
-        "manual": (("funnel",), ("eta_star",)),
-        "synthesized": (("q",), ("theta", "eta_star", "phi0_0",
-                                 "rho_factor", "funnel")),
-    },
-    "design.funnel": {
-        "manual": (("a", "b", "c"), ("d",)),
-        "synthesized": (("b", "c"), ()),    # a and d are derived
-    },
-}
-
-
-def _read_keys(sec: dict, section: str, kind: str, noun: str,
-               field: str = "") -> str:
-    """kind, once sec holds every key kind requires and only keys it reads
-    (field names the kind itself)."""
-    required, optional = _READS[section][kind]
-    for key in required:
-        if key not in sec:
-            raise ConfigError(f"{kind} {noun} requires {section}.{key}")
-    for key in sec:
-        if key != field and key not in required + optional:
-            raise ConfigError(f"{kind} {noun} does not read {section}.{key}")
-    return kind
 
 
 def build_system(cfg: dict) -> NormalForm:
     sec = cfg["system"]
-    mode = _read_keys(sec, "system", sec["mode"], "mode", "mode")
-    if mode == "mass_on_car":
+    if sec["mode"] == "mass_on_car":
         params = sec.get("params")
         if params:
             return to_normal_form(mass_on_car(**params))
         return mass_on_car_normal_form()
-    if mode == "state_space":
+    if sec["mode"] == "state_space":
         return to_normal_form(StateSpace(sec["A"], sec["B"], sec["C"],
                                          x0=sec.get("x0")))
     # NormalForm converts the blocks and zeroes a missing start state
@@ -285,11 +234,7 @@ def build_system(cfg: dict) -> NormalForm:
 
 
 def build_reference(cfg: dict) -> ReferenceSignal:
-    sec = cfg.get("reference")
-    if sec is None:
-        raise ConfigError("a reference section is required")
-    _read_keys(sec, "reference", sec["kind"], "reference", "kind")
-    return ReferenceSignal.from_config(sec)
+    return ReferenceSignal.from_config(cfg["reference"])
 
 
 def _generated_pairs(gen: dict, horizon: float, dp) -> list:
@@ -320,21 +265,12 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
     return pairs
 
 
-def _generator(sec: dict):
-    """The availability generator, once it has the keys its kind reads."""
-    gen = sec.get("generator")
-    if gen is not None:
-        _read_keys(gen, "availability.generator", gen["kind"], "generator",
-                   "kind")
-    return gen
-
-
 def build_schedule(cfg: dict, horizon: float, dp=None) -> AvailabilitySchedule:
     sec = cfg.get("availability", {})
     if "dropouts" in sec and "generator" in sec:
         raise ConfigError("availability takes dropouts or a generator, "
                           "not both")
-    gen = _generator(sec)
+    gen = sec.get("generator")
     pairs = (sec.get("dropouts", []) if gen is None
              else _generated_pairs(gen, horizon, dp))
     return AvailabilitySchedule(pairs, horizon)
@@ -343,7 +279,7 @@ def build_schedule(cfg: dict, horizon: float, dp=None) -> AvailabilitySchedule:
 def _schedule_limits(cfg: dict):
     """Dropout/window bounds for synthesis; the lead-in counts as a window."""
     sec = cfg.get("availability", {})
-    gen = _generator(sec)
+    gen = sec.get("generator")
     if gen is not None and gen["kind"] == "periodic":
         window, start = gen["window"], gen.get("start", gen["window"])
         return gen["dropout"], min(window, start) if start > 0 else window
@@ -356,12 +292,8 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     if not math.isfinite(y_ref.chain_sup(nf.r) + y_ref.y_max(nf.r)):
         raise ConfigError("reference derivative bounds overflow to inf")
     sec = cfg.get("design", {})
-    mode = "manual" if sec.get("manual", False) else "synthesized"
-    _read_keys(sec, "design", mode, "design", "manual")
     fun = sec.get("funnel")
-    if fun is not None:
-        _read_keys(fun, "design.funnel", mode, "design")
-    if mode == "manual":
+    if sec.get("manual", False):
         spec = FunnelSpec(fun["a"], fun["b"], fun["c"],
                           fun.get("d", fun["b"]))
         cap = sec.get("eta_star", math.inf)
@@ -499,7 +431,11 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     nf = build_system(cfg)
     y_ref = build_reference(cfg)
     design = build_design(cfg, nf, y_ref)
-    ok = _check_trace(trace, design, class_constants(nf), _horizon(cfg),
+    horizon = _horizon(cfg)
+    # the schedule simulate would refuse is refused here too
+    build_schedule(cfg, horizon,
+                   None if isinstance(design, ManualDesign) else design)
+    ok = _check_trace(trace, design, class_constants(nf), horizon,
                       _out_path(outdir, cfg, "report", "verify_report.txt"))
     return 0 if ok else 1
 
@@ -621,10 +557,6 @@ def main(argv=None) -> int:
     except FunnelSimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except jsonschema.ValidationError as exc:
-        print(f"error: ValidationError: {exc.message} at {exc.json_path}",
-              file=sys.stderr)
-        return 2
     except (json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

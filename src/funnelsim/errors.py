@@ -15,7 +15,7 @@ class FunnelSimError(Exception):
 
 
 class ConfigError(FunnelSimError):
-    """Malformed configuration, schema violation, or unreadable input file."""
+    """A config or input file that is malformed or cannot be read."""
 
     exit_code = 2
 

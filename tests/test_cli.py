@@ -72,14 +72,43 @@ def synthesis_cfg(system, dropout, window, amplitude=1.0, omega=1.0,
     return cfg
 
 
-# every (section, key) of SCHEMA whose value may be a number array
-ARRAY_KEYS = [(section, key)
-              for section, sec in cli.SCHEMA["properties"].items()
-              for key, sub in sec.get("properties", {}).items()
-              if sub.get("type") == "array" or "oneOf" in sub]
+# The array types of cli._READS as the JSON Schema draft writes them: the
+# reference for test_array_errors_match_draft.
+NUMBER = {"type": "number"}
+
+
+def array_of(items, **size):
+    return {"type": "array", "items": items, **size}
+
+
+DRAFT = {
+    cli.VEC: array_of(NUMBER),
+    cli.MAT: array_of(array_of(NUMBER)),
+    cli.MATS: array_of(array_of(array_of(NUMBER))),
+    cli.NUM_OR_VEC: {"oneOf": [NUMBER, array_of(NUMBER)]},
+    cli.PAIRS: array_of(array_of(NUMBER, minItems=2, maxItems=2)),
+}
+# one complete section of each kind that reads a number array
+ARRAY_SECTIONS = {
+    "state_space": {"mode": "state_space", "A": [[0.0]], "B": [[1.0]],
+                    "C": [[1.0]]},
+    "normal_form": CHAIN_ONLY,
+    "constant": {"kind": "constant", "values": [1.0]},
+    "sinusoid": {"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0},
+    "sum_of_sinusoids": {"kind": "sum_of_sinusoids", "amplitudes": [[1.0]],
+                         "omegas": [[1.0]]},
+    "": {},
+}
+# every key of cli._READS whose value may be a number array, with its
+# section, a kind that reads it and its type
+ARRAY_KEYS = list({key: (section, kind, key, want)
+                   for section, (_, _, kinds) in cli._READS.items()
+                   for kind, reads in kinds.items()
+                   for key, want in {**reads[0], **reads[1]}.items()
+                   if want in DRAFT}.values())
+ARRAY_IDS = [key for _, _, key, _ in ARRAY_KEYS]
 # not a number, and not an array of numbers
 NOT_NUMBERS = [True, False, "1.0", None, {}, {"x": 1.0}]
-DRAFT_VALIDATOR = jsonschema.validators.validator_for(cli.SCHEMA)(cli.SCHEMA)
 
 
 def valid_value(draw, schema):
@@ -102,12 +131,16 @@ def positions(value, at=()):
 
 
 @st.composite
-def malformed_array(draw, section, key):
-    """A valid value for section.key with one item replaced by a value the
-    schema refuses there: a non-number anywhere, or a list in place of a
+def valid_array(draw, want):
+    return valid_value(draw, DRAFT[want])
+
+
+@st.composite
+def malformed_array(draw, want):
+    """A valid value of array type want with one item replaced by a value
+    the type refuses there: a non-number anywhere, or a list in place of a
     number inside an array."""
-    value = valid_value(draw, cli.SCHEMA["properties"][section]
-                        ["properties"][key])
+    value = valid_value(draw, DRAFT[want])
     at = draw(st.sampled_from(list(positions(value))))
     if not at:
         return draw(st.sampled_from(NOT_NUMBERS))
@@ -122,16 +155,18 @@ def malformed_array(draw, section, key):
     return value
 
 
-def errors_of(validator, cfg):
-    return sorted((e.message, e.json_path, tuple(e.schema_path))
-                  for e in validator.iter_errors(cfg))
+def array_cfg(section, kind, key, value):
+    """A manual config whose section, of the given kind, holds key: value."""
+    cfg = manual_cfg(t_end=0.1)
+    cfg[section] = dict(ARRAY_SECTIONS[kind], **{key: value})
+    return cfg
 
 
 class TestConfig:
 
     def test_presets_validate(self):
         for name in cli.PRESETS:
-            jsonschema.validate(cli.PRESETS[name], cli.SCHEMA)
+            assert cli.load_config(preset=name) == cli.PRESETS[name]
 
     def test_preset_is_copied(self):
         cfg = cli.load_config(preset="scenario_b")
@@ -149,10 +184,64 @@ class TestConfig:
             cli.load_config(preset="scenario_c")
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_cfg(tmp_path, {"system": {"mode": "mass_on_car"},
-                                    "bogus": 1})
-        with pytest.raises(jsonschema.ValidationError):
-            cli.load_config(path=path)
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, None, None)
+        cfg["bogus"] = 1
+        with pytest.raises(ConfigError, match="^config does not read bogus$"):
+            cli.load_config(path=write_cfg(tmp_path, cfg))
+
+    @pytest.mark.parametrize("at, value, message", [
+        (("availability", "generator", "count"), 2.0, None),
+        (("system",), CHAIN_ONLY, None),
+        (("system", "params"), {}, None),
+        (("availability",), {"dropouts": []}, None),
+        *[(("availability", "generator", "count"), count,
+           "availability.generator.count must be a whole number >= 0")
+          for count in (2.5, -1, True)],
+        *[(("design", "manual"), flag, "design.manual must be true or false")
+          for flag in (1, "true")],
+        *[(("availability",), {"dropouts": [pair]}, "availability.dropouts "
+           "must be a list of [start, end] number pairs")
+          for pair in ([1.0], [1.0, 2.0, 3.0])],
+        (("system", "R"), [[[0.0]], [0.0]], "system.R must be a matrix list"),
+        (("reference", "amplitude"), True,
+         "reference.amplitude must be a number or a number list"),
+        ((), [], "a config must be an object"),
+        (("system", "mode"), ["mass_on_car"], "system.mode must be one of "
+         "mass_on_car, state_space, normal_form"),
+    ], ids=["count-2.0", "Q-empty-row", "params-empty", "dropouts-empty",
+            "count-2.5", "count-negative", "count-true", "manual-1",
+            "manual-string", "pair-of-1", "pair-of-3", "R-mixed-depth",
+            "amplitude-true", "not-an-object", "mode-not-a-string"])
+    def test_accept_set_edges(self, tmp_path, at, value, message):
+        # the accept set the draft schema and the key table gave together
+        cfg = synthesis_cfg(dict(CHAIN_ONLY) if "R" in at
+                            else {"mode": "mass_on_car"}, 0.01, 30.0)
+        if at:
+            *outer, last = at
+            sec = cfg
+            for key in outer:
+                sec = sec[key]
+            sec[last] = value
+        else:
+            cfg = value
+        path = write_cfg(tmp_path, cfg)
+        if message is None:
+            assert cli.load_config(path=path) == cfg
+        else:
+            with pytest.raises(ConfigError) as err:
+                cli.load_config(path=path)
+            assert (str(err.value), err.value.exit_code) == (message, 2)
+
+    def test_import_leaves_jsonschema_out(self):
+        # jsonschema is a test dependency only
+        code = ("import sys, funnelsim.cli\n"
+                "assert 'jsonschema' not in sys.modules\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_nonfinite_literal_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -184,76 +273,37 @@ class TestConfig:
         assert err[0].startswith(("error: IsADirectoryError: ",
                                   "error: FileExistsError: "))
 
-    def test_schema_passes_meta_schema(self):
-        # load_config does not check SCHEMA against its meta-schema
-        jsonschema.validators.validator_for(cli.SCHEMA).check_schema(
-            cli.SCHEMA)
-
-    def test_error_matches_jsonschema_validate(self, tmp_path):
-        cfg = {"system": {"mode": "mass_on_car"},
-               "sim": {"t_end": "long", "rtol": -1.0}}
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(cfg, cli.SCHEMA)
-        with pytest.raises(jsonschema.ValidationError) as got:
-            cli.load_config(path=write_cfg(tmp_path, cfg))
-        assert got.value.message == want.value.message
-        assert list(got.value.path) == list(want.value.path)
-        assert list(got.value.schema_path) == list(want.value.schema_path)
-
-    @pytest.mark.parametrize("section, key", ARRAY_KEYS,
-                             ids=[key for _, key in ARRAY_KEYS])
+    @pytest.mark.parametrize("section, kind, key, want", ARRAY_KEYS,
+                             ids=ARRAY_IDS)
     @settings(max_examples=25)
     @given(data=st.data())
-    def test_array_errors_match_draft(self, section, key, data):
-        # load_config's validator accepts a number array in one pass and
-        # must report exactly what the draft's own validator reports
-        cfg = {"system": {"mode": "normal_form"},
-               "reference": {"kind": "constant"}, "availability": {}}
-        cfg[section][key] = data.draw(malformed_array(section, key))
-        want = errors_of(DRAFT_VALIDATOR, cfg)
-        assert want
-        assert errors_of(cli._VALIDATOR, cfg) == want
-        best = jsonschema.exceptions.best_match(
-            DRAFT_VALIDATOR.iter_errors(cfg))
-        got = jsonschema.exceptions.best_match(cli._VALIDATOR.iter_errors(cfg))
-        assert (got.message, got.json_path) == (best.message, best.json_path)
-
-    def test_descents_do_not_grow_with_matrix_size(self, monkeypatch):
-        # one descent per number made validation grow with n^2
-        counted = []
-        validator = type(cli._VALIDATOR)
-        descend = validator.descend
-
-        def counting(self, *args, **kwargs):
-            counted.append(1)
-            return descend(self, *args, **kwargs)
-
-        monkeypatch.setattr(validator, "descend", counting)
-        calls = []
-        for n in (4, 40):
-            counted.clear()
-            cfg = {"system": {"mode": "state_space",
-                              "A": np.eye(n).tolist(),
-                              "B": np.ones((n, 1)).tolist(),
-                              "C": np.ones((1, n)).tolist(), "x0": [0] * n}}
-            assert not list(cli._VALIDATOR.iter_errors(cfg))
-            calls.append(len(counted))
-        assert calls[0] == calls[1]
+    def test_array_errors_match_draft(self, tmp_path, section, kind, key,
+                                      want, data):
+        # the table's number arrays accept exactly what the JSON Schema
+        # draft accepts for their type, and each refusal names the key
+        value = data.draw(valid_array(want) | malformed_array(want))
+        accepted = jsonschema.Draft202012Validator(DRAFT[want]).is_valid(value)
+        path = write_cfg(tmp_path, array_cfg(section, kind, key, value))
+        if accepted:
+            cli.load_config(path=path)
+        else:
+            with pytest.raises(ConfigError) as err:
+                cli.load_config(path=path)
+            assert str(err.value) == f"{section}.{key} must be {want}"
 
     @settings(max_examples=100)
     @given(where=st.sampled_from(ARRAY_KEYS), data=st.data())
     def test_drawn_malformed_arrays_exit_2(self, tmp_path, capsys, where,
                                            data):
-        section, key = where
-        cfg = manual_cfg(t_end=0.1)
-        cfg[section][key] = data.draw(malformed_array(section, key))
+        section, kind, key, want = where
+        cfg = array_cfg(section, kind, key,
+                        data.draw(malformed_array(want)))
         capsys.readouterr()
         rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ValidationError: ")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {section}.{key} must be {want}"]
 
     @pytest.mark.parametrize("section, value, key", [
         ("system", {"mode": "mass_on_car", "chain0": [[1.0, 2.0, 3.0]]},
@@ -341,7 +391,7 @@ class TestConfig:
                                       S=[[1.0]], P=[[1.0]]),
          "ValueError: Q must be square"),
         ("synthesize", "reference", None,
-         "ConfigError: a reference section is required"),
+         "ConfigError: config requires reference"),
         ("synthesize", "availability",
          {"generator": {"kind": "periodic", "dropout": 1.0}},
          "ConfigError: periodic generator requires "
@@ -403,10 +453,8 @@ class TestConfig:
         rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ValidationError: ")
-        assert err[0].endswith(f" at $.{section}.{key}")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: {section}.{key} must be a positive number"]
 
     @pytest.mark.parametrize("reference, key", [
         ({"kind": "constant"}, "values"),
@@ -464,8 +512,7 @@ class TestConfig:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: ValidationError: 0 is less than or equal to the minimum "
-            "of 0 at $.design.funnel.c"]
+            "error: ConfigError: design.funnel.c must be a positive number"]
 
 
 class TestScheduleBuilding:
@@ -499,7 +546,10 @@ class TestScheduleBuilding:
     def test_nonpositive_lengths_fail_schema(self, tmp_path, gen):
         cfg = manual_cfg()
         cfg["availability"] = {"generator": gen}
-        with pytest.raises(jsonschema.ValidationError):
+        key = next(key for key, value in gen.items()
+                   if key != "kind" and value <= 0)
+        with pytest.raises(ConfigError, match=(
+                f"^availability.generator.{key} must be a positive number$")):
             cli.load_config(path=write_cfg(tmp_path, cfg))
 
     @pytest.mark.parametrize("gen", NONPOSITIVE_LENGTHS)
@@ -566,6 +616,20 @@ class TestScheduleBuilding:
         assert capsys.readouterr().err.splitlines() == [
             "error: DeltaTooLarge: schedule availability floor 1.000000e+00 "
             "is below the required window 1.967421e+01"]
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    def test_negative_start_exits_2(self, tmp_path, capsys, command):
+        # synthesis read the window as the floor and exited 0, while
+        # simulate refused dropout 0 for leaving the horizon
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, 0.01, 30.0)
+        cfg["availability"]["generator"]["start"] = -1.0
+        cfg["sim"] = {"t_end": 40.0}
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ConfigError: availability.generator.start must be a "
+            "number >= 0"]
 
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     @pytest.mark.parametrize("dropouts, message", [
@@ -846,6 +910,30 @@ class TestSimulateAndVerify:
         assert rc == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("availability, message", [
+        ({"generator": dict(cli.PRESETS["scenario_b"]["availability"]
+                            ["generator"], dropout_factor=0.5)},
+         "periodic generator does not read "
+         "availability.generator.dropout_factor"),
+        ({"dropouts": [[0.5, 1.0], [0.8, 1.2]]},
+         "dropout 1 starts at 0.8, not after the previous end 1.0"),
+    ], ids=["unread-key", "overlap"])
+    def test_verify_refuses_what_simulate_refuses(self, tmp_path, capsys,
+                                                  availability, message):
+        # verify never read the schedule of a manual design and checked
+        # the trace with exit 0
+        cfg = manual_cfg(t_end=2.0)
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path)]) == 0
+        cfg["availability"] = availability
+        path = write_cfg(tmp_path, cfg)
+        capsys.readouterr()
+        for command in ("simulate", "verify"):
+            rc = cli.main([command, "--config", path, "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: ConfigError: {message}"]
+
     def test_deterministic_bytes(self, sim_dir, tmp_path):
         rc = cli.main(["simulate", "--preset", "scenario_b",
                        "--out", str(tmp_path)])
@@ -870,7 +958,8 @@ class TestSimulateAndVerify:
         rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert "ValidationError" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: sim.{key} must be a positive number"]
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("key", ["a", "b", "c", "d"])
@@ -881,7 +970,9 @@ class TestSimulateAndVerify:
         rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert "ValidationError" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: design.funnel.{key} must be a positive "
+            "number"]
         assert not (tmp_path / "trace.csv").exists()
 
     def test_oversized_grid_exits_2(self, tmp_path, capsys):

@@ -105,5 +105,3 @@ class TestConfig:
         ref2 = ReferenceSignal.from_config(
             {"kind": "constant", "values": [1.0, 2.0]})
         assert ref2.m == 2
-        with pytest.raises(ValueError):
-            ReferenceSignal.from_config({"kind": "triangle"})
