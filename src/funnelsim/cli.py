@@ -214,6 +214,9 @@ def load_config(path=None, preset=None) -> dict:
     if not _IS[SECTION](cfg):
         raise ConfigError(f"a config must be {SECTION}")
     _walk({"design": {}, **cfg})    # no design section is a synthesized one
+    if {"dropouts", "generator"} <= cfg.get("availability", {}).keys():
+        raise ConfigError("availability takes dropouts or a generator, "
+                          "not both")
     return cfg
 
 
@@ -234,7 +237,17 @@ def build_system(cfg: dict) -> NormalForm:
 
 
 def build_reference(cfg: dict) -> ReferenceSignal:
-    return ReferenceSignal.from_config(cfg["reference"])
+    sec = cfg["reference"]
+    if sec["kind"] == "constant":       # m outputs with no cosine terms
+        rows = [[]] * len(sec["values"])
+        return ReferenceSignal(sec["values"], rows, rows, rows)
+    if sec["kind"] == "sinusoid":
+        return ReferenceSignal(sec.get("offset", 0.0), sec["amplitude"],
+                               sec["omega"], sec.get("phase", 0.0))
+    # rows are outputs and columns terms; [] is one output with no terms
+    terms = (sec["amplitudes"], sec["omegas"], sec.get("phases", 0.0))
+    return ReferenceSignal(sec.get("offset", 0.0),
+                           *([[]] if v == [] else v for v in terms))
 
 
 def _generated_pairs(gen: dict, horizon: float, dp) -> list:
@@ -267,9 +280,6 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
 
 def build_schedule(cfg: dict, horizon: float, dp=None) -> AvailabilitySchedule:
     sec = cfg.get("availability", {})
-    if "dropouts" in sec and "generator" in sec:
-        raise ConfigError("availability takes dropouts or a generator, "
-                          "not both")
     gen = sec.get("generator")
     pairs = (sec.get("dropouts", []) if gen is None
              else _generated_pairs(gen, horizon, dp))
@@ -294,6 +304,7 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     sec = cfg.get("design", {})
     fun = sec.get("funnel")
     if sec.get("manual", False):
+        y_ref.start_errors(nf)      # synthesize checks its own reference
         spec = FunnelSpec(fun["a"], fun["b"], fun["c"],
                           fun.get("d", fun["b"]))
         cap = sec.get("eta_star", math.inf)
@@ -381,15 +392,20 @@ def cmd_synthesize(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def _run_simulation(cfg: dict):
+def _build_run(cfg: dict):
+    """Plant, reference, design, horizon and schedule of a run."""
     nf = build_system(cfg)
     y_ref = build_reference(cfg)
     design = build_design(cfg, nf, y_ref)
     horizon = _horizon(cfg)
     dp = None if isinstance(design, ManualDesign) else design
-    sched = build_schedule(cfg, horizon, dp)
-    if dp is not None:
-        for note in sched.check_against_design(dp.dropout, dp.window):
+    return nf, y_ref, design, horizon, build_schedule(cfg, horizon, dp)
+
+
+def _run_simulation(cfg: dict):
+    nf, y_ref, design, horizon, sched = _build_run(cfg)
+    if not isinstance(design, ManualDesign):
+        for note in sched.check_against_design(design.dropout, design.window):
             log.warning("%s", note)
     cc = class_constants(nf)
     trace = integrate(nf, cc, design, sched, y_ref, opts=_sim_options(cfg))
@@ -428,13 +444,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     trace = read_csv(path)
     if trace.samples == 0:
         raise ConfigError(f"{path}: trace has no samples")
-    nf = build_system(cfg)
-    y_ref = build_reference(cfg)
-    design = build_design(cfg, nf, y_ref)
-    horizon = _horizon(cfg)
-    # the schedule simulate would refuse is refused here too
-    build_schedule(cfg, horizon,
-                   None if isinstance(design, ManualDesign) else design)
+    # what simulate would refuse is refused here too
+    nf, _, design, horizon, _ = _build_run(cfg)
     ok = _check_trace(trace, design, class_constants(nf), horizon,
                       _out_path(outdir, cfg, "report", "verify_report.txt"))
     return 0 if ok else 1

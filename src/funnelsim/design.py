@@ -511,8 +511,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
         raise ValueError("safety factor theta must lie in (0, 1)")
     if not settle_factor > 0.0:
         raise ValueError("settle factor must be positive")
-    if y_ref.m != nf.m:
-        raise ValueError("reference dimension must match the output dimension")
+    e_derivs0 = y_ref.start_errors(nf)
     cc = class_constants(nf)
 
     dropout_sup = max_dropout_duration(cc, q)
@@ -567,8 +566,6 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                                            chain_sup)
     start_gain = gain_hi if phi00 is None else phi00
     settle = settle_factor * window
-
-    e_derivs0 = nf.chain0 - y_ref.derivatives(0.0, nf.r - 1)
 
     if funnel_template is not None:
         gains = gain_recursion(start_gain, float(funnel_template[0]),

@@ -6,86 +6,67 @@ derivatives up to the chain length, so references are restricted to a family
 of every order are available exactly.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _per_output(x, m, name):
-    a = np.asarray(x, dtype=float).reshape(-1)
-    if a.size == 1:
-        return np.full(m, a[0])
-    if a.size != m:
-        raise ValueError(f"{name} must be scalar or length {m}")
-    return a
+def _fill(x, shape, name):
+    out = np.empty(shape)
+    try:
+        out[...] = x
+    except ValueError:
+        raise ValueError(
+            f"{name} must be scalar or length {shape[0]}") from None
+    return out
 
 
 @dataclass
 class ReferenceSignal:
-    """Vector signal  y_j(t) = offset_j + sum_k amp_jk cos(omega_jk t + phase_jk)."""
+    """Vector signal  y_j(t) = offset_j + sum_k amp_jk cos(omega_jk t + phase_jk).
+
+    (m, K) matrices among amp, omega and phase share that shape and fix m
+    and K; without one, each output has one term and m is the longest
+    argument's length.  Scalars and length-m vectors (one value per output)
+    broadcast.  A reference with no outputs is refused.
+    """
 
     offset: np.ndarray          # (m,)
     amp: np.ndarray             # (m, K)
     omega: np.ndarray           # (m, K)
-    phase: np.ndarray           # (m, K)
+    phase: np.ndarray = 0.0     # (m, K)
 
     def __post_init__(self):
-        self.offset = np.asarray(self.offset, dtype=float).reshape(-1)
-        m = self.offset.shape[0]
-        self.amp = np.asarray(self.amp, dtype=float).reshape(m, -1)
-        K = self.amp.shape[1]
-        self.omega = np.asarray(self.omega, dtype=float).reshape(m, K)
-        self.phase = np.asarray(self.phase, dtype=float).reshape(m, K)
-
-    # --- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, values) -> "ReferenceSignal":
-        off = np.asarray(values, dtype=float).reshape(-1)
-        m = off.shape[0]
-        return cls(off, np.zeros((m, 0)), np.zeros((m, 0)), np.zeros((m, 0)))
-
-    @classmethod
-    def sinusoid(cls, amplitude, omega, phase=0.0, offset=0.0,
-                 m: int | None = None) -> "ReferenceSignal":
-        """One cosine per output; scalar arguments broadcast over outputs."""
-        if m is None:
-            m = max(np.size(amplitude), np.size(omega), np.size(phase),
-                    np.size(offset))
-        a = _per_output(amplitude, m, "amplitude")
-        w = _per_output(omega, m, "omega")
-        ph = _per_output(phase, m, "phase")
-        off = _per_output(offset, m, "offset")
-        return cls(off, a.reshape(m, 1), w.reshape(m, 1), ph.reshape(m, 1))
+        terms = [np.asarray(x, dtype=float)
+                 for x in (self.amp, self.omega, self.phase)]
+        shapes = {a.shape for a in terms if a.ndim == 2}
+        if len(shapes) > 1:
+            raise ValueError(
+                "amplitude, omega and phase matrices must share one shape")
+        m, K = (shapes.pop() if shapes
+                else (max(np.size(self.offset), *(a.size for a in terms)), 1))
+        if m == 0:
+            raise ValueError("a reference needs at least one output")
+        self.offset = _fill(self.offset, (m,), "offset")
+        self.amp, self.omega, self.phase = (
+            _fill(a if a.ndim == 2 else a.reshape(-1, 1), (m, K), name)
+            for a, name in zip(terms, ("amplitude", "omega", "phase")))
 
     @classmethod
-    def sum_of_sinusoids(cls, amplitudes, omegas, phases=None,
-                         offset=None) -> "ReferenceSignal":
-        """Several cosines per output; rows are outputs, columns are terms."""
-        a = np.atleast_2d(np.asarray(amplitudes, dtype=float))
-        w = np.atleast_2d(np.asarray(omegas, dtype=float))
-        if a.shape != w.shape:
-            raise ValueError("amplitudes and omegas must have the same shape")
-        m, K = a.shape
-        ph = (np.zeros((m, K)) if phases is None
-              else np.atleast_2d(np.asarray(phases, dtype=float)))
-        if ph.shape != (m, K):
-            raise ValueError("phases must match the amplitude shape")
-        off = (np.zeros(m) if offset is None
-               else _per_output(offset, m, "offset"))
-        return cls(off, a, w, ph)
-
-    # --- evaluation ---------------------------------------------------------
+    def sinusoid(cls, amplitude, omega, phase=0.0, offset=0.0):
+        """One cosine per output."""
+        return cls(offset, amplitude, omega, phase)
 
     @property
     def m(self) -> int:
         return self.offset.shape[0]
 
-    @property
-    def n_terms(self) -> int:
-        return self.amp.shape[1]
+    def start_errors(self, nf) -> np.ndarray:
+        """Plant nf's tracking error e, ..., e^(r-1) at t = 0, row by row."""
+        if self.m != nf.m:
+            raise ValueError(
+                "reference dimension must match the output dimension")
+        return nf.chain0 - self.derivatives(0.0, nf.r - 1)
 
     def derivatives(self, t, order: int) -> np.ndarray:
         """Derivatives 0..order at t: shape (order+1, m) for a scalar t,
@@ -97,8 +78,6 @@ class ReferenceSignal:
         out = (self.amp * self.omega ** i * np.cos(phase)).sum(axis=-1)
         out[0] += self.offset
         return out
-
-    # --- sup bounds ---------------------------------------------------------
 
     def deriv_sup(self, i: int) -> float:
         """Upper bound on sup_t |i-th derivative| (vector 2-norm).
@@ -120,7 +99,7 @@ class ReferenceSignal:
         the squared norm is a weighted sum of cos^2 and sin^2 of the same
         angle, maximized by whichever weight is larger.
         """
-        if self.m == 1 and self.n_terms == 1 and self.offset[0] == 0.0:
+        if self.amp.shape == (1, 1) and self.offset[0] == 0.0:
             with np.errstate(over="ignore"):    # a bound past the range is inf
                 w2 = self.omega[0, 0] ** 2
                 even = sum(w2 ** i for i in range(0, r, 2))
@@ -131,17 +110,3 @@ class ReferenceSignal:
     def y_max(self, r: int) -> float:
         """Largest derivative sup over orders 0..r inclusive."""
         return max(self.deriv_sup(i) for i in range(r + 1))
-
-    # --- serialization helpers ----------------------------------------------
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ReferenceSignal":
-        """The signal of a reference section that the CLI has checked."""
-        kind = cfg["kind"]
-        if kind == "constant":
-            return cls.constant(cfg["values"])
-        if kind == "sinusoid":
-            return cls.sinusoid(cfg["amplitude"], cfg["omega"],
-                                cfg.get("phase", 0.0), cfg.get("offset", 0.0))
-        return cls.sum_of_sinusoids(cfg["amplitudes"], cfg["omegas"],
-                                    cfg.get("phases"), cfg.get("offset"))

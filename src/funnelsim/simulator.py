@@ -243,8 +243,7 @@ def integrate(nf, cc, design, sched: AvailabilitySchedule,
     segs = _segments(sched, sched.horizon)
     # a run that starts in a dropout has no funnel to start inside
     check_start(funnel.phi00 if segs[0][2] else 0.0,
-                nf.chain0 - y_ref.derivatives(0.0, nf.r - 1), nf.eta0,
-                design.internal_cap)
+                y_ref.start_errors(nf), nf.eta0, design.internal_cap)
     cols, stats = _run_segments(nf, funnel, segs, y_ref, opts)
     return _build_trace(nf, y_ref, cols, stats)
 

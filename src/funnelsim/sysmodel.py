@@ -267,9 +267,11 @@ def to_normal_form(sys: StateSpace) -> NormalForm:
     U = np.vstack([Theta, V])
     sv = np.linalg.svd(U, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
+        with np.errstate(over="ignore"):    # past the range it reads inf
+            cond = sv[0] / max(sv[-1], np.finfo(float).tiny)
         raise TransformSingular(
             f"coordinate change is numerically singular (condition number "
-            f"{sv[0] / max(sv[-1], np.finfo(float).tiny):.3e})"
+            f"{cond:.3e})"
         )
     W = np.linalg.solve(U, np.eye(n))
     CAr = C @ np.linalg.matrix_power(A, r)

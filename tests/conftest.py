@@ -63,5 +63,7 @@ def coast(nf, chain0, eta0, horizon, opts=None):
     funnel is read, with a zero reference."""
     nf = dataclasses.replace(nf, chain0=chain0, eta0=eta0)
     sched = AvailabilitySchedule([(0.0, horizon)], horizon)
+    no_terms = np.zeros((nf.m, 0))
     return integrate(nf, None, ManualDesign(None), sched,
-                     ReferenceSignal.constant(np.zeros(nf.m)), opts=opts)
+                     ReferenceSignal(np.zeros(nf.m), no_terms, no_terms),
+                     opts=opts)

@@ -57,7 +57,7 @@ def verdict(number, capsys=None):
 
 
 def cos_ref(m=1):
-    return ReferenceSignal.sinusoid(1.0, 1.0, m=m)
+    return ReferenceSignal(np.zeros(m), 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def test_acceptance_04_synthesis_self_consistency(bench_design, capsys):
             amp = rng.uniform(0.2, 1.0)
             omega = rng.uniform(0.5, 2.0)
             designs.append(synthesize(
-                nf, ReferenceSignal.sinusoid(amp, omega, m=nf.m), 0.9))
+                nf, ReferenceSignal(np.zeros(nf.m), amp, omega), 0.9))
         for dp in designs:
             for name, margin in check_design(dp).items():
                 assert margin >= -1e-12, (name, margin)
@@ -167,7 +167,7 @@ def test_acceptance_07_coasting_growth_bound(bench_design, capsys):
             amp = rng.uniform(0.2, 1.0)
             omega = rng.uniform(0.5, 2.0)
             cases.append((nf, synthesize(
-                nf, ReferenceSignal.sinusoid(amp, omega, m=nf.m), 0.9)))
+                nf, ReferenceSignal(np.zeros(nf.m), amp, omega), 0.9)))
         runs = 0
         for nf, dp in cases:
             cc = class_constants(nf)

@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -473,6 +474,58 @@ class TestConfig:
             f"error: ConfigError: {reference['kind']} reference requires "
             f"reference.{key}"]
 
+    @pytest.mark.parametrize("reference, message", [
+        ({"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0}, None),
+        ({"kind": "sinusoid", "amplitude": [1.0], "omega": [1.0],
+          "phase": [0.2], "offset": [0.1]}, None),
+        ({"kind": "constant", "values": [0.5]}, None),
+        ({"kind": "sum_of_sinusoids", "amplitudes": [[1.0, 0.2]],
+          "omegas": [[1.0, 3.0]], "phases": [[0.0, 0.5]], "offset": [0.1]},
+         None),
+        ({"kind": "sum_of_sinusoids", "amplitudes": [[]], "omegas": [[]]},
+         None),
+        ({"kind": "sinusoid", "amplitude": [1.0, 1.0],
+          "omega": [1.0, 1.0, 1.0]}, "amplitude must be scalar or length 3"),
+        ({"kind": "sinusoid", "amplitude": [], "omega": 1.0},
+         "amplitude must be scalar or length 1"),
+        ({"kind": "constant", "values": []},
+         "a reference needs at least one output"),
+        *[({"kind": "sum_of_sinusoids", **sums},
+           "amplitude, omega and phase matrices must share one shape")
+          for sums in ({"amplitudes": [[1.0, 0.2]], "omegas": [[1.0]]},
+                       {"amplitudes": [[1.0, 0.2]], "omegas": [[1.0, 3.0]],
+                        "phases": [[0.0]]},
+                       {"amplitudes": [[1.0], [0.5]], "omegas": [[1.0]]})],
+        ({"kind": "sum_of_sinusoids", "amplitudes": [[1.0, 0.2], [0.5]],
+          "omegas": [[1.0, 3.0], [2.0]]},
+         r"setting an array element with a sequence\. .*"),
+        ({"kind": "sum_of_sinusoids", "amplitudes": [[1.0]],
+          "omegas": [[1.0]], "offset": [0.1, 0.2]},
+         "offset must be scalar or length 1"),
+        ({"kind": "sinusoid", "amplitude": [1.0, 2.0], "omega": 1.0},
+         "reference dimension must match the output dimension"),
+    ], ids=["scalar", "one-vectors", "constant", "sum-1x2", "sum-empty",
+            "lengths-2-3", "empty-amplitude", "constant-empty",
+            "sum-1x2-1x1", "phases-1x1-1x2", "sum-2x1-1x1", "ragged",
+            "sum-offset-2", "two-outputs"])
+    def test_reference_accept_set(self, tmp_path, capsys, reference,
+                                  message):
+        # what each command takes as a reference on the 1-output plant;
+        # numpy words the ragged-rows error
+        for command, cfg in (
+                ("synthesize",
+                 synthesis_cfg({"mode": "mass_on_car"}, None, None)),
+                ("simulate", manual_cfg(t_end=0.5))):
+            cfg["reference"] = reference
+            rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(tmp_path)])
+            err = capsys.readouterr().err.splitlines()
+            if message is None:
+                assert (rc, err) == (0, [])
+            else:
+                assert rc == 2 and len(err) == 1
+                assert re.fullmatch(f"error: ValueError: {message}", err[0])
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, reference", [
         # the reference bound overflowed in np.linalg.norm (a warning), and
@@ -572,13 +625,22 @@ class TestScheduleBuilding:
         with pytest.raises(ConfigError):
             cli._generated_pairs(gen, 60.0, None)
 
-    def test_dropouts_and_generator_conflict(self):
-        cfg = {"availability": {"dropouts": [[1.0, 2.0]],
-                                "generator": {"kind": "periodic",
-                                              "dropout": 1.0,
-                                              "window": 1.0}}}
-        with pytest.raises(ConfigError):
-            cli.build_schedule(cfg, 10.0)
+    def test_dropouts_and_generator_conflict(self, tmp_path, capsys):
+        # synthesize read the generator, ignored the list and exited 0
+        cfg = manual_cfg(t_end=2.0)
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path)]) == 0
+        cfg = synthesis_cfg({"mode": "mass_on_car"}, 0.01, 30.0)
+        cfg["availability"]["dropouts"] = [[1.0, 1.01]]
+        cfg["sim"] = {"t_end": 2.0}
+        path = write_cfg(tmp_path, cfg)
+        capsys.readouterr()
+        for command in ("synthesize", "simulate", "verify"):
+            rc = cli.main([command, "--config", path, "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: ConfigError: availability takes dropouts or a "
+                "generator, not both"]
 
     def test_limits_from_explicit_pairs(self):
         cfg = {"availability": {"dropouts": [[2.0, 3.0], [7.5, 8.0]]}}
@@ -709,22 +771,30 @@ class TestSynthesizeCommand:
             "error: ConfigError: state_space mode requires system.C"]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("B, C", [
-        # C A B = 1e308, but the zero threshold's scale |B||C||A| was inf:
-        # every coefficient counted as zero, after numpy overflow warnings
-        ([[0.0], [1.0]], [[1.0, 0.0]]),
-        # C A B itself overflows to inf
-        ([[0.0], [1.0]], [[10.0, 0.0]])], ids=["scale", "coefficient"])
-    def test_overflowing_plant_exits_3(self, tmp_path, capsys, B, C):
-        cfg = synthesis_cfg({"mode": "state_space", "B": B, "C": C,
-                             "A": [[1e308, 1e308], [1e308, 1e308]]},
-                            None, None)
+    @pytest.mark.parametrize("A, C, message", [
+        *[([[1e308, 1e308], [1e308, 1e308]], C, "NoRelativeDegree: "
+           "coefficient C A^1 B or its zero threshold overflows")
+          for C in (
+              # C A B = 1e308, but the zero threshold's scale |B||C||A|
+              # was inf: every coefficient counted as zero, after numpy
+              # overflow warnings
+              [[1.0, 0.0]],
+              # C A B itself overflows to inf
+              [[10.0, 0.0]])],
+        # formatting the condition number overflowed, and numpy's warning
+        # put two lines on stderr before the error
+        ([[1e308, 1e308], [1e308, -1e308]], [[1.0, 0.0]],
+         "TransformSingular: coordinate change is numerically singular "
+         "(condition number inf)"),
+    ], ids=["scale", "coefficient", "singular-transform"])
+    def test_overflowing_plant_exits_3(self, tmp_path, capsys, A, C,
+                                       message):
+        cfg = synthesis_cfg({"mode": "state_space", "A": A,
+                             "B": [[0.0], [1.0]], "C": C}, None, None)
         rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "error: NoRelativeDegree: coefficient C A^1 B or its zero "
-            "threshold overflows"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_invalid_q_exits_3(self, tmp_path, capsys):
         cfg = manual_cfg()
@@ -933,6 +1003,37 @@ class TestSimulateAndVerify:
             assert rc == 2
             assert capsys.readouterr().err.splitlines() == [
                 f"error: ConfigError: {message}"]
+
+    @pytest.mark.parametrize("system, fits, misfits", [
+        ({"mode": "normal_form", "R": [[[0.0, 0.0], [0.0, 0.0]]],
+          "Gamma": [[1.0, 0.0], [0.0, 1.0]], "Q": [[-1.0]],
+          "P": [[1.0, 0.0]], "S": [[0.5], [0.0]]}, [1.0, 1.0], 1.0),
+        ({"mode": "mass_on_car"}, 1.0, [1.0, 2.0])],
+        ids=["scalar-on-2", "2-on-1"])
+    def test_reference_must_match_plant_outputs(self, tmp_path, capsys,
+                                                system, fits, misfits):
+        # simulate and verify tracked a scalar reference on both outputs
+        # (exit 0), and a 2-output one on mass-on-car ended in numpy's
+        # matmul error; only synthesize compared the counts
+        cfg = manual_cfg(t_end=2.0)
+        del cfg["availability"]
+        cfg["system"] = system
+        cfg["reference"]["amplitude"] = fits
+        assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                         "--out", str(tmp_path)]) == 0
+        cfg["reference"]["amplitude"] = misfits
+        manual = write_cfg(tmp_path, cfg, "manual.json")
+        cfg["design"] = {"q": 0.9, "theta": 0.9}
+        cfg["availability"] = {"dropouts": [[1.0, 1.001]]}
+        synthesized = write_cfg(tmp_path, cfg, "synthesized.json")
+        capsys.readouterr()
+        for command, path in (("simulate", manual), ("verify", manual),
+                              ("synthesize", synthesized)):
+            rc = cli.main([command, "--config", path, "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: ValueError: reference dimension must match the "
+                "output dimension"]
 
     def test_deterministic_bytes(self, sim_dir, tmp_path):
         rc = cli.main(["simulate", "--preset", "scenario_b",

@@ -34,7 +34,7 @@ def chain_plant(r=1, m=1, sign=1):
 
 
 def zero_ref(m=1):
-    return ReferenceSignal.constant(np.zeros(m))
+    return ReferenceSignal(np.zeros(m), np.zeros((m, 0)), np.zeros((m, 0)))
 
 
 def input_at_start(e_r, sign=1, dropouts=()):

@@ -527,8 +527,9 @@ class TestSynthesize:
         good = 0
         for _ in range(12):
             nf = random_normal_form(rng)
-            dp = synthesize(nf, ReferenceSignal.sinusoid(
-                rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0), m=nf.m), 0.9)
+            dp = synthesize(nf, ReferenceSignal(
+                np.zeros(nf.m), rng.uniform(0.2, 1.0), rng.uniform(0.5, 2.0)),
+                0.9)
             for name, margin in check_design(dp).items():
                 assert margin >= -1e-12, (name, margin)
             good += 1

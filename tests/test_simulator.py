@@ -127,10 +127,10 @@ class TestEquilibrium:
 
     def test_trivial_plant_stays_at_zero(self):
         nf = chain_nf()
-        dp = synthesize(nf, ReferenceSignal.constant([0.0]), 0.9)
+        dp = synthesize(nf, ReferenceSignal([0.0], [[]], [[]]), 0.9)
         sched = AvailabilitySchedule([], 2.0)
         tr = integrate(nf, class_constants(nf), dp, sched,
-                       ReferenceSignal.constant([0.0]))
+                       ReferenceSignal([0.0], [[]], [[]]))
         assert np.all(np.abs(tr.y) < 1e-14)
         assert np.all(tr.u == 0.0)
         assert np.all(tr.a == 1)
@@ -274,9 +274,9 @@ class TestJacobian:
             nf = random_normal_form(rng, m_max=3, r_max=3)
             if nf.m < 2 or nf.r < 2:
                 continue
-            y_ref = ReferenceSignal.sinusoid(rng.uniform(0.5, 1.5, nf.m),
-                                             rng.uniform(0.5, 2.0, nf.m),
-                                             m=nf.m)
+            y_ref = ReferenceSignal(np.zeros(nf.m),
+                                    rng.uniform(0.5, 1.5, nf.m),
+                                    rng.uniform(0.5, 2.0, nf.m))
             t, tau = 1.3, 0.5
             x = state_with_stage_norms(nf, float(funnel.value(t - tau)),
                                        y_ref.derivatives(t, nf.r - 1), 0.7,
@@ -457,7 +457,7 @@ class TestFailureModes:
         nf = chain_nf(R_blocks=[[[1.0]]], chain0=[[0.5]])
         design = ManualDesign(FunnelSpec(a=0.5, b=1.0, c=0.5, d=1.0))
         sched = AvailabilitySchedule([(0.5, 8.0)], 9.0)
-        y_ref = ReferenceSignal.constant([0.0])
+        y_ref = ReferenceSignal([0.0], [[]], [[]])
         with pytest.raises((FunnelViolation, StepUnderflow)):
             integrate(nf, class_constants(nf), design, sched, y_ref)
 

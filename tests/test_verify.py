@@ -43,7 +43,7 @@ def mk_trace(t, *, r=1, m=1, internal_dim=0, **cols):
 @pytest.fixture(scope="module")
 def bench_dp():
     nf = mass_on_car_normal_form()
-    return synthesize(nf, ReferenceSignal.constant([0.0]), 0.95)
+    return synthesize(nf, ReferenceSignal([0.0], [[]], [[]]), 0.95)
 
 
 class TestReportFormat:
@@ -429,7 +429,7 @@ def run():
     nf = mass_on_car_normal_form()
     design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2, d=1.0))
     sched = AvailabilitySchedule([(3.0, 4.0)], horizon=8.0)
-    y_ref = ReferenceSignal.sinusoid(amplitude=0.5, omega=1.0, m=1)
+    y_ref = ReferenceSignal(0.0, 0.5, 1.0)
     trace = integrate(nf, class_constants(nf), design, sched, y_ref)
     return trace, class_constants(nf)
 
