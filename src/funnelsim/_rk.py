@@ -32,6 +32,8 @@ E_WEIGHTS = np.array([-13 - 7 * S6, -13 + 7 * S6, -1.0]) / 3
 # with P(theta) = [theta, theta^2, theta^3]
 POWERS = np.arange(1, 4)
 DENSE = np.linalg.inv(C_NODES[:, None] ** POWERS)
+# A_COEF laid out to scale a Jacobian into the blocks of the Newton matrix
+A_BLOCKS = A_COEF[:, None, :, None]
 
 ORDER_EXP = -0.25         # step-size exponent of the 3rd-order estimate
 SAFETY = 0.9
@@ -61,6 +63,39 @@ def _rms(v):
     return math.sqrt(float(np.vdot(v, v)) / v.size)
 
 
+class _Steps:
+    """Accepted steps of a segment, one row (t, h, x, Q) each, in a block
+    that doubles when full; x + P(theta) @ Q is the step's polynomial."""
+
+    def __init__(self, n):
+        self.n, self.count, self.rows = n, 0, np.empty((64, 2 + 4 * n))
+
+    def add(self, t, h, x, Z):
+        """Record the step from (t, x) with stage increments Z; returns Q."""
+        if self.count == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+        row = self.rows[self.count]
+        self.count += 1
+        row[0], row[1], row[2:2 + self.n] = t, h, x
+        return np.matmul(DENSE, Z, out=row[2 + self.n:].reshape(3, self.n))
+
+    def samples(self, grid, t_end, x_end):
+        """Every step endpoint, the last at (t_end, x_end), and each grid
+        point strictly inside a step, in time order."""
+        n, rows = self.n, self.rows[:self.count]
+        t, h, x = rows[:, 0], rows[:, 1], rows[:, 2:2 + n]
+        ends = np.append(t[1:], t_end)
+        j = np.searchsorted(ends, grid)         # the step that crosses g
+        inside = grid != ends[j]                # an endpoint is its sample
+        j, grid = j[inside], grid[inside]
+        theta = ((grid - t[j]) / h[j])[:, None, None] ** POWERS
+        Q = rows[j, 2 + n:].reshape(-1, 3, n)
+        times = np.concatenate([ends, grid])
+        order = np.argsort(times, kind="stable")
+        return times[order], np.vstack(
+            [x[1:], x_end, x[j] + (theta @ Q)[:, 0]])[order]
+
+
 def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
                   max_steps=math.inf):
     """Integrate x' = rhs(t, x) over [t0, t1]; jac(t, x) -> df/dx.
@@ -72,21 +107,25 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
     (t1 exactly at the end).  rhs may raise FunnelViolation, which rejects
     the step.  Raises Underflow when no acceptable step of at least H_MIN
     exists, and OutOfSteps before a step attempt beyond max_steps, accepted
-    and rejected together.  Returns (times, states, statistics).
+    and rejected together.  Returns (times, states, statistics); the
+    statistics count steps, rejections by cause, rhs and Jacobian
+    evaluations and Newton-matrix renewals.
     """
-    stats = dict.fromkeys(("accepted", "rejected", "rhs_evals") + CAUSES, 0)
+    stats = dict.fromkeys(("accepted", "rejected", "rhs_evals", "jac_evals",
+                           "matrix_updates") + CAUSES, 0)
     t, x = t0, np.array(x0, dtype=float)
     n = x.size
+    eye_3n, eye_n = np.eye(3 * n), np.eye(n)
     f0 = rhs(np.array([t]), x[None])[0]   # a violation: infeasible start
-    stats["rhs_evals"] = 1
     J, fresh = jac(t, x), True      # fresh: J taken at this (t, x)
+    stats["rhs_evals"] = stats["jac_evals"] = 1
     mats = None             # (h, Newton matrix inverse, error matrix inverse)
     h = min(H0, H_MAX, t1 - t0)
     newton_tol = max(10 * np.finfo(float).eps / rtol,
                      min(0.03, math.sqrt(rtol)))
     prev = None             # (t, h, x, polynomial coefficients) of last step
-    out_t, out_x = [], []
-    gidx = 0
+    steps = _Steps(n)
+    scale = atol + rtol * np.abs(x)
     just_rejected = False
     while t < t1:
         if stats["accepted"] + stats["rejected"] >= max_steps:
@@ -94,21 +133,22 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
         last = t + h >= t1
         h = t1 - t if last else h
         ch = C_NODES * h
+        ts = t + ch         # the stage times; the last is t + h
         if prev is None:    # Taylor start on the segment's first step
             Z = np.outer(ch, f0) + np.outer(0.5 * ch * ch, J @ f0)
         else:
             tp, hp, xp, Qp = prev
-            Z = xp - x + (((t + ch - tp) / hp)[:, None] ** POWERS) @ Qp
+            Z = xp - x + (((ts - tp) / hp)[:, None] ** POWERS) @ Qp
         if mats is None or mats[0] != h:
-            hj = h * (A_COEF[:, None, :, None] * J[None, :, None, :])
-            mats = (h, np.linalg.inv(np.eye(3 * n) - hj.reshape(3 * n, -1)),
-                    np.linalg.inv(MU / h * np.eye(n) - J))
+            hj = h * (A_BLOCKS * J[None, :, None, :])
+            mats = (h, np.linalg.inv(eye_3n - hj.reshape(3 * n, -1)),
+                    np.linalg.inv(MU / h * eye_n - J))
+            stats["matrix_updates"] += 1
         _, newton, err_inv = mats
-        scale = atol + rtol * np.abs(x)
         cause, dz_old, rate = "rejected_newton", None, None
         try:
             for n_iter in range(1, NEWTON_MAX + 1):
-                F = rhs(t + ch, x + Z)
+                F = rhs(ts, x + Z)
                 stats["rhs_evals"] += 3
                 dZ = (newton @ (h * (A_COEF @ F) - Z).ravel()).reshape(3, n)
                 dz = _rms(dZ / scale)
@@ -124,16 +164,21 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
                     break
                 dz_old = dz
             if cause is None:
-                t_new = t1 if last else t + h
                 x_new = x + Z[2]
                 stats["rhs_evals"] += 1
-                f_new = rhs(np.array([t_new]), x_new[None])[0]
+                # the endpoint t + h is the last stage time, t1 on the last
+                # step (where t + (t1 - t) may round off t1)
+                f_new = rhs(np.array([t1]) if last else ts[2:],
+                            x_new[None])[0]
         except FunnelViolation:
             cause = "rejected_funnel"
         fac = 0.5
         if cause is None:
+            # atol + rtol max(|x|, |x_new|) is the larger of the two
+            # points' scales, since rounding is monotone
+            scale_new = atol + rtol * np.abs(x_new)
             err = _rms(err_inv @ (f0 + E_WEIGHTS @ Z / h)
-                       / (atol + rtol * np.maximum(np.abs(x), np.abs(x_new))))
+                       / np.maximum(scale, scale_new))
             fac = SAFETY * (2 * NEWTON_MAX + 1) / (2 * NEWTON_MAX + n_iter)
             fac = FAC_MAX if err < 1e-30 else fac * err ** ORDER_EXP
             if not err <= 1.0:     # a NaN estimate rejects too
@@ -145,17 +190,14 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
             just_rejected = True
             if h < H_MIN:
                 raise Underflow(t, x)
+            stats["jac_evals"] += not fresh
             J, mats, fresh = J if fresh else jac(t, x), None, True
             continue
 
-        Q = DENSE @ Z
-        g = grid[gidx:np.searchsorted(grid, t_new, side="left")]
-        out_t += [g, [t_new]]
-        out_x += [x + (((g - t) / h)[:, None] ** POWERS) @ Q, x_new[None]]
-        gidx = np.searchsorted(grid, t_new, side="right")
         stats["accepted"] += 1
-        prev = (t, h, x, Q)
-        t, x, f0, fresh = t_new, x_new, f_new, False
+        prev = (t, h, x, steps.add(t, h, x, Z))
+        t = t1 if last else t + h
+        x, f0, scale, fresh = x_new, f_new, scale_new, False
         fac = min(1.0 if just_rejected else FAC_MAX, max(FAC_MIN, fac))
         just_rejected = False
         # as RADAU5: a fast Newton iteration keeps the Jacobian, and then a
@@ -164,4 +206,5 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
         h = min(h * (1.0 if keep_jac and 1.0 <= fac < KEEP_H else fac), H_MAX)
         if t < t1 and not keep_jac:
             J, mats, fresh = jac(t, x), None, True
-    return np.concatenate(out_t), np.vstack(out_x), stats
+            stats["jac_evals"] += 1
+    return (*steps.samples(grid, t1, x), stats)

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -84,7 +85,8 @@ PRESETS = {
 # The type of a config value, named as its error names it.
 NUM, POS, START = "a number", "a positive number", "a number >= 0"
 COUNT, TEXT, FLAG = "a whole number >= 0", "a string", "true or false"
-VEC, MAT, MATS = "a number list", "a list of number lists", "a matrix list"
+VEC, MAT = "a number list", "a list of equal-length number lists"
+MATS = "a matrix list"
 NUM_OR_VEC = "a number or a number list"
 PAIRS, SECTION = "a list of [start, end] number pairs", "an object"
 
@@ -98,6 +100,12 @@ def _list_of(ok):
 
 
 _vec = _list_of(_number)
+
+
+def _matrix(v) -> bool:
+    return _list_of(_vec)(v) and len(set(map(len, v))) < 2
+
+
 _IS = {
     NUM: _number,
     POS: lambda v: _number(v) and v > 0,
@@ -105,8 +113,8 @@ _IS = {
     COUNT: lambda v: (type(v) is int or type(v) is float
                       and v.is_integer()) and v >= 0,
     VEC: _vec,
-    MAT: _list_of(_vec),
-    MATS: _list_of(_list_of(_vec)),
+    MAT: _matrix,
+    MATS: _list_of(_matrix),
     NUM_OR_VEC: lambda v: _number(v) or _vec(v),
     PAIRS: _list_of(lambda pair: _vec(pair) and len(pair) == 2),
     TEXT: lambda v: type(v) is str,
@@ -236,18 +244,32 @@ def build_system(cfg: dict) -> NormalForm:
                       eta0=sec.get("eta0"))
 
 
+# sum_of_sinusoids keys for the ReferenceSignal arguments its errors name
+_SUM_KEYS = {"amplitude": "amplitudes", "omega": "omegas", "phase": "phases"}
+
+
 def build_reference(cfg: dict) -> ReferenceSignal:
+    """The config's reference; a shape the constructor refuses is a
+    ConfigError naming the dotted keys."""
     sec = cfg["reference"]
-    if sec["kind"] == "constant":       # m outputs with no cosine terms
-        rows = [[]] * len(sec["values"])
-        return ReferenceSignal(sec["values"], rows, rows, rows)
-    if sec["kind"] == "sinusoid":
-        return ReferenceSignal(sec.get("offset", 0.0), sec["amplitude"],
-                               sec["omega"], sec.get("phase", 0.0))
-    # rows are outputs and columns terms; [] is one output with no terms
-    terms = (sec["amplitudes"], sec["omegas"], sec.get("phases", 0.0))
-    return ReferenceSignal(sec.get("offset", 0.0),
-                           *([[]] if v == [] else v for v in terms))
+    try:
+        if sec["kind"] == "constant":       # m outputs with no cosine terms
+            rows = [[]] * len(sec["values"])
+            return ReferenceSignal(sec["values"], rows, rows, rows)
+        if sec["kind"] == "sinusoid":
+            return ReferenceSignal(sec.get("offset", 0.0), sec["amplitude"],
+                                   sec["omega"], sec.get("phase", 0.0))
+        # rows are outputs and columns terms; [] is one output with no terms
+        terms = (sec["amplitudes"], sec["omegas"], sec.get("phases", 0.0))
+        return ReferenceSignal(sec.get("offset", 0.0),
+                               *([[]] if v == [] else v for v in terms))
+    except ValueError as exc:
+        keys = _SUM_KEYS if sec["kind"] == "sum_of_sinusoids" else {}
+        named = re.sub(r"\b(offset|amplitude|omega|phase)\b",
+                       lambda arg: "reference." + keys.get(arg[0], arg[0]),
+                       str(exc))
+        raise ConfigError(named if named != str(exc)
+                          else f"reference: {exc}") from None
 
 
 def _generated_pairs(gen: dict, horizon: float, dp) -> list:
@@ -299,12 +321,14 @@ def _schedule_limits(cfg: dict):
 
 def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     """Synthesized DesignParams, or a ManualDesign when synthesis is off."""
+    if y_ref.m != nf.m:
+        raise ConfigError(f"reference output count {y_ref.m} differs from "
+                          f"the plant's {nf.m}")
     if not math.isfinite(y_ref.chain_sup(nf.r) + y_ref.y_max(nf.r)):
         raise ConfigError("reference derivative bounds overflow to inf")
     sec = cfg.get("design", {})
     fun = sec.get("funnel")
     if sec.get("manual", False):
-        y_ref.start_errors(nf)      # synthesize checks its own reference
         spec = FunnelSpec(fun["a"], fun["b"], fun["c"],
                           fun.get("d", fun["b"]))
         cap = sec.get("eta_star", math.inf)

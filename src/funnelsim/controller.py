@@ -132,16 +132,13 @@ def cascade(phi, e_derivs):
     like e_derivs and n_sq[i] = |e_(i+1)|^2.  Nothing is checked against the
     funnel boundary; stages after one with |e_i| >= 1 are meaningless.
     """
-    phi = np.asarray(phi, dtype=float)[..., None]
-    stages = np.empty(np.shape(e_derivs))
-    n_sq = np.empty(stages.shape[:-1])
-    stage = phi * e_derivs[0]
-    for i in range(stages.shape[0]):
-        if i:
-            stage = phi * e_derivs[i] + stage / (1.0 - n_sq[i - 1])[..., None]
-        stages[i] = stage
-        n_sq[i] = np.vecdot(stage, stage)
-    return stages, n_sq
+    stages = np.asarray(phi, dtype=float)[..., None] * e_derivs
+    n_sq = np.empty(stages.shape[:-1] + (1,))    # kept 1 wide: it broadcasts
+    np.vecdot(stages[0], stages[0], out=n_sq[0, ..., 0])
+    for i in range(1, len(stages)):
+        stages[i] += stages[i - 1] / (1.0 - n_sq[i - 1])
+        np.vecdot(stages[i], stages[i], out=n_sq[i, ..., 0])
+    return stages, n_sq[..., 0]
 
 
 def check_start(phi, e_derivs, eta, internal_cap):

@@ -75,7 +75,7 @@ class ReferenceSignal:
         # axes: (order, time..., output, term)
         i = np.arange(order + 1.0).reshape((-1,) + (1,) * (t.ndim + 2))
         phase = self.omega * t[..., None, None] + self.phase + i * (np.pi / 2)
-        out = (self.amp * self.omega ** i * np.cos(phase)).sum(axis=-1)
+        out = np.add.reduce(self.amp * self.omega ** i * np.cos(phase), -1)
         out[0] += self.offset
         return out
 

@@ -113,49 +113,66 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
     """
     plant = nf.realization()
     A, B = plant.A, plant.B
+    AT, BT = A.T, B.T
     r, m = nf.r, nf.m
     if a == 0:
         def signals(t, x, bound=None):
             k = len(x)
             return np.zeros(k), np.zeros((k, r)), np.zeros((k, m))
 
-        return (lambda t, x: x @ A.T), (lambda t, x: A), signals
+        return (lambda t, x: x @ AT), (lambda t, x: A), signals
     rm = r * m
     sign = float(nf.sign)
     pick = np.eye(rm, len(A)).reshape(r, m, -1)   # pick[i] @ x: chain block i
-    memo = [b"", None, None]    # last times: (key, gain, reference stack)
+    eye = np.eye(m)
+    # the stepper repeats its stage times in every Newton iteration, ends a
+    # step at its last stage time and takes the Jacobian where the endpoint
+    # rhs has just run; so the law keeps the gain and reference stack of the
+    # last times it was given, and its last one-point evaluation
+    memo = [b"", math.nan, None, None]    # times' bytes, last time, phi, ref
+    point = [math.nan, b"", None]         # t, x bytes, (phi, stages, n_sq)
 
-    def law(t, x):
-        """Gain (k,), cascade stages (r, k, m) and squared norms (r, k)."""
-        # the stepper repeats its stage times in every Newton iteration and
-        # takes the Jacobian where its endpoint rhs has just run
+    def law(t, x, bound=None):
+        """Gain (k,), cascade stages (r, k, m), squared norms (r, k) and
+        u (k, m); given a bound, a stage at or past it raises."""
         key = t.tobytes()
-        if key != memo[0]:
-            memo[:] = key, funnel.value(t - tau), y_ref.derivatives(t, r - 1)
-        ed = x[:, :rm].reshape(-1, r, m).transpose(1, 0, 2) - memo[2]
-        return (memo[1], *cascade(memo[1], ed))
-
-    def signals(t, x, bound=None):
-        phi, stages, n_sq = law(t, x)
-        if bound is not None and (n_sq >= bound).any():
+        if key == memo[0]:
+            phi, ref = memo[2], memo[3]
+        elif len(t) == 1 and t[0] == memo[1]:
+            phi, ref = memo[2][-1:], memo[3][:, -1:]
+        else:
+            phi, ref = funnel.value(t - tau), y_ref.derivatives(t, r - 1)
+            memo[:] = key, t[-1], phi, ref
+        stages, n_sq = cascade(phi, x[:, :rm].reshape(-1, r, m)
+                               .transpose(1, 0, 2) - ref)
+        if bound is not None and np.count_nonzero(n_sq >= bound):
             i, j = np.argwhere(n_sq >= bound)[0]
             raise FunnelViolation(int(i) + 1, math.sqrt(n_sq[i, j]),
                                   float(t[j]))
-        u = (-sign / (1.0 - n_sq[-1]))[:, None] * stages[-1]
+        if len(t) == 1:
+            point[:] = t[0], x.tobytes(), (phi, stages, n_sq)
+        return phi, stages, n_sq, (-sign / (1.0 - n_sq[-1, :, None])
+                                   * stages[-1])
+
+    def signals(t, x, bound=None):
+        phi, _, n_sq, u = law(t, x, bound)
         return phi, n_sq.T, u
 
     def rhs(t, x):
-        return x @ A.T + signals(t, x, lim_sq)[2] @ B.T
+        return x @ AT + law(t, x, lim_sq)[3] @ BT
 
     def jac(t, x):
         # chain rule through e_(i+1) = phi e^(i) + alpha(|e_i|^2) e_i, with
         # g the derivative of alpha(|e_i|^2) e_i in e_i
-        phi, stages, n_sq = law(np.array([t]), x[None])
-        g, de_x = np.zeros((m, m)), np.zeros((m, len(A)))
+        if t == point[0] and x.tobytes() == point[1]:
+            phi, stages, n_sq = point[2]
+        else:
+            phi, stages, n_sq, _ = law(np.array([t]), x[None])
+        phi = float(phi[0])
         for i, e in enumerate(stages[:, 0]):
-            de_x = phi[0] * pick[i] + g @ de_x
-            w = 1.0 / (1.0 - n_sq[i, 0])
-            g = w * np.eye(m) + 2.0 * w * w * np.outer(e, e)
+            de_x = phi * pick[i] + g @ de_x if i else phi * pick[0]
+            w = 1.0 / (1.0 - float(n_sq[i, 0]))
+            g = w * eye + 2.0 * w * w * (e[:, None] * e)
         return A - sign * (B @ (g @ de_x))   # u = -sign alpha(|e_r|^2) e_r
 
     return rhs, jac, signals

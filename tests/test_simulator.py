@@ -213,8 +213,9 @@ class TestJacobianAfterRejection:
 
     @pytest.fixture(scope="class", params=sorted(EVALUATIONS))
     def run(self, request):
-        """(preset, Jacobian calls, jac of each segment); a call is (point,
-        the bytes jac returned) with point = (segment, t, x bytes)."""
+        """(preset, Jacobian calls, jac of each segment, the trace's stats);
+        a call is (point, the bytes jac returned) with point = (segment, t,
+        x bytes)."""
         calls, jacs = [], []
 
         def recorded(rhs, jac, *args, **kwargs):
@@ -231,22 +232,29 @@ class TestJacobianAfterRejection:
         cfg["sim"]["t_end"] = self.HORIZON
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator, "radau_segment", recorded)
-            cli._run_simulation(cfg)
-        return request.param, calls, jacs
+            trace, *_ = cli._run_simulation(cfg)
+        return request.param, calls, jacs, trace.stats
 
     def test_jacobian_evaluations_pinned(self, run):
-        preset, calls, _ = run
+        preset, calls, _, _ = run
         assert len(calls) == self.EVALUATIONS[preset]
 
+    def test_stats_count_jacobian_evaluations(self, run):
+        preset, _, _, stats = run
+        assert stats["jac_evals"] == self.EVALUATIONS[preset]
+        # the first step of each segment renews the Newton matrices
+        assert stats["segments"] <= stats["matrix_updates"] <= (
+            stats["accepted"] + stats["rejected"])
+
     def test_no_two_consecutive_calls_share_a_point(self, run):
-        _, calls, _ = run
+        _, calls, _, _ = run
         points = [point for point, _ in calls]
         assert all(p != q for p, q in zip(points, points[1:]))
 
     def test_jacobian_bytes_repeat_at_a_point(self, run):
         # so the held Jacobian is the one a new call would return; taken in
         # reverse, each call finds the law's memo at another time
-        _, calls, jacs = run
+        _, calls, jacs, _ = run
         for (k, t, x), J in reversed(calls):
             assert jacs[k](t, np.frombuffer(x)).tobytes() == J
 
@@ -302,6 +310,24 @@ class TestJacobian:
                 single = [rhs(np.array([tv]), xv[None])[0]
                           for tv, xv in zip(ts, xs)]
                 assert np.allclose(stacked, single, rtol=1e-13, atol=0.0)
+
+    def test_reference_once_per_step_attempt(self, monkeypatch):
+        # a step ends at its last stage time and the Jacobian reuses the
+        # endpoint's law, so the reference is read about once per attempt
+        # (it was twice); the bound allows one read per segment and one for
+        # the trace besides
+        cfg = cli.load_config(preset="scenario_b")
+        cfg["availability"] = {"dropouts": [[1.0, 2.0]]}
+        cfg["sim"]["t_end"] = 3.0
+        calls = []
+        derivatives = ReferenceSignal.derivatives
+        monkeypatch.setattr(ReferenceSignal, "derivatives",
+                            lambda *args: calls.append(args)
+                            or derivatives(*args))
+        stats = cli._run_simulation(cfg)[0].stats
+        assert stats["segments"] == 3 and stats["accepted"] > 100
+        assert len(calls) <= (stats["accepted"] + stats["rejected"]
+                              + stats["segments"] + 1)
 
     def test_dropout_jacobian_is_the_plant(self):
         nf = mass_on_car_normal_form()
