@@ -324,7 +324,8 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     if y_ref.m != nf.m:
         raise ConfigError(f"reference output count {y_ref.m} differs from "
                           f"the plant's {nf.m}")
-    if not math.isfinite(y_ref.chain_sup(nf.r) + y_ref.y_max(nf.r)):
+    _, chain_sup, y_max = y_ref.sup_bounds(nf.r)
+    if not math.isfinite(chain_sup + y_max):
         raise ConfigError("reference derivative bounds overflow to inf")
     sec = cfg.get("design", {})
     fun = sec.get("funnel")

@@ -19,6 +19,7 @@ __all__ = [
     "alpha",
     "cascade",
     "check_start",
+    "start_cascade",
 ]
 
 
@@ -141,12 +142,17 @@ def cascade(phi, e_derivs):
     return stages, n_sq[..., 0]
 
 
-def check_start(phi, e_derivs, eta, internal_cap):
-    """(stage norms, |eta|) at t = 0, or InitialConditionViolated for the
-    first of: a cascade stage of e_derivs (e, ..., e^(r-1)) at the funnel
-    gain phi outside the unit ball (NaN passes), |eta| above internal_cap."""
+def start_cascade(phi, e_derivs):
+    """cascade at t = 0, where a stage on or past the funnel boundary gives
+    inf or NaN for check_start to refuse instead of a warning."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, n_sq = cascade(phi, e_derivs)
+        return cascade(phi, e_derivs)
+
+
+def check_start(n_sq, eta, internal_cap):
+    """(stage norms, |eta|) at t = 0, or InitialConditionViolated for the
+    first of: a start_cascade stage of squared norm n_sq outside the unit
+    ball (NaN passes), |eta| above internal_cap."""
     norms = np.sqrt(n_sq)
     bad = np.flatnonzero(n_sq >= 1.0)
     if bad.size:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import alpha, cascade, check_start
+from .controller import alpha, check_start, start_cascade
 from .errors import (
     CiOverflow,
     ConfigError,
@@ -279,13 +279,18 @@ def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants
     0..r-1).  Each stage cap collects the worst of the initial stage norm,
     the inherited slope demand, and the post-dropout margin q.
     """
+    e_derivs0 = np.atleast_2d(np.asarray(e_derivs0, dtype=float))
+    return _gain_recursion(phi00, d, start_cascade(phi00, e_derivs0), q)
+
+
+def _gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
+    """gain_recursion from start, the start_cascade at phi00 of the errors
+    at t = 0: the slope iteration recomputes only what depends on d."""
     _check_q(q)
     if phi00 <= 0.0:
         raise ValueError("initial funnel gain must be positive")
-    e_derivs0 = np.atleast_2d(np.asarray(e_derivs0, dtype=float))
-    r = e_derivs0.shape[0]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        init, init_sq = cascade(phi00, e_derivs0)
+    init, init_sq = start
+    r = init.shape[0]
     mu0 = d * (1.0 + phi00) / phi00
     slopes = [mu0]
     caps = [0.0]
@@ -544,8 +549,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
         window = (availability_floor if availability_floor is not None
                   else DEFAULT_WINDOW)
 
-    y_sup = y_ref.deriv_sup(0)
-    chain_sup = y_ref.chain_sup(cc.r)
+    y_sup, chain_sup, y_max = y_ref.sup_bounds(cc.r)
     eta_bounds = eta_star_lower_bound(cc, dropout, window, q,
                                       (y_sup, chain_sup))
     if internal_cap is None:
@@ -566,10 +570,11 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                                            chain_sup)
     start_gain = gain_hi if phi00 is None else phi00
     settle = settle_factor * window
+    start = start_cascade(start_gain, e_derivs0)
 
     if funnel_template is not None:
-        gains = gain_recursion(start_gain, float(funnel_template[0]),
-                               e_derivs0, q)
+        gains = _gain_recursion(start_gain, float(funnel_template[0]),
+                                start, q)
         funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
                                settle, template=funnel_template,
                                phi00=start_gain)
@@ -580,7 +585,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
         b = B_SEED
         gains = funnel = None
         for iterations in range(1, 61):
-            gains = gain_recursion(start_gain, b, e_derivs0, q)
+            gains = _gain_recursion(start_gain, b, start, q)
             funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
                                    settle, phi00=start_gain)
             b_next = max(B_SEED, funnel.b)
@@ -593,10 +598,9 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                 "funnel slope iteration did not settle in 60 rounds"
             )
 
-    stage_norms, eta0_norm = check_start(start_gain, e_derivs0, nf.eta0, cap)
+    stage_norms, eta0_norm = check_start(start[1], nf.eta0, cap)
 
-    cert = input_bound_certificate(cc, nf, funnel, gains, cap, q,
-                                   y_ref.y_max(cc.r))
+    cert = input_bound_certificate(cc, nf, funnel, gains, cap, q, y_max)
     return DesignParams(nf=nf, cc=cc, q=q, theta=theta, gain_sum=gain_sum,
                         dropout_sup=dropout_sup, dropout=dropout,
                         window_min=window_min, window=window, settle=settle,

@@ -79,34 +79,38 @@ class ReferenceSignal:
         out[0] += self.offset
         return out
 
-    def deriv_sup(self, i: int) -> float:
-        """Upper bound on sup_t |i-th derivative| (vector 2-norm).
+    def deriv_sups(self, k: int) -> np.ndarray:
+        """Upper bounds on sup_t |i-th derivative| (vector 2-norm) for the
+        orders i = 0..k, in one pass.
 
         Exact for a single cosine per output; for sums the triangle
-        inequality makes it conservative.
+        inequality makes them conservative.
         """
         with np.errstate(over="ignore"):    # a bound past the range is inf
-            per = np.abs(self.amp) * self.omega ** float(i)
-            s = per.sum(axis=1)
-            if i == 0:
-                s = s + np.abs(self.offset)
-            return float(np.linalg.norm(s))
+            # one power per order: omega ** 2.0 is a square, which a power
+            # with an array of exponents would not round alike
+            powers = np.stack([self.omega ** float(i) for i in range(k + 1)])
+            s = (np.abs(self.amp) * powers).sum(axis=2)
+            s[0] += np.abs(self.offset)
+            return np.sqrt(np.vecdot(s, s))
 
-    def chain_sup(self, r: int) -> float:
-        """Upper bound on sup_t |(y, y', ..., y^(r-1))| (stacked 2-norm).
+    def sup_bounds(self, r: int) -> tuple[float, float, float]:
+        """(y_sup, chain_sup, y_max) from one deriv_sups pass over the
+        orders 0..r: the sup of |y|, a bound on the sup of the stacked
+        |(y, y', ..., y^(r-1))|, and the largest derivative sup over the
+        orders 0..r inclusive.
 
-        For one output driven by a single centred cosine the bound is exact:
+        For one output driven by a single centred cosine chain_sup is exact:
         the squared norm is a weighted sum of cos^2 and sin^2 of the same
         angle, maximized by whichever weight is larger.
         """
+        sups = self.deriv_sups(r).tolist()
         if self.amp.shape == (1, 1) and self.offset[0] == 0.0:
             with np.errstate(over="ignore"):    # a bound past the range is inf
                 w2 = self.omega[0, 0] ** 2
                 even = sum(w2 ** i for i in range(0, r, 2))
                 odd = sum(w2 ** i for i in range(1, r, 2))
-                return float(abs(self.amp[0, 0]) * np.sqrt(max(even, odd)))
-        return float(np.sqrt(sum(self.deriv_sup(i) ** 2 for i in range(r))))
-
-    def y_max(self, r: int) -> float:
-        """Largest derivative sup over orders 0..r inclusive."""
-        return max(self.deriv_sup(i) for i in range(r + 1))
+                chain = float(abs(self.amp[0, 0]) * np.sqrt(max(even, odd)))
+        else:
+            chain = float(np.sqrt(sum(x ** 2 for x in sups[:r])))
+        return sups[0], chain, max(sups)

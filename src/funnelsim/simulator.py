@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rk import OutOfSteps, Underflow, radau_segment
-from .controller import AvailabilitySchedule, cascade, check_start
+from .controller import (AvailabilitySchedule, cascade, check_start,
+                         start_cascade)
 from .design import FunnelSpec
 from .errors import (
     ConfigError,
@@ -259,8 +260,9 @@ def integrate(nf, cc, design, sched: AvailabilitySchedule,
     funnel = design.funnel
     segs = _segments(sched, sched.horizon)
     # a run that starts in a dropout has no funnel to start inside
-    check_start(funnel.phi00 if segs[0][2] else 0.0,
-                y_ref.start_errors(nf), nf.eta0, design.internal_cap)
+    _, n_sq = start_cascade(funnel.phi00 if segs[0][2] else 0.0,
+                            y_ref.start_errors(nf))
+    check_start(n_sq, nf.eta0, design.internal_cap)
     cols, stats = _run_segments(nf, funnel, segs, y_ref, opts)
     return _build_trace(nf, y_ref, cols, stats)
 

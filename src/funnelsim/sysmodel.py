@@ -77,6 +77,14 @@ class StateSpace:
         return self.B.shape[1]
 
 
+def _spectral_norm(X):
+    """Largest singular value of X, or of each matrix of a stack: what
+    np.linalg.norm(X, 2) returns, from its one LAPACK call without its axis
+    moves and reduction.  An empty matrix has norm 0."""
+    sv = np.linalg.svd(X, compute_uv=False)
+    return sv[..., 0] if sv.shape[-1] else np.zeros(sv.shape[:-1])
+
+
 def _chain_coefficients(sys: StateSpace):
     """C A^k B for k = 0, 1, ..., each formed only when asked for."""
     X = sys.B
@@ -96,22 +104,27 @@ def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
     the candidate gain is singular, or a coefficient or its zero threshold
     overflows; AmbiguousZero when a coefficient is inside the ambiguity band.
     """
+    return _relative_degree(sys)[:2]
+
+
+def _relative_degree(sys: StateSpace):
+    """relative_degree's (r, Gamma) and the spectral norm of A it took."""
     n, m = sys.n, sys.m
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_A = np.linalg.norm(sys.A, 2)
-        scale = np.linalg.norm(sys.B, 2) * np.linalg.norm(sys.C, 2)
+        norm_A = _spectral_norm(sys.A)
+        scale = _spectral_norm(sys.B) * _spectral_norm(sys.C)
         for k, Mk in zip(range(n), _chain_coefficients(sys)):
             if not (np.isfinite(scale) and np.isfinite(Mk).all()):
                 raise NoRelativeDegree(
                     f"coefficient C A^{k} B or its zero threshold overflows")
-            nk = np.linalg.norm(Mk, 2)
+            sv = np.linalg.svd(Mk, compute_uv=False)
+            nk = sv[0] if sv.size else 0.0
             tol = _ZERO_TOL * (1.0 + scale)
             if nk < tol:
                 pass  # exactly zero for classification purposes
             elif nk < _AMBIGUITY_FACTOR * tol:
                 raise AmbiguousZero(k, nk, tol)
             else:
-                sv = np.linalg.svd(Mk, compute_uv=False)
                 if sv[-1] <= 1e-10 * sv[0]:
                     raise NoRelativeDegree(
                         f"first nonzero chain coefficient C A^{k} B is "
@@ -121,7 +134,7 @@ def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
                     raise NoRelativeDegree(
                         f"chain of length {r} with {m} outputs exceeds state "
                         f"dimension {n}")
-                return r, Mk
+                return r, Mk, norm_A
             scale *= norm_A
     raise NoRelativeDegree(
         f"all chain coefficients C A^k B vanish for k < {n}"
@@ -244,11 +257,12 @@ def to_normal_form(sys: StateSpace) -> NormalForm:
     dynamics independent of the input and of every chain coordinate except
     the output itself.
     """
-    r, Gamma = relative_degree(sys)
+    r, Gamma, norm_A = _relative_degree(sys)
     A, B, C = sys.A, sys.B, sys.C
     n, m = sys.n, sys.m
-    Theta = np.vstack([C @ np.linalg.matrix_power(A, i) for i in range(r)])
-    Br = np.hstack([np.linalg.matrix_power(A, i) @ B for i in range(r)])
+    powers = [np.linalg.matrix_power(A, i) for i in range(r)]
+    Theta = np.vstack([C @ Ai for Ai in powers])
+    Br = np.hstack([Ai @ B for Ai in powers])
     k = n - r * m
     if k > 0:
         # Left null space of Br: the rows of vh past the numerical rank.
@@ -283,9 +297,10 @@ def to_normal_form(sys: StateSpace) -> NormalForm:
     # The internal rows must not couple into derivatives above the output;
     # a visible residual here means the chain classification was unreliable.
     resid = 0.0
-    for i in range(1, r if k > 0 else 0):
-        resid = max(resid, np.linalg.norm(VA @ W[:, i * m:(i + 1) * m], 2))
-    if resid > 1e-6 * (1.0 + np.linalg.norm(A, 2)):
+    if k > 0 and r > 1:
+        blocks = [VA @ W[:, i * m:(i + 1) * m] for i in range(1, r)]
+        resid = max(resid, *_spectral_norm(np.stack(blocks)))
+    if resid > 1e-6 * (1.0 + norm_A):
         raise TransformSingular(
             f"internal dynamics couple into chain derivatives "
             f"(residual {resid:.3e})"
@@ -313,7 +328,8 @@ def _lyapunov(Q: np.ndarray) -> np.ndarray | None:
         c = np.exp(np.linalg.slogdet(A).logabsdet / k)
         steps.append((c, Ai))
         A = 0.5 * (A / c + c * Ai)
-        if np.linalg.norm(A + eye, 1) <= np.sqrt(np.finfo(float).eps):
+        # the 1-norm, reduced as np.linalg.norm(A + eye, 1) reduces it
+        if np.abs(A + eye).sum(axis=0).max() <= np.sqrt(np.finfo(float).eps):
             break
     else:
         return None
@@ -342,7 +358,7 @@ def decay_envelope(Q: np.ndarray) -> tuple[float, float]:
     if Q.shape[1] != k:
         raise ValueError("Q must be square")
     lam = np.linalg.eigvals(Q)
-    margin = -1e-12 * max(1.0, np.linalg.norm(Q, 2))
+    margin = -1e-12 * max(1.0, _spectral_norm(Q))
     worst = lam[np.argmax(lam.real)]
     if worst.real >= margin:
         raise NotHurwitz(worst)
@@ -383,9 +399,9 @@ class ClassConstants:
 def class_constants(nf: NormalForm) -> ClassConstants:
     """Extract the design constants of a chain-plus-internal realization."""
     M, mu = decay_envelope(nf.Q)
-    s = float(np.linalg.norm(nf.S, 2)) if nf.internal_dim else 0.0
-    p = float(np.linalg.norm(nf.P, 2)) if nf.internal_dim else 0.0
-    r_norms = tuple(float(np.linalg.norm(Ri, 2)) for Ri in nf.R)
+    s = float(_spectral_norm(nf.S)) if nf.internal_dim else 0.0
+    p = float(_spectral_norm(nf.P)) if nf.internal_dim else 0.0
+    r_norms = tuple(_spectral_norm(np.stack(nf.R)).tolist())
     beta = 1.0 + sum(r_norms) + s * p * M / mu
     sym = 0.5 * nf.sign * (nf.Gamma + nf.Gamma.T)
     gamma_min = float(np.linalg.eigvalsh(sym)[0])

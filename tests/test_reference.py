@@ -58,20 +58,44 @@ class TestEvaluation:
         assert np.allclose(d[1], [0.0, 0.0])
 
 
+def per_order_sup(ref, i):
+    """The sup bound of order i alone, as one formula per order."""
+    with np.errstate(over="ignore"):
+        s = (np.abs(ref.amp) * ref.omega ** float(i)).sum(axis=1)
+        if i == 0:
+            s = s + np.abs(ref.offset)
+        return float(np.linalg.norm(s))
+
+
+def per_order_bounds(ref, r):
+    """(y_sup, chain_sup, y_max) from per_order_sup, order by order."""
+    if ref.amp.shape == (1, 1) and ref.offset[0] == 0.0:
+        with np.errstate(over="ignore"):
+            w2 = ref.omega[0, 0] ** 2
+            even = sum(w2 ** i for i in range(0, r, 2))
+            odd = sum(w2 ** i for i in range(1, r, 2))
+            chain = float(abs(ref.amp[0, 0]) * np.sqrt(max(even, odd)))
+    else:
+        chain = float(np.sqrt(sum(per_order_sup(ref, i) ** 2
+                                  for i in range(r))))
+    return (per_order_sup(ref, 0), chain,
+            max(per_order_sup(ref, i) for i in range(r + 1)))
+
+
 class TestSupBounds:
 
     def test_unit_cosine_exact(self):
         ref = ReferenceSignal.sinusoid(1.0, 1.0)
-        for i in range(4):
-            assert ref.deriv_sup(i) == pytest.approx(1.0, rel=1e-12)
-        assert ref.chain_sup(2) == pytest.approx(1.0, rel=1e-12)
-        assert ref.y_max(2) == pytest.approx(1.0, rel=1e-12)
+        assert ref.deriv_sups(3) == pytest.approx([1.0] * 4, rel=1e-12)
+        _, chain_sup, y_max = ref.sup_bounds(2)
+        assert chain_sup == pytest.approx(1.0, rel=1e-12)
+        assert y_max == pytest.approx(1.0, rel=1e-12)
 
     def test_chain_sup_fast_oscillation(self):
         # With omega = 2 the odd-derivative weight dominates: sup of
         # (y, y') is 2|a| at the zero crossing.
         ref = ReferenceSignal.sinusoid(0.7, 2.0)
-        assert ref.chain_sup(2) == pytest.approx(1.4, rel=1e-12)
+        assert ref.sup_bounds(2)[1] == pytest.approx(1.4, rel=1e-12)
 
     def test_bounds_dominate_samples(self):
         ref = ReferenceSignal(offset=[0.2, -0.5],
@@ -79,21 +103,43 @@ class TestSupBounds:
                               omega=[[1.3, 3.1], [0.6, 2.2]],
                               phase=[[0.0, 1.0], [0.4, -0.2]])
         ts = np.linspace(0.0, 50.0, 20001)
+        sups = ref.deriv_sups(2)
         for i in range(3):
-            sup = ref.deriv_sup(i)
             samples = np.array([
                 np.linalg.norm(ref.derivatives(t, i)[i]) for t in ts[::40]])
-            assert samples.max() <= sup * (1 + 1e-12)
+            assert samples.max() <= sups[i] * (1 + 1e-12)
         chain = np.array([
             np.linalg.norm(ref.derivatives(t, 1)) for t in ts[::40]])
-        assert chain.max() <= ref.chain_sup(2) * (1 + 1e-12)
+        assert chain.max() <= ref.sup_bounds(2)[1] * (1 + 1e-12)
 
     def test_single_cosine_chain_sup_attained(self):
         ref = ReferenceSignal.sinusoid(1.0, 1.5, phase=0.3)
         ts = np.linspace(0.0, 2 * np.pi / 1.5, 100001)
         samples = max(np.linalg.norm(ref.derivatives(t, 2)[:3])
                       for t in ts)
-        assert samples == pytest.approx(ref.chain_sup(3), rel=1e-6)
+        assert samples == pytest.approx(ref.sup_bounds(3)[1], rel=1e-6)
+
+    def test_one_pass_equals_per_order_bitwise(self, rng):
+        # omega ** 2.0 is a square and other orders a pow: the one pass
+        # must round every order as its own formula does, offsets,
+        # constant references and the exact single-cosine branch included
+        for trial in range(300):
+            m, K = int(rng.integers(1, 4)), int(rng.integers(0, 12))
+            if trial % 4 == 0:
+                m, K = 1, 1
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            ref = ReferenceSignal(
+                rng.uniform(-2.0, 2.0, m) * (trial % 3 != 0),
+                rng.uniform(-1.5, 1.5, (m, K)),
+                rng.uniform(0.0, 2.0, (m, K)) * scale,
+                rng.uniform(0.0, 6.3, (m, K)))
+            r = int(rng.integers(1, 9))
+            sups = ref.deriv_sups(r)
+            want = [per_order_sup(ref, i) for i in range(r + 1)]
+            assert sups.tolist() == want
+            got = ref.sup_bounds(r)
+            assert [type(x) for x in got] == [float] * 3
+            assert got == per_order_bounds(ref, r)
 
 
 class TestConstructor:

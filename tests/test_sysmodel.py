@@ -285,6 +285,49 @@ class TestGainSign:
             gain_sign(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+class TestSpectralNorm:
+
+    def test_first_singular_value_is_linalg_norm_bitwise(self, rng):
+        # one matrix or a stack of one shape, across the float range
+        for trial in range(300):
+            shape = tuple(int(x) for x in rng.integers(1, 7, 2))
+            stack = rng.normal(size=(int(rng.integers(1, 4)), *shape))
+            stack *= 10.0 ** rng.uniform(-300.0, 300.0)
+            if trial % 2:
+                stack *= 10.0 ** rng.uniform(-8.0, 8.0, stack.shape)
+            want = [np.linalg.norm(X, 2) for X in stack]
+            assert sysmodel._spectral_norm(stack).tolist() == want
+            assert [sysmodel._spectral_norm(X) for X in stack] == want
+
+    def test_empty_matrix_has_norm_zero(self):
+        assert sysmodel._spectral_norm(np.zeros((2, 0))) == 0.0
+
+    def test_one_svd_per_matrix(self, monkeypatch):
+        # a norm and a rank test of one matrix share its singular values,
+        # and no norm is taken twice, np.linalg.norm's own svd included
+        rng = np.random.default_rng(4)
+        src = NormalForm(R=[rng.uniform(-0.6, 0.6, (1, 1)) for _ in range(2)],
+                         S=rng.uniform(-0.5, 0.5, (1, 2)), Gamma=[[0.8]],
+                         Q=[[-1.0, 0.3], [-0.2, -1.5]],
+                         P=rng.uniform(-0.5, 0.5, (2, 1))).realization()
+        T, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        plant = StateSpace(T @ src.A @ T.T, T @ src.B, src.C @ T.T)
+        seen = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            seen.extend(repr(X.shape).encode() + X.tobytes()
+                        for X in a.reshape(-1, *a.shape[-2:]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+        class_constants(to_normal_form(plant))
+        assert len(seen) >= 10
+        assert len(seen) == len(set(seen))
+
+
 class TestClassConstants:
 
     def test_benchmark_companion_values(self):
