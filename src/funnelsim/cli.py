@@ -6,7 +6,8 @@ built-in presets drive the benchmark plant: ``scenario_a`` synthesizes a
 design and schedules dropouts just inside its certified limits;
 ``scenario_b`` skips synthesis and runs a user funnel against long
 dropouts.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 synthesis infeasibility, 4 integration failure.
+error, 3 synthesis infeasibility, 4 integration failure or any other
+error (one ``error:`` line; FUNNELSIM_LOG=debug logs its traceback).
 """
 
 import argparse
@@ -590,12 +591,14 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, outdir)
         return cmd_verify(cfg, outdir)
-    except FunnelSimError as exc:
+    except Exception as exc:    # exit 1 means only that a check failed
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (json.JSONDecodeError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, FunnelSimError):
+            return exc.exit_code
+        if isinstance(exc, (OSError, ValueError)):
+            return 2
+        log.debug("unexpected error", exc_info=True)
+        return 4
 
 
 if __name__ == "__main__":

@@ -272,20 +272,14 @@ def _stage_slope(lead: float, mu0: float, slope: float, cap: float,
             + (2.0 - comp) / comp ** 2 * (slope + pull))
 
 
-def gain_recursion(phi00: float, d: float, e_derivs0, q: float) -> GainConstants:
+def gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
     """Start-up constants for the cascade stages.
 
-    e_derivs0 holds the tracking error and its derivatives at t = 0 (rows
-    0..r-1).  Each stage cap collects the worst of the initial stage norm,
+    start is the controller's start_cascade at phi00 of the tracking error
+    and its derivatives at t = 0: the stage vectors and their squared
+    norms.  Each stage cap collects the worst of the initial stage norm,
     the inherited slope demand, and the post-dropout margin q.
     """
-    e_derivs0 = np.atleast_2d(np.asarray(e_derivs0, dtype=float))
-    return _gain_recursion(phi00, d, start_cascade(phi00, e_derivs0), q)
-
-
-def _gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
-    """gain_recursion from start, the start_cascade at phi00 of the errors
-    at t = 0: the slope iteration recomputes only what depends on d."""
     _check_q(q)
     if phi00 <= 0.0:
         raise ValueError("initial funnel gain must be positive")
@@ -573,8 +567,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     start = start_cascade(start_gain, e_derivs0)
 
     if funnel_template is not None:
-        gains = _gain_recursion(start_gain, float(funnel_template[0]),
-                                start, q)
+        gains = gain_recursion(start_gain, float(funnel_template[0]), start, q)
         funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
                                settle, template=funnel_template,
                                phi00=start_gain)
@@ -585,7 +578,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
         b = B_SEED
         gains = funnel = None
         for iterations in range(1, 61):
-            gains = _gain_recursion(start_gain, b, start, q)
+            gains = gain_recursion(start_gain, b, start, q)
             funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
                                    settle, phi00=start_gain)
             b_next = max(B_SEED, funnel.b)

@@ -93,22 +93,18 @@ def _chain_coefficients(sys: StateSpace):
         X = sys.A @ X
 
 
-def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray]:
+def relative_degree(sys: StateSpace) -> tuple[int, np.ndarray, float]:
     """Length of the differentiation chain from input to output.
 
-    Returns (r, Gamma) where Gamma = C A^(r-1) B is the first
-    impulse-response coefficient that is decisively nonzero, and all earlier
-    ones vanish.  Gamma must be invertible for the chain structure to exist.
+    Returns (r, Gamma, norm_A): Gamma = C A^(r-1) B is the first
+    impulse-response coefficient that is decisively nonzero, all earlier
+    ones vanish, and norm_A is the spectral norm of A.  Gamma must be
+    invertible for the chain structure to exist.
 
     Raises NoRelativeDegree when no such r exists within the state dimension,
     the candidate gain is singular, or a coefficient or its zero threshold
     overflows; AmbiguousZero when a coefficient is inside the ambiguity band.
     """
-    return _relative_degree(sys)[:2]
-
-
-def _relative_degree(sys: StateSpace):
-    """relative_degree's (r, Gamma) and the spectral norm of A it took."""
     n, m = sys.n, sys.m
     with np.errstate(over="ignore", invalid="ignore"):
         norm_A = _spectral_norm(sys.A)
@@ -141,23 +137,6 @@ def _relative_degree(sys: StateSpace):
     )
 
 
-def gain_sign(Gamma: np.ndarray) -> int:
-    """Definiteness orientation of the symmetric part of the chain gain.
-
-    +1 when Gamma + Gamma^T is positive definite, -1 when negative definite.
-    """
-    sym = Gamma + Gamma.T
-    lam = np.linalg.eigvalsh(sym)
-    if lam[0] > 0.0:
-        return 1
-    if lam[-1] < 0.0:
-        return -1
-    raise IndefiniteGamma(
-        f"symmetrized chain gain has eigenvalue range [{lam[0]:.6e}, "
-        f"{lam[-1]:.6e}] and is not sign definite"
-    )
-
-
 @dataclass
 class NormalForm:
     """Chain-plus-internal realization of a square linear plant.
@@ -181,6 +160,7 @@ class NormalForm:
     eta0: np.ndarray | None = None
     transform: np.ndarray | None = None
     sign: int = field(init=False)
+    gamma_min: float = field(init=False)
 
     def __post_init__(self):
         self.Gamma = _as_matrix(np.atleast_2d(self.Gamma), name="Gamma")
@@ -203,7 +183,16 @@ class NormalForm:
         self.P = _as_matrix(np.atleast_2d(self.P), cols=m, name="P")
         if self.S.shape[1] != k or self.P.shape[0] != k:
             raise ValueError("S and P must match the internal dimension")
-        self.sign = gain_sign(self.Gamma)
+        # one spectrum of Gamma + Gamma^T gives sign and gamma_min
+        lam = np.linalg.eigvalsh(self.Gamma + self.Gamma.T)
+        if lam[0] > 0.0:
+            self.sign, self.gamma_min = 1, float(0.5 * lam[0])
+        elif lam[-1] < 0.0:
+            self.sign, self.gamma_min = -1, float(-0.5 * lam[-1])
+        else:
+            raise IndefiniteGamma(
+                f"symmetrized chain gain has eigenvalue range "
+                f"[{lam[0]:.6e}, {lam[-1]:.6e}] and is not sign definite")
         self.chain0 = np.asarray(
             np.zeros((self.r, m)) if self.chain0 is None else self.chain0,
             dtype=float).reshape(self.r, m)
@@ -257,7 +246,7 @@ def to_normal_form(sys: StateSpace) -> NormalForm:
     dynamics independent of the input and of every chain coordinate except
     the output itself.
     """
-    r, Gamma, norm_A = _relative_degree(sys)
+    r, Gamma, norm_A = relative_degree(sys)
     A, B, C = sys.A, sys.B, sys.C
     n, m = sys.n, sys.m
     powers = [np.linalg.matrix_power(A, i) for i in range(r)]
@@ -403,9 +392,7 @@ def class_constants(nf: NormalForm) -> ClassConstants:
     p = float(_spectral_norm(nf.P)) if nf.internal_dim else 0.0
     r_norms = tuple(_spectral_norm(np.stack(nf.R)).tolist())
     beta = 1.0 + sum(r_norms) + s * p * M / mu
-    sym = 0.5 * nf.sign * (nf.Gamma + nf.Gamma.T)
-    gamma_min = float(np.linalg.eigvalsh(sym)[0])
-    return ClassConstants(r=nf.r, sign=nf.sign, gamma_min=gamma_min,
+    return ClassConstants(r=nf.r, sign=nf.sign, gamma_min=nf.gamma_min,
                           M=M, mu=mu, s=s, p=p, beta=beta, r_norms=r_norms)
 
 

@@ -1304,3 +1304,17 @@ EXIT_CODES = {
     and c is not errors.FunnelSimError], ids=lambda c: c.__name__)
 def test_error_exit_codes(cls):
     assert cls.exit_code == EXIT_CODES[cls.__name__]
+
+
+def test_unexpected_error_exits_4(tmp_path, capsys, monkeypatch):
+    # exit 1 is kept for a failed check; an untyped error is one line, with
+    # no traceback
+    def broken(cfg, outdir):
+        raise RuntimeError("no such luck")
+
+    monkeypatch.setattr(cli, "cmd_synthesize", broken)
+    rc = cli.main(["synthesize", "--preset", "scenario_a",
+                   "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: RuntimeError: no such luck"]

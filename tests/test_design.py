@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from funnelsim.controller import start_cascade
 from funnelsim.design import (
     Certificate,
     DesignParams,
@@ -53,6 +54,12 @@ def bench_cc():
 
 def cos_ref():
     return ReferenceSignal.sinusoid(1.0, 1.0)
+
+
+def recursion(phi00, d, e_derivs0, q):
+    """gain_recursion from the errors and their derivatives at t = 0."""
+    start = start_cascade(phi00, np.array(e_derivs0, dtype=float))
+    return gain_recursion(phi00, d, start, q)
 
 
 def make_cc(r=2, M=0.0, mu=1.0, s=0.0, p=0.0, beta=1.0, r_norms=None,
@@ -245,7 +252,7 @@ class TestPhi0Window:
 class TestGainRecursion:
 
     def test_single_stage(self):
-        g = gain_recursion(0.5, 1.0, [[0.4]], 0.9)
+        g = recursion(0.5, 1.0, [[0.4]], 0.9)
         assert g.required_level == 1.0
         assert g.stage_caps == (0.0,)
         assert np.allclose(g.stage_init[0], [0.2])
@@ -255,7 +262,7 @@ class TestGainRecursion:
         # first-stage cap saturates at q = 0.95 and the level evaluates to
         # 0.95 + 0 + 1 + 0.95/(1 - 0.9025) = 11.693589743589744 by direct
         # decimal arithmetic.
-        g = gain_recursion(1.0, 0.5, [[0.5], [0.0]], 0.95)
+        g = recursion(1.0, 0.5, [[0.5], [0.0]], 0.95)
         assert g.slope_gain == pytest.approx(1.0, rel=1e-15)
         assert g.stage_caps[1] == pytest.approx(0.95, rel=1e-15)
         assert g.required_level == pytest.approx(11.693589743589744,
@@ -263,7 +270,7 @@ class TestGainRecursion:
 
     def test_slope_identity(self):
         # With an empty zeroth cap the first stage slope is 1 + 2 mu0.
-        g = gain_recursion(0.25, 2.0, [[0.1], [0.0], [0.0]], 0.5)
+        g = recursion(0.25, 2.0, [[0.1], [0.0], [0.0]], 0.5)
         mu0 = 2.0 * 1.25 / 0.25
         assert g.stage_slopes[0] == pytest.approx(mu0, rel=1e-15)
         assert g.stage_slopes[1] == pytest.approx(1.0 + 2.0 * mu0, rel=1e-15)
@@ -271,7 +278,7 @@ class TestGainRecursion:
     def test_stage_vectors_recurrence(self):
         phi00, q = 0.3, 0.6
         e0 = np.array([[0.5, -0.2], [1.0, 0.3], [-0.4, 0.8]])
-        g = gain_recursion(phi00, 1.0, e0, q)
+        g = recursion(phi00, 1.0, e0, q)
         s1 = phi00 * e0[0]
         assert np.allclose(g.stage_init[0], s1, rtol=1e-14)
         s2 = phi00 * e0[1] + s1 / (1.0 - s1 @ s1)
@@ -280,7 +287,7 @@ class TestGainRecursion:
         assert np.allclose(g.stage_init[2], s3, rtol=1e-13)
 
     def test_caps_dominate_inits_and_margin(self):
-        g = gain_recursion(0.3, 1.0, [[0.5], [1.0], [-0.4]], 0.6)
+        g = recursion(0.3, 1.0, [[0.5], [1.0], [-0.4]], 0.6)
         for k in range(1, 3):
             assert g.stage_caps[k] < 1.0
             assert g.stage_caps[k] >= 0.6
@@ -288,12 +295,12 @@ class TestGainRecursion:
 
     def test_overflow(self):
         with pytest.raises(CiOverflow) as ei:
-            gain_recursion(1.0, 1.0, [[1.5], [0.0]], 0.9)
+            recursion(1.0, 1.0, [[1.5], [0.0]], 0.9)
         assert ei.value.k == 1
 
     def test_invalid_q(self):
         with pytest.raises(InvalidQ):
-            gain_recursion(0.5, 1.0, [[0.1]], 1.0)
+            recursion(0.5, 1.0, [[0.1]], 1.0)
 
 
 class TestRefineFunnel:
@@ -434,7 +441,7 @@ class TestInputBoundCertificate:
         assert cert.input_sup == pytest.approx(1.9966e16, rel=1e-4)
 
     def test_degenerate_when_last_stage_starts_outside(self):
-        gains = gain_recursion(0.5, 1.0, [[0.1], [10.0]], 0.9)
+        gains = recursion(0.5, 1.0, [[0.1], [10.0]], 0.9)
         nf = mass_on_car_normal_form()
         cc = class_constants(nf)
         f = FunnelSpec(a=1.5, b=1.0, c=0.5, d=1.0)

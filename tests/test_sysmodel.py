@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from funnelsim import sysmodel
 from funnelsim.errors import (
@@ -18,7 +20,6 @@ from funnelsim.sysmodel import (
     StateSpace,
     class_constants,
     decay_envelope,
-    gain_sign,
     mass_on_car,
     mass_on_car_normal_form,
     relative_degree,
@@ -109,7 +110,7 @@ class TestDecayEnvelope:
 class TestRelativeDegree:
 
     def test_benchmark(self):
-        r, Gamma = relative_degree(mass_on_car())
+        r, Gamma, _ = relative_degree(mass_on_car())
         assert r == 2
         assert Gamma.shape == (1, 1)
         assert Gamma[0, 0] == pytest.approx(1.0 / 9.0, abs=1e-15)
@@ -121,7 +122,7 @@ class TestRelativeDegree:
         B[-1, 0] = 3.0
         C = np.zeros((1, n))
         C[0, 0] = 1.0
-        r, Gamma = relative_degree(StateSpace(A, B, C))
+        r, Gamma, _ = relative_degree(StateSpace(A, B, C))
         assert r == n
         assert Gamma[0, 0] == pytest.approx(3.0)
 
@@ -129,7 +130,7 @@ class TestRelativeDegree:
         # C B already nonzero gives chain length one.
         sys = StateSpace(np.array([[-1.0]]), np.array([[2.0]]),
                          np.array([[1.0]]))
-        r, Gamma = relative_degree(sys)
+        r, Gamma, _ = relative_degree(sys)
         assert r == 1 and Gamma[0, 0] == pytest.approx(2.0)
 
     def test_ambiguous_coefficient(self):
@@ -272,17 +273,59 @@ class TestNormalFormConstruction:
         assert (M, mu) == (0.0, 1.0)
 
 
+def chain_form(Gamma):
+    """A one-stage chain with no internal dynamics and chain gain Gamma."""
+    m = np.shape(Gamma)[0]
+    return NormalForm(R=[np.zeros((m, m))], S=[[]], Gamma=Gamma, Q=[[]],
+                      P=[[]])
+
+
+@st.composite
+def chain_gains(draw):
+    """(Gamma, kind): m <= 3 outputs, scale 1e-8 to 1e8, and Gamma + Gamma^T
+    positive definite (kind 1), negative definite (-1) or indefinite (0)."""
+    m = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    L, K = (np.reshape(draw(st.lists(unit, min_size=m * m, max_size=m * m)),
+                       (m, m)) for _ in range(2))
+    kind = draw(st.sampled_from([1, -1, 0]))
+    if kind:
+        sym = L @ L.T + 0.1 * np.eye(m)
+    else:   # eigenvalues of both signs; for one output, zero
+        signs = [-1.0] + [1.0] * (m - 1) if m > 1 else [0.0]
+        spread = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+        U, _ = np.linalg.qr(L + 3.0 * np.eye(m))
+        sym = U @ np.diag(np.multiply(signs, spread)) @ U.T
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return (kind or 1) * scale * (0.5 * sym + (K - K.T)), kind
+
+
 class TestGainSign:
 
     def test_positive(self):
-        assert gain_sign(np.array([[2.0, 1.0], [-1.0, 3.0]])) == 1
+        assert chain_form(np.array([[2.0, 1.0], [-1.0, 3.0]])).sign == 1
 
     def test_negative(self):
-        assert gain_sign(np.array([[-0.5]])) == -1
+        assert chain_form(np.array([[-0.5]])).sign == -1
 
     def test_indefinite(self):
         with pytest.raises(IndefiniteGamma):
-            gain_sign(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            chain_form(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @given(chain_gains())
+    def test_one_spectrum_gives_sign_and_gamma_min(self, drawn):
+        # the least eigenvalue of the favourably signed symmetric part, bit
+        # for bit as a second decomposition of it would give
+        Gamma, kind = drawn
+        if kind == 0:
+            with pytest.raises(IndefiniteGamma):
+                chain_form(Gamma)
+            return
+        nf = chain_form(Gamma)
+        want = np.linalg.eigvalsh(0.5 * nf.sign * (Gamma + Gamma.T))[0]
+        assert nf.sign == kind
+        assert nf.gamma_min == want > 0.0
+        assert class_constants(nf).gamma_min == nf.gamma_min
 
 
 class TestSpectralNorm:
