@@ -10,6 +10,14 @@ segment [t0, t1] on which the caller guarantees a smooth right-hand side,
 and lands exactly on t1.  A domain violation raised by the right-hand side
 at a Newton iterate or at the step's endpoint rejects the step, as do a
 large error estimate and a Newton iteration that does not converge.
+
+Newton stops once faccon |dZ| < max(10 eps / rtol, NEWTON_TOL), |dZ| the
+RMS of the last increment over atol + rtol |x| and faccon = rate / (1 -
+rate) of the last measured contraction: RADAU5's rule, whose min(0.03,
+sqrt(rtol')) at rtol' = 0.1 rtol^(2/3) on the scale (rtol' / rtol)(atol +
+rtol |x|) reads 0.1^1.5 ~ 0.03 in this scale for any rtol below about
+1e-3.  faccon is carried across steps, each attempt starting from
+max(faccon, 1e-16)^0.8, so a step can stop after one iteration.
 """
 
 import math
@@ -40,6 +48,7 @@ SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 10.0
 NEWTON_MAX = 6
+NEWTON_TOL = 0.03         # RADAU5's Newton tolerance in this error scale
 JAC_RATE = 1e-3           # slower Newton contraction renews the Jacobian
 KEEP_H = 1.2              # smaller suggested growth keeps h (and matrices)
 H0 = 1e-3                 # first step tried on a segment
@@ -121,8 +130,8 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
     stats["rhs_evals"] = stats["jac_evals"] = 1
     mats = None             # (h, Newton matrix inverse, error matrix inverse)
     h = min(H0, H_MAX, t1 - t0)
-    newton_tol = max(10 * np.finfo(float).eps / rtol,
-                     min(0.03, math.sqrt(rtol)))
+    newton_tol = max(10 * np.finfo(float).eps / rtol, NEWTON_TOL)
+    faccon = 1.0            # contraction estimate, carried across steps
     prev = None             # (t, h, x, polynomial coefficients) of last step
     steps = _Steps(n)
     scale = atol + rtol * np.abs(x)
@@ -146,6 +155,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
             stats["matrix_updates"] += 1
         _, newton, err_inv = mats
         cause, dz_old, rate = "rejected_newton", None, None
+        faccon = max(faccon, 1e-16) ** 0.8
         try:
             for n_iter in range(1, NEWTON_MAX + 1):
                 F = rhs(ts, x + Z)
@@ -153,13 +163,13 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
                 dZ = (newton @ (h * (A_COEF @ F) - Z).ravel()).reshape(3, n)
                 dz = _rms(dZ / scale)
                 rate = None if dz_old is None else dz / dz_old
-                if rate is not None and (
-                        rate >= 1.0 or rate ** (NEWTON_MAX - n_iter + 1)
+                if rate is not None and (   # a NaN rate diverges as well
+                        not rate < 1.0 or rate ** (NEWTON_MAX - n_iter + 1)
                         / (1.0 - rate) * dz > newton_tol):
                     break
+                faccon = faccon if rate is None else rate / (1.0 - rate)
                 Z += dZ
-                if dz == 0.0 or (rate is not None
-                                 and rate / (1.0 - rate) * dz < newton_tol):
+                if faccon * dz < newton_tol:
                     cause = None
                     break
                 dz_old = dz

@@ -158,13 +158,14 @@ class FunnelViolation(RunError):
 class StepUnderflow(RunError):
     """Adaptive integration could not proceed with any step above the floor."""
 
-    def __init__(self, t: float, e_r_norm: float, phi: float):
-        self.t = t
+    def __init__(self, segment: int, t: float, x: list, e_r_norm: float,
+                 phi: float):
+        self.segment, self.t, self.x = segment, t, x
         self.e_r_norm = e_r_norm
         self.phi = phi
         super().__init__(
-            f"step size underflow at t = {t:.9g} (last cascade norm "
-            f"{e_r_norm:.6e}, funnel value {phi:.6e})"
+            f"step size underflow in segment {segment} at t = {t:.9g}, state "
+            f"{x} (last cascade norm {e_r_norm:.6e}, funnel value {phi:.6e})"
         )
 
 

@@ -214,7 +214,7 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 phi, n_sq, _ = signals(np.array([uf.t]), uf.x[None])
-            raise StepUnderflow(uf.t, math.sqrt(n_sq[0, -1]),
+            raise StepUnderflow(k, uf.t, uf.x.tolist(), math.sqrt(n_sq[0, -1]),
                                 float(phi[0])) from None
         for key, count in seg_stats.items():
             stats[key] = stats.get(key, 0) + count

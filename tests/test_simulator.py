@@ -178,6 +178,26 @@ class TestStepper:
         assert stats["accepted"] > 20
         assert calls == [0.0]
 
+    @pytest.mark.parametrize("A", [
+        [[-1.0]],
+        [[0.0, 1.0], [-1.0, 0.0]],
+        [[-1.0, 0.0], [0.0, -1e4]]], ids=["decay", "oscillator", "stiff"])
+    def test_linear_newton_stops_after_one_iteration(self, A):
+        # with the exact Jacobian of x' = A x the first Newton iteration
+        # solves the stage equations, and the contraction carried from
+        # earlier steps lets most steps stop there: fewer than two
+        # iterations (seven rhs evaluations) per step attempt
+        A, rtol, atol = np.array(A), 1e-8, 1e-10
+        x0 = np.ones(len(A))
+        _, x, stats = radau_segment(
+            lambda t, x: x @ A.T, lambda t, x: A, 0.0, 10.0, x0,
+            rtol=rtol, atol=atol, grid=np.empty(0))
+        attempts = stats["accepted"] + stats["rejected"]
+        assert (stats["rhs_evals"] - 1) / attempts < 7
+        want = expm(10.0 * A) @ x0
+        assert np.all(np.abs(x[-1] - want)
+                      <= 10 * (atol + rtol * np.abs(want)))
+
     def test_funnel_violation_rejects_step(self, monkeypatch):
         # the rhs exists only within 1e-3 of the solution sin t, as the
         # closed loop exists only inside the funnel; a first step of 1 s
@@ -209,7 +229,7 @@ class TestJacobianAfterRejection:
 
     # Jacobian evaluations over the first HORIZON seconds of each preset
     HORIZON = 12.0
-    EVALUATIONS = {"scenario_a": 130, "scenario_b": 214}
+    EVALUATIONS = {"scenario_a": 23, "scenario_b": 44}
 
     @pytest.fixture(scope="class", params=sorted(EVALUATIONS))
     def run(self, request):
@@ -497,9 +517,13 @@ class TestFailureModes:
                       opts=SimOptions(rtol=1e-13, atol=1e-15))
         assert 0.0 <= ei.value.t <= 2.0
         assert ei.value.phi >= 0.0
+        assert ei.value.segment == 0 and len(ei.value.x) == 4
+        assert str(ei.value).startswith(
+            f"step size underflow in segment 0 at t = {ei.value.t:.9g}, "
+            f"state {ei.value.x} (")
 
     def test_step_budget_spans_segments(self, monkeypatch):
-        # the first segment, (0, 3], takes 381 step attempts; the budget
+        # the first segment, (0, 3], takes 370 step attempts; the budget
         # counts on across segments and runs out in the dropout (3, 5]
         nf, cc, design, sched, y_ref = scenario_b_setup()
         monkeypatch.setattr(simulator, "MAX_STEPS", 390)

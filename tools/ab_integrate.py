@@ -1,6 +1,7 @@
 """Interleaved A/B timing of ``integrate`` for two source checkouts.
 
-    python3 tools/ab_integrate.py OLD NEW [--pairs 10] [--case stiff_loop] ...
+    python3 tools/ab_integrate.py OLD NEW [--pairs 10] [--case stiff_loop] \
+        [--accuracy] ...
 
 OLD and NEW are checkout roots, each with ``src/funnelsim``.  Each side
 runs in its own long-lived worker process, which builds every run outside
@@ -16,10 +17,15 @@ rejected by cause, rhs and Jacobian evaluations where both report them),
 whether their sample times and step endpoint states are bit-identical, the
 largest deviation on the output-grid times both sides sampled, relative to
 the sample's largest state component (at least 1), and the median and
-quartiles of the per-pair CPU-time ratio NEW / OLD.  ``--json PATH`` writes the same as one JSON document.
+quartiles of the per-pair CPU-time ratio NEW / OLD.  ``--accuracy`` also
+runs OLD once per variant at rtol 1e-11 and atol 1e-13, untimed, and prints
+each side's largest deviation from that run, measured in the same way, so
+that step endpoints that moved come with a measured accuracy.
+``--json PATH`` writes the same as one JSON document.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import pickle
@@ -36,6 +42,7 @@ LOOP_WORKLOADS = ("stiff_loop", "dropout_train")
 COUNTS = ("accepted", "rejected", "rejected_error", "rejected_newton",
           "rejected_funnel", "rhs_evals", "jac_evals", "matrix_updates",
           "segments")
+TIGHT = (1e-11, 1e-13)      # (rtol, atol) of the --accuracy reference run
 
 
 # --- worker: one checkout, one process -----------------------------------
@@ -55,12 +62,14 @@ def _worker(root):
     inp, out = sys.stdin.buffer, sys.stdout.buffer
     while True:
         try:
-            case = pickle.load(inp)
+            case, tol = pickle.load(inp)
         except EOFError:
             return
         cfg = _config(cli, case)
         nf, y_ref, design, _, sched = cli._build_run(cfg)
         cc, opts = class_constants(nf), cli._sim_options(cfg)
+        if tol is not None:
+            opts = dataclasses.replace(opts, rtol=tol[0], atol=tol[1])
         start = time.process_time()
         trace = integrate(nf, cc, design, sched, y_ref, opts=opts)
         cpu = time.process_time() - start
@@ -78,8 +87,8 @@ class Side:
             [sys.executable, __file__, "--worker", str(root)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
-    def run(self, case):
-        pickle.dump(case, self.proc.stdin)
+    def run(self, case, tol=None):
+        pickle.dump((case, tol), self.proc.stdin)
         self.proc.stdin.flush()
         return pickle.load(self.proc.stdout)
 
@@ -98,6 +107,19 @@ def _variants(case):
     return [case]
 
 
+def _deviation(base, other):
+    """Largest deviation of other from base on the output-grid times both
+    traces share, relative to the sample's largest state component (at
+    least 1)."""
+    # a moved step endpoint shifts every later row, so match grid rows by time
+    grid_b, grid_o = ~base["ends"], ~other["ends"]
+    _, i, j = np.intersect1d(base["t"][grid_b], other["t"][grid_o],
+                             return_indices=True)
+    x_b, x_o = base["x"][grid_b][i], other["x"][grid_o][j]
+    scale = abs(x_b).max(axis=1, initial=1.0)[:, None]
+    return float((abs(x_o - x_b) / scale).max(initial=0.0))
+
+
 def _compare(old, new):
     """(counts identical, sample times and endpoint states identical,
     largest relative deviation on the output-grid times both traces
@@ -108,14 +130,7 @@ def _compare(old, new):
     same = bool(old["t"].shape == new["t"].shape
                 and (old["t"] == new["t"]).all()
                 and (old["x"][ends] == new["x"][ends]).all())
-    # a moved step endpoint shifts every later row, so match grid rows by time
-    grid_old, grid_new = ~old["ends"], ~new["ends"]
-    _, i, j = np.intersect1d(old["t"][grid_old], new["t"][grid_new],
-                             return_indices=True)
-    x_old, x_new = old["x"][grid_old][i], new["x"][grid_new][j]
-    scale = abs(x_old).max(axis=1, initial=1.0)[:, None]
-    dev = float((abs(x_new - x_old) / scale).max(initial=0.0))
-    return same_counts, same, dev
+    return same_counts, same, _deviation(old, new)
 
 
 def _quartiles(values):
@@ -131,19 +146,25 @@ def main(argv=None):
     ap.add_argument("--case", action="append",
                     help="preset, workload or workload:variant "
                          "(default: stiff_loop and dropout_train)")
+    ap.add_argument("--accuracy", action="store_true",
+                    help="also report each side's deviation from an OLD run "
+                         "at rtol 1e-11, atol 1e-13")
     ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
     cases = args.case or list(LOOP_WORKLOADS)
     sides = Side(args.old), Side(args.new)
-    report = {}
+    report, tight = {}, {}      # tight: the --accuracy run of each variant
     try:
         for case in cases:
             variants = _variants(case)
             for v in variants[:2]:      # warm both sides' imports and caches
                 sides[0].run(v), sides[1].run(v)
             ratios, cpu, same, ends, dev = [], ([], []), True, True, 0.0
+            accuracy = [0.0, 0.0]
             for i in range(args.pairs):
                 v = variants[i % len(variants)]
+                if args.accuracy and v not in tight:
+                    tight[v] = sides[0].run(v, TIGHT)
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 res = [None, None]
                 for s in order:
@@ -152,6 +173,9 @@ def main(argv=None):
                 same, ends, dev = same and c, ends and e, max(dev, d)
                 for s in (0, 1):
                     cpu[s].append(res[s]["cpu"])
+                    if args.accuracy:
+                        accuracy[s] = max(accuracy[s],
+                                          _deviation(tight[v], res[s]))
                 ratios.append(res[1]["cpu"] / res[0]["cpu"])
             faster = sum(r < 1.0 for r in ratios)
             report[case] = {
@@ -160,6 +184,9 @@ def main(argv=None):
                 "ratio": _quartiles(ratios), "new_faster": faster,
                 "old_cpu_s": _quartiles(cpu[0]),
                 "new_cpu_s": _quartiles(cpu[1])}
+            if args.accuracy:
+                report[case]["old_accuracy"], report[case]["new_accuracy"] = (
+                    accuracy)
             r = report[case]["ratio"]
             print(f"{case}: counts identical {same}, endpoints identical "
                   f"{ends}, max deviation {dev:.3g}; ratio median "
@@ -168,6 +195,10 @@ def main(argv=None):
                   f"old median {report[case]['old_cpu_s']['median']:.3f} s, "
                   f"new {report[case]['new_cpu_s']['median']:.3f} s",
                   flush=True)
+            if args.accuracy:
+                print(f"{case}: largest deviation from the rtol "
+                      f"{TIGHT[0]:g} run: old {accuracy[0]:.3g}, new "
+                      f"{accuracy[1]:.3g}", flush=True)
     finally:
         for side in sides:
             side.close()
