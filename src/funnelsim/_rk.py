@@ -1,9 +1,13 @@
-"""Three-stage Radau IIA stepper of order 5, the simulator's integrator.
+"""Five-stage Radau IIA stepper of order 9, the simulator's integrator.
 
 Once the funnel has tightened the closed loop is stiff, so the stepper is
-implicit (Hairer & Wanner, Solving ODEs II, IV.8): simplified Newton with
-the caller's analytic Jacobian, started from the previous step's
-collocation polynomial, and the error estimate of RADAU5.  As in RADAU5,
+implicit (Hairer & Wanner, Solving ODEs II, IV.8; the five-stage member of
+their RADAU code, J. Comput. Appl. Math. 111, 1999): simplified Newton on
+all five stages at once with the caller's analytic Jacobian, started from
+the previous step's collocation polynomial, and RADAU's embedded error
+estimate of order 5.  The estimate bounds the step's endpoint, whose local
+error is O(h^10); inside the step the collocation polynomial is off by
+O(h^6), so the error test scales the estimate by ERR_SCALE.  As in RADAU5,
 the Jacobian and the inverted Newton matrix are kept across steps while
 Newton converges fast and h stays put.  It works on one
 segment [t0, t1] on which the caller guarantees a smooth right-hand side,
@@ -26,24 +30,30 @@ import numpy as np
 
 from .errors import FunnelViolation
 
-S6 = math.sqrt(6.0)
-C_NODES = np.array([(4 - S6) / 10, (4 + S6) / 10, 1.0])
-A_COEF = np.array([
-    [(88 - 7 * S6) / 360, (296 - 169 * S6) / 1800, (-2 + 3 * S6) / 225],
-    [(296 + 169 * S6) / 1800, (88 + 7 * S6) / 360, (-2 - 3 * S6) / 225],
-    [(16 - S6) / 36, (16 + S6) / 36, 1 / 9]])
+# the nodes are the zeros of d^4/dx^4 [x^4 (x - 1)^5], A_COEF the
+# collocation matrix: row i integrates the stages' Lagrange basis over
+# [0, C_NODES[i]]
+C_NODES = np.array([0.05710419611451768, 0.2768430136381238,
+                    0.5835904323689168, 0.8602401356562195, 1.0])
+STAGES = C_NODES.size
+# collocation polynomial on a step: x(t + theta h) = x + P(theta) @ DENSE @ Z
+# with P(theta) = [theta, ..., theta^5]
+POWERS = np.arange(1, STAGES + 1)
+DENSE = np.linalg.inv(C_NODES[:, None] ** POWERS)
+A_COEF = (C_NODES[:, None] ** POWERS / POWERS) @ np.linalg.inv(
+    C_NODES[:, None] ** (POWERS - 1))
 # MU is the real eigenvalue of A_COEF^-1; the error estimate is
 # (MU/h I - J)^-1 (f(t, x) + E_WEIGHTS @ Z / h), Z the stage increments
-MU = 3.0 + 3.0 ** (2 / 3) - 3.0 ** (1 / 3)
-E_WEIGHTS = np.array([-13 - 7 * S6, -13 + 7 * S6, -1.0]) / 3
-# collocation polynomial on a step: x(t + theta h) = x + P(theta) @ DENSE @ Z
-# with P(theta) = [theta, theta^2, theta^3]
-POWERS = np.arange(1, 4)
-DENSE = np.linalg.inv(C_NODES[:, None] ** POWERS)
+MU = 6.2867047517292766
+E_WEIGHTS = np.array([-27.780933944064637, 3.6414784980492132,
+                      -1.2525477211691187, 0.59200316718454287, -0.2])
+# the error test holds ERR_SCALE times the estimate to the tolerance, so
+# that samples inside a step meet it too, not only its endpoint
+ERR_SCALE = 10.0
 # A_COEF laid out to scale a Jacobian into the blocks of the Newton matrix
 A_BLOCKS = A_COEF[:, None, :, None]
 
-ORDER_EXP = -0.25         # step-size exponent of the 3rd-order estimate
+ORDER_EXP = -1 / 6        # step-size exponent of the 5th-order estimate
 SAFETY = 0.9
 FAC_MIN = 0.2
 FAC_MAX = 10.0
@@ -77,7 +87,8 @@ class _Steps:
     that doubles when full; x + P(theta) @ Q is the step's polynomial."""
 
     def __init__(self, n):
-        self.n, self.count, self.rows = n, 0, np.empty((64, 2 + 4 * n))
+        self.n, self.count = n, 0
+        self.rows = np.empty((64, 2 + (STAGES + 1) * n))
 
     def add(self, t, h, x, Z):
         """Record the step from (t, x) with stage increments Z; returns Q."""
@@ -86,7 +97,8 @@ class _Steps:
         row = self.rows[self.count]
         self.count += 1
         row[0], row[1], row[2:2 + self.n] = t, h, x
-        return np.matmul(DENSE, Z, out=row[2 + self.n:].reshape(3, self.n))
+        return np.matmul(DENSE, Z,
+                         out=row[2 + self.n:].reshape(STAGES, self.n))
 
     def samples(self, grid, t_end, x_end):
         """Every step endpoint, the last at (t_end, x_end), and each grid
@@ -98,7 +110,7 @@ class _Steps:
         inside = grid != ends[j]                # an endpoint is its sample
         j, grid = j[inside], grid[inside]
         theta = ((grid - t[j]) / h[j])[:, None, None] ** POWERS
-        Q = rows[j, 2 + n:].reshape(-1, 3, n)
+        Q = rows[j, 2 + n:].reshape(-1, STAGES, n)
         times = np.concatenate([ends, grid])
         order = np.argsort(times, kind="stable")
         return times[order], np.vstack(
@@ -109,7 +121,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
                   max_steps=math.inf):
     """Integrate x' = rhs(t, x) over [t0, t1]; jac(t, x) -> df/dx.
 
-    rhs maps times (k,) and states (k, n) to (k, n) derivatives, all three
+    rhs maps times (k,) and states (k, n) to (k, n) derivatives, all five
     stages of a Newton iteration in one call.  grid holds output times
     strictly inside (t0, t1), each taken from the collocation polynomial of
     the step that crosses it; every accepted step endpoint is a sample too
@@ -124,7 +136,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
                            "matrix_updates") + CAUSES, 0)
     t, x = t0, np.array(x0, dtype=float)
     n = x.size
-    eye_3n, eye_n = np.eye(3 * n), np.eye(n)
+    eye_sn, eye_n = np.eye(STAGES * n), np.eye(n)
     f0 = rhs(np.array([t]), x[None])[0]   # a violation: infeasible start
     J, fresh = jac(t, x), True      # fresh: J taken at this (t, x)
     stats["rhs_evals"] = stats["jac_evals"] = 1
@@ -150,7 +162,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
             Z = xp - x + (((ts - tp) / hp)[:, None] ** POWERS) @ Qp
         if mats is None or mats[0] != h:
             hj = h * (A_BLOCKS * J[None, :, None, :])
-            mats = (h, np.linalg.inv(eye_3n - hj.reshape(3 * n, -1)),
+            mats = (h, np.linalg.inv(eye_sn - hj.reshape(STAGES * n, -1)),
                     np.linalg.inv(MU / h * eye_n - J))
             stats["matrix_updates"] += 1
         _, newton, err_inv = mats
@@ -159,8 +171,9 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
         try:
             for n_iter in range(1, NEWTON_MAX + 1):
                 F = rhs(ts, x + Z)
-                stats["rhs_evals"] += 3
-                dZ = (newton @ (h * (A_COEF @ F) - Z).ravel()).reshape(3, n)
+                stats["rhs_evals"] += STAGES
+                dZ = (newton @ (h * (A_COEF @ F) - Z).ravel()).reshape(
+                    STAGES, n)
                 dz = _rms(dZ / scale)
                 rate = None if dz_old is None else dz / dz_old
                 if rate is not None and (   # a NaN rate diverges as well
@@ -174,11 +187,11 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
                     break
                 dz_old = dz
             if cause is None:
-                x_new = x + Z[2]
+                x_new = x + Z[-1]
                 stats["rhs_evals"] += 1
                 # the endpoint t + h is the last stage time, t1 on the last
                 # step (where t + (t1 - t) may round off t1)
-                f_new = rhs(np.array([t1]) if last else ts[2:],
+                f_new = rhs(np.array([t1]) if last else ts[-1:],
                             x_new[None])[0]
         except FunnelViolation:
             cause = "rejected_funnel"
@@ -187,8 +200,8 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
             # atol + rtol max(|x|, |x_new|) is the larger of the two
             # points' scales, since rounding is monotone
             scale_new = atol + rtol * np.abs(x_new)
-            err = _rms(err_inv @ (f0 + E_WEIGHTS @ Z / h)
-                       / np.maximum(scale, scale_new))
+            err = ERR_SCALE * _rms(err_inv @ (f0 + E_WEIGHTS @ Z / h)
+                                   / np.maximum(scale, scale_new))
             fac = SAFETY * (2 * NEWTON_MAX + 1) / (2 * NEWTON_MAX + n_iter)
             fac = FAC_MAX if err < 1e-30 else fac * err ** ORDER_EXP
             if not err <= 1.0:     # a NaN estimate rejects too

@@ -128,22 +128,25 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
     eye = np.eye(m)
     # the stepper repeats its stage times in every Newton iteration, ends a
     # step at its last stage time and takes the Jacobian where the endpoint
-    # rhs has just run; so the law keeps the gain and reference stack of the
-    # last times it was given, and its last one-point evaluation
-    memo = [b"", math.nan, None, None]    # times' bytes, last time, phi, ref
+    # rhs has just run, or after a rejection where the step before ended;
+    # so the law keeps the gain and reference stacks of the last two times
+    # it was given, and its last one-point evaluation
+    memo = [(b"", math.nan, None, None)] * 2  # times' bytes, last, phi, ref
     point = [math.nan, b"", None]         # t, x bytes, (phi, stages, n_sq)
 
     def law(t, x, bound=None):
         """Gain (k,), cascade stages (r, k, m), squared norms (r, k) and
         u (k, m); given a bound, a stage at or past it raises."""
         key = t.tobytes()
-        if key == memo[0]:
-            phi, ref = memo[2], memo[3]
-        elif len(t) == 1 and t[0] == memo[1]:
-            phi, ref = memo[2][-1:], memo[3][:, -1:]
+        for held, end, phi, ref in memo:
+            if key == held:
+                break
+            if len(t) == 1 and t[0] == end:
+                phi, ref = phi[-1:], ref[:, -1:]
+                break
         else:
             phi, ref = funnel.value(t - tau), y_ref.derivatives(t, r - 1)
-            memo[:] = key, t[-1], phi, ref
+            memo[:] = (key, t[-1], phi, ref), memo[0]
         stages, n_sq = cascade(phi, x[:, :rm].reshape(-1, r, m)
                                .transpose(1, 0, 2) - ref)
         if bound is not None and np.count_nonzero(n_sq >= bound):

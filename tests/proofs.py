@@ -1,7 +1,8 @@
 """Test oracles for the proofs behind the closed-loop guarantees.
 
 The open-loop growth bound, the cascade's bounded-amplification lemma, the
-proof's composed rho map, and the impulse-response coefficients of a plant.
+proof's composed rho map, the impulse-response coefficients of a plant, and
+the Radau IIA tableau the stepper holds.
 No command runs them; the acceptance criteria and the verify tests do.
 Each check reports through the same verdict rule as the trace checks,
 `verify._worst`, so a NaN margin fails.  Algebraic identities evaluated
@@ -26,6 +27,43 @@ def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
     for k, Mk in zip(range(count), _chain_coefficients(sys)):
         out[k] = Mk
     return out
+
+
+def radau_iia(s: int):
+    """Radau IIA constants of s stages, derived with numpy alone.
+
+    Returns (nodes, A, MU, weights).  The nodes are the zeros of the
+    degree-s polynomial d^(s-1)/dx^(s-1) [x^(s-1) (x - 1)^s], which has
+    integer coefficients, from np.roots polished by Newton.  Row i of A
+    integrates each node's Lagrange polynomial over [0, c_i] (collocation).
+    MU is the real eigenvalue of A^-1.  With gamma0 = 1/MU, the embedded
+    method x0 + h (gamma0 f(x0) + bhat @ F) has order s when gamma0 [k = 1]
+    + bhat @ c^(k-1) = 1/k for k = 1..s.  The collocation weights A[-1]
+    meet these conditions without the gamma0 term, so d = bhat - A[-1]
+    solves d @ c^(k-1) = -gamma0 [k = 1].  The embedded solution differs
+    from the collocation solution x0 + Z[-1] by h (gamma0 f(x0) + d @ F) =
+    gamma0 h (f(x0) + weights @ Z / h), Z = h A F the stage increments, so
+    weights = MU d A^-1.
+    """
+    coef = [(-1) ** (s - k) * math.comb(s, k) * math.factorial(s - 1 + k)
+            // math.factorial(k) for k in range(s, -1, -1)]   # highest first
+    poly = np.array(coef, dtype=float)
+    nodes = np.sort(np.roots(poly).real)
+    for _ in range(3):
+        nodes -= np.polyval(poly, nodes) / np.polyval(np.polyder(poly), nodes)
+    A = np.empty((s, s))
+    for j, cj in enumerate(nodes):
+        others = np.delete(nodes, j)
+        lagrange = np.poly(others) / np.prod(cj - others)
+        A[:, j] = np.polyval(np.polyint(lagrange), nodes)
+    eig = np.linalg.eigvals(np.linalg.inv(A))
+    mu = eig[np.argmin(abs(eig.imag))]
+    assert mu.imag == 0.0
+    mu = mu.real
+    k = np.arange(1, s + 1)
+    d = np.linalg.solve(nodes ** (k[:, None] - 1), (k == 1) / -mu)
+    weights = mu * np.linalg.solve(A.T, d)
+    return nodes, A, mu, weights
 
 
 def coasting_bound_check(trace, cc) -> CheckResult:

@@ -45,6 +45,7 @@ from funnelsim.sysmodel import (
 )
 
 from conftest import coast, random_normal_form
+from proofs import radau_iia
 
 
 def chain_nf(r=1, m=1, R_blocks=None, chain0=None):
@@ -142,6 +143,34 @@ class TestEquilibrium:
         assert np.all(tr.u == 0.0)
 
 
+class TestTableau:
+
+    def test_three_stages_reproduce_radau5(self):
+        # RADAU5's published constants (Hairer & Wanner, Solving ODEs II)
+        s6 = np.sqrt(6.0)
+        published = (
+            np.array([(4 - s6) / 10, (4 + s6) / 10, 1.0]),
+            np.array([
+                [(88 - 7 * s6) / 360, (296 - 169 * s6) / 1800,
+                 (-2 + 3 * s6) / 225],
+                [(296 + 169 * s6) / 1800, (88 + 7 * s6) / 360,
+                 (-2 - 3 * s6) / 225],
+                [(16 - s6) / 36, (16 + s6) / 36, 1 / 9]]),
+            3.0 + 3.0 ** (2 / 3) - 3.0 ** (1 / 3),
+            np.array([-13 - 7 * s6, -13 + 7 * s6, -1.0]) / 3)
+        for derived, want in zip(radau_iia(3), published):
+            np.testing.assert_allclose(derived, want, rtol=1e-13, atol=1e-13)
+
+    def test_stepper_holds_the_five_stage_tableau(self):
+        held = (_rk.C_NODES, _rk.A_COEF, _rk.MU, _rk.E_WEIGHTS)
+        for derived, want in zip(radau_iia(5), held):
+            np.testing.assert_allclose(derived, want, rtol=1e-13, atol=1e-13)
+        # d^4/dx^4 [x^4 (x - 1)^5] over its leading coefficient 9!/5!
+        monic = np.polyder(np.polymul(np.poly([0.0] * 4), np.poly([1.0] * 5)),
+                           4) / 3024
+        assert np.all(abs(np.polyval(monic, _rk.C_NODES)) < 1e-14)
+
+
 class TestStepper:
 
     def test_stiff_linear_converges_with_rtol(self):
@@ -173,7 +202,7 @@ class TestStepper:
             return jac(t, x)
 
         _, _, stats = radau_segment(
-            rhs, counted_jac, 0.0, 2.0, exact(0.0, np.zeros(2)) + 1.0,
+            rhs, counted_jac, 0.0, 4.0, exact(0.0, np.zeros(2)) + 1.0,
             rtol=1e-8, atol=1e-10, grid=np.empty(0))
         assert stats["accepted"] > 20
         assert calls == [0.0]
@@ -185,8 +214,9 @@ class TestStepper:
     def test_linear_newton_stops_after_one_iteration(self, A):
         # with the exact Jacobian of x' = A x the first Newton iteration
         # solves the stage equations, and the contraction carried from
-        # earlier steps lets most steps stop there: fewer than two
-        # iterations (seven rhs evaluations) per step attempt
+        # earlier steps lets most steps stop there: fewer than seven rhs
+        # evaluations per step attempt, where one iteration and the
+        # endpoint take six
         A, rtol, atol = np.array(A), 1e-8, 1e-10
         x0 = np.ones(len(A))
         _, x, stats = radau_segment(
@@ -229,7 +259,7 @@ class TestJacobianAfterRejection:
 
     # Jacobian evaluations over the first HORIZON seconds of each preset
     HORIZON = 12.0
-    EVALUATIONS = {"scenario_a": 23, "scenario_b": 44}
+    EVALUATIONS = {"scenario_a": 52, "scenario_b": 91}
 
     @pytest.fixture(scope="class", params=sorted(EVALUATIONS))
     def run(self, request):
@@ -313,7 +343,7 @@ class TestJacobian:
             checked += 1
 
     def test_stacked_rhs_matches_single_calls(self, rng):
-        # the stepper evaluates its three stages as one stack, repeating
+        # the stepper evaluates its stages as one stack, repeating
         # the same stage times in every Newton iteration
         nf = mass_on_car_normal_form()
         funnel = FunnelSpec(a=2.0, b=1.0, c=0.05, d=1.0)
@@ -333,12 +363,13 @@ class TestJacobian:
 
     def test_reference_once_per_step_attempt(self, monkeypatch):
         # a step ends at its last stage time and the Jacobian reuses the
-        # endpoint's law, so the reference is read about once per attempt
+        # endpoint's law, or after a rejection the law of the step before,
+        # so the reference is read about once per attempt
         # (it was twice); the bound allows one read per segment and one for
         # the trace besides
         cfg = cli.load_config(preset="scenario_b")
         cfg["availability"] = {"dropouts": [[1.0, 2.0]]}
-        cfg["sim"]["t_end"] = 3.0
+        cfg["sim"]["t_end"] = 6.0
         calls = []
         derivatives = ReferenceSignal.derivatives
         monkeypatch.setattr(ReferenceSignal, "derivatives",
@@ -523,15 +554,15 @@ class TestFailureModes:
             f"state {ei.value.x} (")
 
     def test_step_budget_spans_segments(self, monkeypatch):
-        # the first segment, (0, 3], takes 370 step attempts; the budget
+        # the first segment, (0, 3], takes 112 step attempts; the budget
         # counts on across segments and runs out in the dropout (3, 5]
         nf, cc, design, sched, y_ref = scenario_b_setup()
-        monkeypatch.setattr(simulator, "MAX_STEPS", 390)
+        monkeypatch.setattr(simulator, "MAX_STEPS", 120)
         with pytest.raises(IntegrationStalled) as ei:
             integrate(nf, cc, design, sched, y_ref)
         msg = str(ei.value)
         assert msg.startswith(
-            "step budget of 390 attempts exhausted in segment 1 at t = ")
+            "step budget of 120 attempts exhausted in segment 1 at t = ")
         assert 3.0 < float(msg.split("t = ")[1].split(",")[0]) < 5.0
         assert len(msg.split("state ")[1].split(",")) == 4
 

@@ -1,0 +1,24 @@
+"""Command-line checks of the scripts under tools/."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_ab_integrate_refuses_fewer_than_two_pairs(pairs, capsys):
+    # refused before any worker starts: the quartiles need two pairs
+    with pytest.raises(SystemExit) as ei:
+        load("ab_integrate").main(["old", "new", "--pairs", pairs])
+    assert ei.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err

@@ -151,6 +151,8 @@ def main(argv=None):
                          "at rtol 1e-11, atol 1e-13")
     ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
+    if args.pairs < 2:      # quartiles of the ratios need two pairs
+        ap.error("--pairs must be at least 2")
     cases = args.case or list(LOOP_WORKLOADS)
     sides = Side(args.old), Side(args.new)
     report, tight = {}, {}      # tight: the --accuracy run of each variant
