@@ -333,26 +333,25 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     if sec.get("manual", False):
         spec = FunnelSpec(fun["a"], fun["b"], fun["c"],
                           fun.get("d", fun["b"]))
-        cap = sec.get("eta_star", math.inf)
-        return ManualDesign(spec, internal_cap=cap)
+        return ManualDesign(spec, **_given(sec, eta_star="internal_cap"))
     dropout_limit, availability_floor = _schedule_limits(cfg)
     template = None if fun is None else (fun["b"], fun["c"])
-    return synthesize(
-        nf, y_ref, sec["q"],
-        theta=sec.get("theta", 0.9),
-        dropout_limit=dropout_limit,
-        availability_floor=availability_floor,
-        internal_cap=sec.get("eta_star"),
-        phi00=sec.get("phi0_0"),
-        funnel_template=template,
-        settle_factor=sec.get("rho_factor", 0.99),
-    )
+    return synthesize(nf, y_ref, sec["q"], dropout_limit=dropout_limit,
+                      availability_floor=availability_floor,
+                      funnel_template=template,
+                      **_given(sec, theta="theta", eta_star="internal_cap",
+                               phi0_0="phi00", rho_factor="settle_factor"))
+
+
+def _given(sec: dict, **names) -> dict:
+    """Keyword arguments for the keys sec sets, each under the argument
+    name its key maps to; a key left out takes the callee's default."""
+    return {arg: sec[key] for key, arg in names.items() if key in sec}
 
 
 def _sim_options(cfg: dict) -> SimOptions:
-    sec = cfg.get("sim", {})
-    return SimOptions(**{key: sec[key] for key in ("rtol", "atol", "grid_dt")
-                         if key in sec})
+    return SimOptions(**_given(cfg.get("sim", {}), rtol="rtol", atol="atol",
+                               grid_dt="grid_dt"))
 
 
 def _horizon(cfg: dict) -> float:
@@ -363,9 +362,8 @@ def _horizon(cfg: dict) -> float:
 
 
 def _out_path(outdir: Path, cfg: dict, key: str, default: str) -> Path:
-    name = cfg.get("output", {}).get(key, default)
-    p = Path(name)
-    return p if p.is_absolute() else outdir / p
+    # an absolute name replaces outdir
+    return outdir / cfg.get("output", {}).get(key, default)
 
 
 # --- discrepancy table ------------------------------------------------------

@@ -78,12 +78,6 @@ class AvailabilitySchedule:
     def reset_time(self, t: float) -> float:
         return float(self.at_times(t)[1])
 
-    def breakpoints(self):
-        """All dropout endpoints inside (0, horizon), sorted."""
-        pts = [p for pair in self.dropouts for p in pair
-               if 0.0 < p < self.horizon]
-        return sorted(set(pts))
-
     @staticmethod
     def spans(pairs):
         """Dropout lengths and {i: window before dropout i}; the lead-in

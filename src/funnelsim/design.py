@@ -411,10 +411,9 @@ class Certificate:
     input_sup: float
 
 
-def input_bound_certificate(cc: ClassConstants, nf: NormalForm,
-                            funnel: FunnelSpec, gains: GainConstants,
-                            internal_cap: float, q: float,
-                            ref_sup: float) -> Certificate:
+def input_bound_certificate(cc: ClassConstants, funnel: FunnelSpec,
+                            gains: GainConstants, internal_cap: float,
+                            q: float, ref_sup: float) -> Certificate:
     """Certify a uniform bound on the input norm.
 
     The last cascade stage is trapped below a cap assembled from its initial
@@ -593,7 +592,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
 
     stage_norms, eta0_norm = check_start(start[1], nf.eta0, cap)
 
-    cert = input_bound_certificate(cc, nf, funnel, gains, cap, q, y_max)
+    cert = input_bound_certificate(cc, funnel, gains, cap, q, y_max)
     return DesignParams(nf=nf, cc=cc, q=q, theta=theta, gain_sum=gain_sum,
                         dropout_sup=dropout_sup, dropout=dropout,
                         window_min=window_min, window=window, settle=settle,

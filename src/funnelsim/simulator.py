@@ -95,7 +95,8 @@ class Trace:
 
 def _segments(sched: AvailabilitySchedule, t_end: float):
     """(start, end, availability, reset) per smooth piece of [0, t_end]."""
-    cuts = [0.0] + [b for b in sched.breakpoints() if b < t_end] + [t_end]
+    cuts = [0.0, *sorted({p for pair in sched.dropouts for p in pair
+                          if 0.0 < p < t_end}), t_end]
     a, tau = sched.at_times(0.5 * (np.array(cuts[:-1]) + cuts[1:]))
     return list(zip(cuts[:-1], cuts[1:], a.tolist(),
                     np.where(a == 1, tau, 0.0).tolist()))
@@ -204,11 +205,14 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
                          np.searchsorted(full_grid, hi, side="left")]
         rhs, jac, signals = _closed_loop_rhs(nf, funnel, a, tau, y_ref,
                                              lim_sq)
+        # an overflowed stage is an infinite norm the funnel test rejects,
+        # and a NaN rate or error estimate rejects the step
         try:
-            seg_t, seg_x, seg_stats = radau_segment(
-                rhs, jac, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
-                grid=grid,
-                max_steps=MAX_STEPS - stats["accepted"] - stats["rejected"])
+            with np.errstate(over="ignore", invalid="ignore"):
+                seg_t, seg_x, seg_stats = radau_segment(
+                    rhs, jac, lo, hi, x, rtol=opts.rtol, atol=opts.atol,
+                    grid=grid, max_steps=(MAX_STEPS - stats["accepted"]
+                                          - stats["rejected"]))
         except OutOfSteps as stop:
             raise IntegrationStalled(
                 f"step budget of {MAX_STEPS} attempts exhausted in segment "

@@ -193,12 +193,14 @@ class NormalForm:
             raise IndefiniteGamma(
                 f"symmetrized chain gain has eigenvalue range "
                 f"[{lam[0]:.6e}, {lam[-1]:.6e}] and is not sign definite")
-        self.chain0 = np.asarray(
-            np.zeros((self.r, m)) if self.chain0 is None else self.chain0,
-            dtype=float).reshape(self.r, m)
-        self.eta0 = np.asarray(
-            np.zeros(k) if self.eta0 is None else self.eta0,
-            dtype=float).reshape(k)
+        for key, size, shape in (("chain0", "r*m", (self.r, m)),
+                                 ("eta0", "k", (k,))):
+            v = getattr(self, key)
+            v = np.zeros(shape) if v is None else np.asarray(v, dtype=float)
+            if v.size != np.prod(shape):
+                raise ValueError(f"{key} must hold {size} = {np.prod(shape)} "
+                                 f"values, got {v.size}")
+            setattr(self, key, v.reshape(shape))
 
     @property
     def r(self) -> int:

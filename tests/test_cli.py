@@ -784,6 +784,35 @@ class TestSynthesizeCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: ConfigError: state_space mode requires system.C"]
 
+    @pytest.mark.parametrize("system, message", [
+        ({"B": [[0.0], [1.0], [0.0]]}, "B must have 2 rows, got 3"),
+        ({"C": [[1.0, 0.0, 0.0]]}, "C must have 2 columns, got 3"),
+        ({"C": [[1.0, 0.0], [0.0, 1.0]]},
+         "plant must be square: C rows must equal B columns"),
+        ({"x0": [1.0, 2.0, 3.0]}, "x0 length must match the state dimension"),
+        ({"R": []}, "chain must have positive length"),
+        ({"Gamma": [[1.0, 0.0]]}, "Gamma must be square"),
+        ({"R": [[[0.0, 0.0]]]}, "R block must have 1 columns, got 2"),
+        ({"S": [[1.0], [1.0]]}, "S must have 1 rows, got 2"),
+        ({"P": [[1.0], [1.0]]}, "S and P must match the internal dimension"),
+        ({"chain0": [[0.0, 0.0]]}, "chain0 must hold r*m = 1 values, got 2"),
+        ({"eta0": [0.0, 0.0]}, "eta0 must hold k = 1 values, got 2"),
+    ])
+    def test_system_shape_error_exits_2(self, tmp_path, capsys, system,
+                                        message):
+        # a double integrator, or one chain step over one internal state
+        base = ({"mode": "state_space", "A": [[0.0, 1.0], [0.0, 0.0]],
+                 "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+                if system.keys() & {"B", "C", "x0"} else
+                {"mode": "normal_form", "R": [[[-1.0]]], "Gamma": [[1.0]],
+                 "Q": [[-1.0]], "S": [[1.0]], "P": [[1.0]]})
+        cfg = synthesis_cfg({**base, **system}, None, None)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ValueError: {message}"]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("A, C, message", [
         *[([[1e308, 1e308], [1e308, 1e308]], C, "NoRelativeDegree: "
@@ -1089,6 +1118,18 @@ class TestSimulateAndVerify:
             f"error: ConfigError: design.funnel.{key} must be a positive "
             "number"]
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_overflowing_funnel_gain_exits_4(self, tmp_path, capsys):
+        # the funnel gain overflows the cascade at the first step; the run
+        # ends in its typed error alone, with no numpy warning before it
+        cfg = manual_cfg(t_end=0.5)
+        del cfg["availability"]
+        cfg["design"]["funnel"] = {"a": 1e300, "b": 1e300, "c": 1e-300}
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: StepUnderflow")
 
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         # 1e18 grid points: refused before anything is allocated

@@ -110,10 +110,6 @@ class TestSchedule:
         # without a dropout at zero the start is available
         assert sched_34().availability(0.0) == 1
 
-    def test_breakpoints(self):
-        s = AvailabilitySchedule([(0.0, 1.0), (3.0, 4.0)], 4.0)
-        assert s.breakpoints() == [1.0, 3.0]
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             AvailabilitySchedule([(2.0, 2.0)], 5.0)

@@ -442,11 +442,10 @@ class TestInputBoundCertificate:
 
     def test_degenerate_when_last_stage_starts_outside(self):
         gains = recursion(0.5, 1.0, [[0.1], [10.0]], 0.9)
-        nf = mass_on_car_normal_form()
-        cc = class_constants(nf)
+        cc = class_constants(mass_on_car_normal_form())
         f = FunnelSpec(a=1.5, b=1.0, c=0.5, d=1.0)
         with pytest.raises(DegenerateCertificate):
-            input_bound_certificate(cc, nf, f, gains, 10.0, 0.9, 1.0)
+            input_bound_certificate(cc, f, gains, 10.0, 0.9, 1.0)
 
 
 class TestSynthesize:

@@ -413,6 +413,13 @@ class TestCoasting:
 
 class TestEventExactness:
 
+    def test_segments_cut_at_dropout_ends(self):
+        # the endpoints at 0 and at the horizon cut nothing
+        s = AvailabilitySchedule([(0.0, 1.0), (3.0, 4.0)], 4.0)
+        assert _segments(s, s.horizon) == [(0.0, 1.0, 0, 0.0),
+                                           (1.0, 3.0, 1, 1.0),
+                                           (3.0, 4.0, 0, 0.0)]
+
     def test_breakpoints_sampled_bit_exact(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
         tr = integrate(nf, cc, design, sched, y_ref)
