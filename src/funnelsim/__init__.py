@@ -32,7 +32,6 @@ from .sysmodel import (
     StateSpace,
     class_constants,
     decay_envelope,
-    mass_on_car,
     mass_on_car_normal_form,
     relative_degree,
     to_normal_form,
@@ -60,7 +59,6 @@ __all__ = [
     "decay_envelope",
     "design_report",
     "integrate",
-    "mass_on_car",
     "mass_on_car_normal_form",
     "read_csv",
     "relative_degree",

@@ -37,7 +37,6 @@ from .sysmodel import (
     NormalForm,
     StateSpace,
     class_constants,
-    mass_on_car,
     mass_on_car_normal_form,
     to_normal_form,
 )
@@ -134,13 +133,11 @@ _READS = {
         {"availability": SECTION, "design": SECTION, "sim": SECTION,
          "output": SECTION})}),
     "system": ("mode", "mode", {
-        "mass_on_car": ({}, {"params": SECTION}),
+        "mass_on_car": ({}, {}),
         "state_space": ({"A": MAT, "B": MAT, "C": MAT}, {"x0": VEC}),
         "normal_form": ({"R": MATS, "Gamma": MAT, "Q": MAT, "P": MAT,
                          "S": MAT}, {"chain0": MAT, "eta0": VEC}),
     }),
-    "system.params": (None, "params", {"mass_on_car": (
-        {}, dict.fromkeys(("m1", "m2", "k", "d", "theta"), NUM))}),
     "reference": ("kind", "reference", {
         "constant": ({"values": VEC}, {}),
         "sinusoid": ({"amplitude": NUM_OR_VEC, "omega": NUM_OR_VEC},
@@ -232,9 +229,6 @@ def load_config(path=None, preset=None) -> dict:
 def build_system(cfg: dict) -> NormalForm:
     sec = cfg["system"]
     if sec["mode"] == "mass_on_car":
-        params = sec.get("params")
-        if params:
-            return to_normal_form(mass_on_car(**params))
         return mass_on_car_normal_form()
     if sec["mode"] == "state_space":
         return to_normal_form(StateSpace(sec["A"], sec["B"], sec["C"],
@@ -293,6 +287,9 @@ def _generated_pairs(gen: dict, horizon: float, dp) -> list:
     pairs = []
     t = start
     while t + dlen <= horizon and (count is None or len(pairs) < count):
+        if pairs and not t > pairs[-1][1]:
+            raise ConfigError(f"generated window length {wlen:g} does not "
+                              f"advance t = {pairs[-1][1]:g}")
         if not t + dlen > t:
             raise ConfigError(f"generated dropout length {dlen:g} does "
                               f"not advance t = {t:g}")

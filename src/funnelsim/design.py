@@ -62,7 +62,8 @@ def _sup_duration(name: str, coef: float, beta: float,
     """Root of coef * D^2 * exp(beta D) = target, bisected in log space.
 
     The left side is strictly increasing in D > 0, so the root is unique.
-    Relative tolerance 1e-12.  A target of 0 admits no dropout at all.
+    Relative tolerance 1e-12.  A target of 0, or a coef or beta that
+    overflowed, admits no dropout at all.
     """
     if not target > 0.0:
         raise DeltaTooLarge(f"no dropout meets the {name!r} dropout "
@@ -73,10 +74,12 @@ def _sup_duration(name: str, coef: float, beta: float,
         return 2.0 * math.log(d) + beta * d - lt
 
     lo, hi = 1.0, 1.0
-    for _ in range(4000):
-        if f(lo) < 0.0:
-            break
+    while not f(lo) < 0.0:
         lo *= 0.5
+        if lo == 0.0:
+            raise DeltaTooLarge(f"no dropout meets the {name!r} dropout "
+                                f"condition: its coefficient is {coef:.6e} "
+                                f"and beta {beta:.6e}")
     for _ in range(4000):
         if f(hi) > 0.0:
             break
@@ -112,6 +115,9 @@ def max_dropout_duration(cc: ClassConstants, q: float) -> float:
         return Unbounded
     coef, target = conditions.pop("decay")
     by_decay = target / coef
+    if by_decay == 0.0:
+        raise DeltaTooLarge("no dropout meets the 'decay' dropout condition: "
+                            f"its coefficient is {coef:.6e}")
     if cc.s * cc.p == 0.0:
         return by_decay
     return min(*(_sup_duration(name, coef, cc.beta, target)

@@ -171,7 +171,3 @@ class StepUnderflow(RunError):
 
 class IntegrationStalled(RunError):
     """The step budget was exhausted before the horizon was reached."""
-
-
-class SingularMassMatrix(ModelError):
-    """The benchmark mass matrix is numerically singular."""

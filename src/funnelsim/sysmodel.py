@@ -19,7 +19,6 @@ from .errors import (
     IndefiniteGamma,
     NoRelativeDegree,
     NotHurwitz,
-    SingularMassMatrix,
     TransformSingular,
 )
 
@@ -183,12 +182,17 @@ class NormalForm:
         self.P = _as_matrix(np.atleast_2d(self.P), cols=m, name="P")
         if self.S.shape[1] != k or self.P.shape[0] != k:
             raise ValueError("S and P must match the internal dimension")
-        # one spectrum of Gamma + Gamma^T gives sign and gamma_min
-        lam = np.linalg.eigvalsh(self.Gamma + self.Gamma.T)
+        # one spectrum of the symmetric part gives sign and gamma_min: half
+        # that of Gamma + Gamma^T, or where that overflows, of the halves'
+        # sum (halving first would round subnormal entries)
+        with np.errstate(over="ignore"):
+            twice = self.Gamma + self.Gamma.T
+        lam = (0.5 * np.linalg.eigvalsh(twice) if np.isfinite(twice).all()
+               else np.linalg.eigvalsh(0.5 * self.Gamma + 0.5 * self.Gamma.T))
         if lam[0] > 0.0:
-            self.sign, self.gamma_min = 1, float(0.5 * lam[0])
+            self.sign, self.gamma_min = 1, float(lam[0])
         elif lam[-1] < 0.0:
-            self.sign, self.gamma_min = -1, float(-0.5 * lam[-1])
+            self.sign, self.gamma_min = -1, float(-lam[-1])
         else:
             raise IndefiniteGamma(
                 f"symmetrized chain gain has eigenvalue range "
@@ -396,34 +400,6 @@ def class_constants(nf: NormalForm) -> ClassConstants:
     beta = 1.0 + sum(r_norms) + s * p * M / mu
     return ClassConstants(r=nf.r, sign=nf.sign, gamma_min=nf.gamma_min,
                           M=M, mu=mu, s=s, p=p, beta=beta, r_norms=r_norms)
-
-
-def mass_on_car(m1: float = 4.0, m2: float = 1.0, k: float = 2.0,
-                d: float = 1.0, theta: float = np.pi / 4) -> StateSpace:
-    """Benchmark plant: a mass on a spring-damper ramp riding on a driven car.
-
-    The car of mass m1 is pushed by the input force; a second mass m2 slides
-    on a ramp inclined by theta, restrained by a spring (stiffness k) and a
-    damper (coefficient d).  The output is the horizontal position of the
-    second mass.  State order: car position, ramp displacement, and their
-    velocities.  Starts at rest.
-    """
-    ct, st = np.cos(theta), np.sin(theta)
-    det = m2 * (m1 + m2 * st * st)
-    if abs(det) < 1e-12 * max(1.0, m2 * (m1 + m2)):
-        raise SingularMassMatrix(
-            f"mass matrix determinant {det:.3e} is numerically singular"
-        )
-    # Inverse of [[m1+m2, m2 ct], [m2 ct, m2]] applied to (u, -k s - d s').
-    A = np.array([
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, m2 * ct * k / det, 0.0, m2 * ct * d / det],
-        [0.0, -(m1 + m2) * k / det, 0.0, -(m1 + m2) * d / det],
-    ])
-    B = np.array([[0.0], [0.0], [m2 / det], [-m2 * ct / det]])
-    C = np.array([[1.0, ct, 0.0, 0.0]])
-    return StateSpace(A, B, C, x0=np.zeros(4))
 
 
 def mass_on_car_normal_form() -> NormalForm:

@@ -1,8 +1,9 @@
 """Test oracles for the proofs behind the closed-loop guarantees.
 
 The open-loop growth bound, the cascade's bounded-amplification lemma, the
-proof's composed rho map, the impulse-response coefficients of a plant, and
-the Radau IIA tableau the stepper holds.
+proof's composed rho map, the impulse-response coefficients of a plant, the
+physical mass-on-car model the companion realization is checked against,
+and the Radau IIA tableau the stepper holds.
 No command runs them; the acceptance criteria and the verify tests do.
 Each check reports through the same verdict rule as the trace checks,
 `verify._worst`, so a NaN margin fails.  Algebraic identities evaluated
@@ -27,6 +28,34 @@ def markov_parameters(sys: StateSpace, count: int) -> np.ndarray:
     for k, Mk in zip(range(count), _chain_coefficients(sys)):
         out[k] = Mk
     return out
+
+
+def mass_on_car(m1: float = 4.0, m2: float = 1.0, k: float = 2.0,
+                d: float = 1.0, theta: float = np.pi / 4) -> StateSpace:
+    """Benchmark plant: a mass on a spring-damper ramp riding on a driven car.
+
+    The car of mass m1 is pushed by the input force; a second mass m2 slides
+    on a ramp inclined by theta, restrained by a spring (stiffness k) and a
+    damper (coefficient d).  The output is the horizontal position of the
+    second mass.  State order: car position, ramp displacement, and their
+    velocities.  Starts at rest.  A numerically singular mass matrix is a
+    ValueError.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    det = m2 * (m1 + m2 * st * st)
+    if abs(det) < 1e-12 * max(1.0, m2 * (m1 + m2)):
+        raise ValueError(
+            f"mass matrix determinant {det:.3e} is numerically singular")
+    # Inverse of [[m1+m2, m2 ct], [m2 ct, m2]] applied to (u, -k s - d s').
+    A = np.array([
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, m2 * ct * k / det, 0.0, m2 * ct * d / det],
+        [0.0, -(m1 + m2) * k / det, 0.0, -(m1 + m2) * d / det],
+    ])
+    B = np.array([[0.0], [0.0], [m2 / det], [-m2 * ct / det]])
+    C = np.array([[1.0, ct, 0.0, 0.0]])
+    return StateSpace(A, B, C, x0=np.zeros(4))
 
 
 def radau_iia(s: int):

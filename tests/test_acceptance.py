@@ -28,7 +28,6 @@ from funnelsim.sysmodel import (
     NormalForm,
     class_constants,
     decay_envelope,
-    mass_on_car,
     mass_on_car_normal_form,
     to_normal_form,
 )
@@ -85,7 +84,7 @@ def test_acceptance_01_decay_envelope(capsys):
 
 def test_acceptance_02_normal_form_equivalence(capsys):
     with verdict(2, capsys):
-        plant = mass_on_car()
+        plant = proofs.mass_on_car()
         nf = to_normal_form(plant)
         assert nf.r == 2
         assert abs(float(nf.Gamma[0, 0]) - 1.0 / 9.0) <= 1e-12

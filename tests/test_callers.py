@@ -1,4 +1,4 @@
-"""src/ holds only what a run or the benchmark executes.
+"""src/ holds only what a run or the benchmark executes or names.
 
 Code that only tests call belongs under tests/ (see tests/proofs.py).
 """
@@ -27,6 +27,13 @@ def public_functions(path):
             yield node.name
 
 
+def public_classes(path):
+    """Public module-level classes defined in path."""
+    return [node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")]
+
+
 def _prose(tree):
     """Positions of the string constants that name without using: the
     docstrings, and the entries of __all__ assignments."""
@@ -47,33 +54,40 @@ def _prose(tree):
 
 def code_text(path):
     """The tokens of path, space-separated, without its comments, its
-    docstrings, its __all__ entries and the names its def statements
-    define: these name a function without calling it.  Other string
-    literals stay, since a name passed as a string (to getattr, say) is a
-    use."""
+    docstrings, its __all__ entries and the names its def and class
+    statements define: these name a function or class without using it.
+    Other string literals stay, since a name passed as a string (to
+    getattr, say) is a use."""
     source = path.read_text()
     prose = {(c.lineno, c.col_offset) for c in _prose(ast.parse(source))}
     tokens = [tok.string
               for tok in tokenize.generate_tokens(io.StringIO(source).readline)
               if tok.type != tokenize.COMMENT
               and not (tok.type == tokenize.STRING and tok.start in prose)]
-    return re.sub(r"\bdef \w+", "", " ".join(tokens))
+    return re.sub(r"\b(def|class) \w+", "", " ".join(tokens))
 
 
-def uncalled(defining, calling):
-    """Public functions defined in the files defining that no file in
-    calling names outside prose."""
+def uncalled(defining, calling, public=public_functions):
+    """Public functions (or other public names) defined in the files
+    defining that no file in calling names outside prose."""
     texts = [code_text(p) for p in calling]
     return sorted(
-        name for p in defining for name in public_functions(p)
+        name for p in defining for name in public(p)
         if not any(re.search(rf"\b{name}\b", text) for text in texts))
 
 
+# __init__.py only imports and lists names in __all__
+CALLERS = [p for p in [*SRC.glob("*.py"), *BENCH.glob("*.py")]
+           if p.name != "__init__.py"]
+
+
 def test_every_public_function_has_a_caller():
-    # __init__.py only imports and lists names in __all__
-    callers = [p for p in [*SRC.glob("*.py"), *BENCH.glob("*.py")]
-               if p.name != "__init__.py"]
-    assert uncalled(SRC.glob("*.py"), callers) == []
+    assert uncalled(SRC.glob("*.py"), CALLERS) == []
+
+
+def test_every_public_class_is_named():
+    # an exception only a deleted function raised stayed behind
+    assert uncalled(SRC.glob("*.py"), CALLERS, public_classes) == []
 
 
 def test_prose_is_not_a_caller(tmp_path):
@@ -92,3 +106,14 @@ def test_prose_is_not_a_caller(tmp_path):
         'x = called()\n')
     assert uncalled([lib], [lib]) == [
         "in_all", "in_comment", "in_doc", "in_module_doc"]
+
+
+def test_own_class_statement_is_not_a_use(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        'class Base(Exception): pass\n'
+        'class Unused(Base):\n    """Unused is named here."""\n'
+        'class Raised(Base): pass\n'
+        'class _Private: pass\n'
+        'def f(): raise Raised()\n')
+    assert uncalled([lib], [lib], public_classes) == ["Unused"]

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import inspect
 import io
 import json
 import logging
@@ -20,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from funnelsim import cli, errors, simulator, sysmodel
+from funnelsim import cli, errors, simulator
 from funnelsim.errors import ConfigError
 from funnelsim.simulator import csv_number, read_csv, write_csv
 
 import test_simulator
+from proofs import mass_on_car
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -56,6 +56,11 @@ OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# a scalar of either sign and any magnitude from 1e-308 to 1e308
+HUGE_RANGE = st.builds(lambda v, neg: -v if neg else v,
+                       log_uniform(1e-308, 1e308), st.booleans())
 
 
 def synthesis_cfg(system, dropout, window, amplitude=1.0, omega=1.0,
@@ -201,7 +206,6 @@ class TestConfig:
     @pytest.mark.parametrize("at, value, message", [
         (("availability", "generator", "count"), 2.0, None),
         (("system",), CHAIN_ONLY, None),
-        (("system", "params"), {}, None),
         (("availability",), {"dropouts": []}, None),
         *[(("availability", "generator", "count"), count,
            "availability.generator.count must be a whole number >= 0")
@@ -217,7 +221,7 @@ class TestConfig:
         ((), [], "a config must be an object"),
         (("system", "mode"), ["mass_on_car"], "system.mode must be one of "
          "mass_on_car, state_space, normal_form"),
-    ], ids=["count-2.0", "Q-empty-row", "params-empty", "dropouts-empty",
+    ], ids=["count-2.0", "Q-empty-row", "dropouts-empty",
             "count-2.5", "count-negative", "count-true", "manual-1",
             "manual-string", "pair-of-1", "pair-of-3", "R-mixed-depth",
             "amplitude-true", "not-an-object", "mode-not-a-string"])
@@ -326,6 +330,7 @@ class TestConfig:
         ("system", {"mode": "state_space", "A": [[0.0]], "B": [[1.0]],
                     "C": [[1.0]], "eta0": [0.0]}, "eta0"),
         ("system", dict(CHAIN_ONLY, params={"m1": 4.0}), "params"),
+        ("system", {"mode": "mass_on_car", "params": {}}, "params"),
         ("reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0,
                        "values": [1.0]}, "values"),
         ("reference", {"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0,
@@ -333,7 +338,7 @@ class TestConfig:
         ("reference", {"kind": "constant", "values": [1.0],
                        "offset": 1.0}, "offset"),
     ], ids=["chain0", "x0", "A", "normal_form-blocks", "eta0", "params",
-            "values", "amplitudes", "offset"])
+            "mass_on_car-params", "values", "amplitudes", "offset"])
     @pytest.mark.parametrize("command", ["synthesize", "simulate"])
     def test_unread_key_exits_2(self, tmp_path, capsys, command, section,
                                 value, key):
@@ -634,10 +639,16 @@ class TestScheduleBuilding:
          "count": 3},
         # lengths that move t, but would lay out about 3e13 dropouts
         {"kind": "periodic", "dropout": 1e-12, "window": 1e-12},
+        # a window that cannot move t past the previous dropout's end: the
+        # next dropout started there, and the error blamed that dropout
+        {"kind": "periodic", "dropout": 1.0, "window": 1e-300},
+        {"kind": "from_design", "window_factor": 1e-300, "count": 3},
     ])
     def test_stalled_or_oversized_generator_is_config_error(self, gen):
-        with pytest.raises(ConfigError):
-            cli._generated_pairs(gen, 60.0, None)
+        dp = types.SimpleNamespace(dropout=1.0, window=1.0)
+        with pytest.raises(ConfigError,
+                           match="length .* does not advance t|more than"):
+            cli._generated_pairs(gen, 60.0, dp)
 
     def test_dropouts_and_generator_conflict(self, tmp_path, capsys):
         # synthesize read the generator, ignored the list and exited 0
@@ -756,26 +767,33 @@ class TestSynthesizeCommand:
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "design_report.txt").is_file()
 
-    def test_state_space_matches_mass_on_car_params(self, tmp_path):
-        # both go through to_normal_form; only mass_on_car appends the
-        # discrepancy table
-        plant = sysmodel.mass_on_car()
-        params = {name: p.default for name, p in
-                  inspect.signature(sysmodel.mass_on_car).parameters.items()}
-        reports = []
-        for system in ({"mode": "state_space", "A": plant.A.tolist(),
-                        "B": plant.B.tolist(), "C": plant.C.tolist()},
-                       {"mode": "mass_on_car", "params": params}):
-            cfg = synthesis_cfg(system, None, None)
-            rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
-                           "--out", str(tmp_path)])
+    def test_mass_on_car_certificates_by_realization(self, tmp_path):
+        # the physical model goes through to_normal_form's SVD basis and
+        # certifies the numbers the README quotes; mass_on_car mode is the
+        # presets' companion realization, with the discrepancy table
+        def report(*source):
+            rc = cli.main(["synthesize", *source, "--out", str(tmp_path)])
             assert rc == 0
-            reports.append((tmp_path / "design_report.txt").read_text())
-        state_space, mass_on_car = reports
-        assert mass_on_car.startswith(state_space + "\nDISCREPANCY REPORT")
+            return (tmp_path / "design_report.txt").read_text()
+
+        plant = mass_on_car()
+        state_space = report("--config", write_cfg(tmp_path, synthesis_cfg(
+            {"mode": "state_space", "A": plant.A.tolist(),
+             "B": plant.B.tolist(), "C": plant.C.tolist()}, None, None)))
+        companion = report("--config", write_cfg(tmp_path, synthesis_cfg(
+            {"mode": "mass_on_car"}, None, None)))
+        preset = report("--preset", "scenario_a")
+        values = dict(line.split(" = ") for line in state_space.splitlines()
+                      if " = " in line)
+        assert (values["M"], values["Delta"], values["delta"]) == (
+            "1.5586087782489961", "0.023648162471906275",
+            "12.804400916201889")
+        assert "DISCREPANCY REPORT" not in state_space
+        assert companion == preset
+        assert "\nDelta = 0.01439339183980527\n" in companion
 
     def test_state_space_requires_c(self, tmp_path, capsys):
-        plant = sysmodel.mass_on_car()
+        plant = mass_on_car()
         cfg = synthesis_cfg({"mode": "state_space", "A": plant.A.tolist(),
                              "B": plant.B.tolist()}, None, None)
         rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
@@ -956,6 +974,27 @@ class TestSynthesizeCommand:
         err = capsys.readouterr().err.splitlines()
         if rc:
             assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200)
+    @example(R=1.0, Gamma=1.0, Q=-1e300, P=1e300, S=1e300)
+    @example(R=1.0, Gamma=1.0, Q=-1e308, P=1.0, S=1.0)
+    @example(R=1.0, Gamma=1e308, Q=-1.0, P=1.0, S=1.0)
+    @given(R=HUGE_RANGE, Gamma=HUGE_RANGE, Q=HUGE_RANGE.map(lambda v: -abs(v)),
+           P=HUGE_RANGE, S=HUGE_RANGE)
+    def test_drawn_scalar_plants_exit_0_or_3(self, tmp_path, capsys, R, Gamma,
+                                             Q, P, S):
+        # an overflowing dropout condition took math.log(0) or left a zero
+        # dropout (exit 2), and Gamma + Gamma^T overflowed to gamma = inf
+        system = {"mode": "normal_form", "R": [[[R]]], "Gamma": [[Gamma]],
+                  "Q": [[Q]], "P": [[P]], "S": [[S]]}
+        path = write_cfg(tmp_path, synthesis_cfg(system, None, None))
+        capsys.readouterr()
+        rc = cli.main(["synthesize", "--config", path, "--out",
+                       str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert (rc, err) == (0, []) or (
+            rc == 3 and len(err) == 1 and err[0].startswith("error: ")), err
 
 
 @pytest.fixture(scope="session")
@@ -1333,7 +1372,7 @@ EXIT_CODES = {
     "NotHurwitz": 3, "IndefiniteGamma": 3, "InvalidQ": 3,
     "DeltaTooLarge": 3, "InfeasibleEtaStar": 3, "EmptyWindow": 3,
     "CiOverflow": 3, "InfeasibleRefinement": 3, "TemplateRejected": 3,
-    "DegenerateCertificate": 3, "SingularMassMatrix": 3,
+    "DegenerateCertificate": 3,
     "InitialConditionViolated": 4, "FunnelViolation": 4,
     "StepUnderflow": 4, "IntegrationStalled": 4,
 }

@@ -39,13 +39,12 @@ from funnelsim.simulator import (
 from funnelsim.sysmodel import (
     NormalForm,
     class_constants,
-    mass_on_car,
     mass_on_car_normal_form,
     to_normal_form,
 )
 
 from conftest import coast, random_normal_form
-from proofs import radau_iia
+from proofs import mass_on_car, radau_iia
 
 
 def chain_nf(r=1, m=1, R_blocks=None, chain0=None):

@@ -11,7 +11,6 @@ from funnelsim.errors import (
     IndefiniteGamma,
     NoRelativeDegree,
     NotHurwitz,
-    SingularMassMatrix,
     TransformSingular,
 )
 from funnelsim.sysmodel import (
@@ -20,14 +19,13 @@ from funnelsim.sysmodel import (
     StateSpace,
     class_constants,
     decay_envelope,
-    mass_on_car,
     mass_on_car_normal_form,
     relative_degree,
     to_normal_form,
 )
 
 from conftest import random_normal_form
-from proofs import markov_parameters
+from proofs import markov_parameters, mass_on_car
 
 # Impulse-response coefficients of the default benchmark, worked out by hand
 # in exact fractions.
@@ -407,6 +405,17 @@ class TestClassConstants:
         assert cc.sign == -1
         assert cc.gamma_min == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_gain_near_the_float_range(self, sign):
+        # Gamma + Gamma^T overflowed, and gamma_min read inf
+        g = sign * 1.5e308
+        nf = NormalForm(R=[np.zeros((2, 2))], S=np.zeros((2, 0)),
+                        Gamma=np.array([[g, 0.5 * g], [0.5 * g, g]]),
+                        Q=np.zeros((0, 0)), P=np.zeros((0, 2)))
+        assert nf.sign == sign
+        assert nf.gamma_min == pytest.approx(0.75e308, rel=1e-12)
+
 
 class TestMassOnCar:
 
@@ -424,5 +433,5 @@ class TestMassOnCar:
         assert np.linalg.norm(nf.P) < 1e-10
 
     def test_singular_mass_matrix(self):
-        with pytest.raises(SingularMassMatrix):
+        with pytest.raises(ValueError, match="numerically singular"):
             mass_on_car(m1=0.0, m2=1.0, theta=0.0)
