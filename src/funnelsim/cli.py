@@ -74,7 +74,7 @@ PRESETS = {
         "availability": {"generator": {"kind": "periodic", "dropout": 2.0,
                                        "window": 3.0, "start": 5.0}},
         "design": {"manual": True,
-                   "funnel": {"a": 5.0, "b": 1.0, "c": 0.2, "d": 1.0}},
+                   "funnel": {"a": 5.0, "b": 1.0, "c": 0.2}},
         "sim": {"t_end": 60.0},
     },
 }
@@ -328,8 +328,7 @@ def build_design(cfg: dict, nf: NormalForm, y_ref: ReferenceSignal):
     sec = cfg.get("design", {})
     fun = sec.get("funnel")
     if sec.get("manual", False):
-        spec = FunnelSpec(fun["a"], fun["b"], fun["c"],
-                          fun.get("d", fun["b"]))
+        spec = FunnelSpec(fun["a"], fun["b"], fun["c"])   # d is b
         return ManualDesign(spec, **_given(sec, eta_star="internal_cap"))
     dropout_limit, availability_floor = _schedule_limits(cfg)
     template = None if fun is None else (fun["b"], fun["c"])
@@ -386,8 +385,9 @@ def discrepancy_table(dp) -> str:
     lines += [
         "",
         "consistency at the reported values:",
-        f"  start floor formula at ceiling 133145: "
-        f"{floor_at_reported:.10e} (reported 1.4449e-04)",
+        f"  start floor formula at ceiling "
+        f"{REPORTED['internal_ceiling']:g}: {floor_at_reported:.10e} "
+        f"(reported {REPORTED['funnel_start_floor']:.4e})",
         f"  certifiable dropout supremum: {dp.dropout_sup:.10e}; the "
         f"reported max_dropout {REPORTED['max_dropout']:g} exceeds it,",
         "  so the recomputed design keeps its own feasible dropout/window "

@@ -22,6 +22,9 @@ __all__ = [
     "start_cascade",
 ]
 
+DOMAIN_MARGIN = 1e-10     # stages must stay below 1 - this during availability
+LIM_SQ = (1.0 - DOMAIN_MARGIN) ** 2     # the squared stage norm bound
+
 
 def _dropout_pairs(pairs, horizon=np.inf):
     """pairs as float (start, end) tuples, or ConfigError naming the first
@@ -145,13 +148,13 @@ def start_cascade(phi, e_derivs):
 
 def check_start(n_sq, eta, internal_cap):
     """(stage norms, |eta|) at t = 0, or InitialConditionViolated for the
-    first of: a start_cascade stage of squared norm n_sq outside the unit
-    ball (NaN passes), |eta| above internal_cap."""
+    first of: a start_cascade stage of squared norm n_sq at or past LIM_SQ,
+    the bound the run holds it to (NaN passes), |eta| above internal_cap."""
     norms = np.sqrt(n_sq)
-    bad = np.flatnonzero(n_sq >= 1.0)
+    bad = np.flatnonzero(n_sq >= LIM_SQ)
     if bad.size:
         raise InitialConditionViolated(f"cascade stage {bad[0] + 1}",
-                                       norms[bad[0]], 1.0)
+                                       norms[bad[0]], 1.0 - DOMAIN_MARGIN)
     eta_norm = float(np.linalg.norm(eta))
     if eta_norm > internal_cap:
         raise InitialConditionViolated("internal state", eta_norm,

@@ -176,7 +176,6 @@ class EtaStarBounds:
     forcing: float
     coasting: float
     regrowth: float
-    regrowth_denominator: float
 
     @property
     def value(self) -> float:
@@ -220,7 +219,7 @@ def eta_star_lower_bound(cc: ClassConstants, dropout: float, window: float,
     else:
         regrowth = num / den
     bounds = EtaStarBounds(forcing=forcing, coasting=coasting,
-                           regrowth=regrowth, regrowth_denominator=den)
+                           regrowth=regrowth)
     if not math.isfinite(bounds.value):
         raise InfeasibleEtaStar(
             f"self-consistent ceiling denominator is {den:.6e}; "
@@ -317,19 +316,18 @@ def gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
 
 @dataclass(frozen=True)
 class FunnelSpec:
-    """Funnel gain phi0(t) = 1/(a exp(-b t) + c) with slope constant d.
+    """Funnel gain phi0(t) = 1/(a exp(-b t) + c).
 
-    The gain rises from 1/(a+c) to 1/c; d certifies the growth bound
-    phi0' <= d (1 + phi0), which holds with d = b for this family.
+    The gain rises from 1/(a+c) to 1/c; b is the family's slope constant,
+    the d of the paper's growth bound phi0' <= d (1 + phi0).
     """
 
     a: float
     b: float
     c: float
-    d: float
 
     def __post_init__(self):
-        for key in ("a", "b", "c", "d"):
+        for key in ("a", "b", "c"):
             if not 0.0 < getattr(self, key) < math.inf:     # NaN fails too
                 raise ConfigError(f"funnel parameter {key} must be positive "
                                   f"and finite")
@@ -379,7 +377,7 @@ def refine_funnel(window, required_level: float, settle: float,
                 f"template floor c = {c:.6e} is not below the initial "
                 f"funnel radius {1.0 / phi00:.6e}"
             )
-        funnel = FunnelSpec(a=1.0 / phi00 - c, b=b, c=c, d=b)
+        funnel = FunnelSpec(a=1.0 / phi00 - c, b=b, c=c)
         reached = funnel.value(settle)
         if reached < required_level * (1.0 - 1e-12):
             raise TemplateRejected(
@@ -400,7 +398,7 @@ def refine_funnel(window, required_level: float, settle: float,
                                        f"{required_level:.6e} is out of reach: "
                                        f"the funnel decay rate overflows")
     b *= 1.0 + 1e-9
-    return FunnelSpec(a=a, b=b, c=c, d=b)
+    return FunnelSpec(a=a, b=b, c=c)
 
 
 @dataclass(frozen=True)
@@ -472,7 +470,6 @@ def input_bound_certificate(cc: ClassConstants, funnel: FunnelSpec,
 class DesignParams:
     """Complete output of the synthesis pipeline."""
 
-    nf: NormalForm
     cc: ClassConstants
     q: float
     theta: float
@@ -588,7 +585,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
                                    settle, phi00=start_gain)
             b_next = max(B_SEED, funnel.b)
             if b_next <= b * (1.0 + 1e-12):
-                funnel = FunnelSpec(a=funnel.a, b=b, c=funnel.c, d=b)
+                funnel = FunnelSpec(a=funnel.a, b=b, c=funnel.c)
                 break
             b = b_next
         else:
@@ -599,7 +596,7 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     stage_norms, eta0_norm = check_start(start[1], nf.eta0, cap)
 
     cert = input_bound_certificate(cc, funnel, gains, cap, q, y_max)
-    return DesignParams(nf=nf, cc=cc, q=q, theta=theta, gain_sum=gain_sum,
+    return DesignParams(cc=cc, q=q, theta=theta, gain_sum=gain_sum,
                         dropout_sup=dropout_sup, dropout=dropout,
                         window_min=window_min, window=window, settle=settle,
                         eta_bounds=eta_bounds, internal_cap=cap,
@@ -660,7 +657,7 @@ def design_report(dp: DesignParams) -> str:
         ("phi0_min", dp.gain_lo), ("phi0_max", dp.gain_hi),
         ("phi0_0", dp.funnel.phi00),
         ("a", dp.funnel.a), ("b", dp.funnel.b), ("c", dp.funnel.c),
-        ("d", dp.funnel.d),
+        ("d", dp.funnel.b),
         ("mu0", dp.gains.slope_gain),
         ("mu0_tight", dp.funnel.slope_gain_tight),
     ]

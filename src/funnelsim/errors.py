@@ -136,8 +136,8 @@ class InitialConditionViolated(RunError):
         self.value = value
         self.bound = bound
         super().__init__(
-            f"start-up condition failed at {index}: value {value:.6e} "
-            f"exceeds bound {bound:.6e}"
+            f"start-up condition failed at {index}: value {value:.11e} "
+            f"exceeds bound {bound:.11e}"
         )
 
 

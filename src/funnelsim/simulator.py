@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rk import OutOfSteps, Underflow, radau_segment
-from .controller import (AvailabilitySchedule, cascade, check_start,
-                         start_cascade)
+from .controller import (LIM_SQ, AvailabilitySchedule, cascade,
+                         check_start, start_cascade)
 from .design import FunnelSpec
 from .errors import (
     ConfigError,
@@ -32,7 +32,6 @@ from .reference import ReferenceSignal
 __all__ = ["SimOptions", "ManualDesign", "Trace", "integrate",
            "write_rows", "write_csv", "read_csv"]
 
-DOMAIN_MARGIN = 1e-10     # stages must stay below 1 - this during availability
 MAX_GRID_ROWS = 10_000_000    # output grid points a run may ask for
 MAX_STEPS = 1_000_000     # step attempts of one run, over all segments
 
@@ -93,16 +92,16 @@ class Trace:
         return self.t.size
 
 
-def _segments(sched: AvailabilitySchedule, t_end: float):
-    """(start, end, availability, reset) per smooth piece of [0, t_end]."""
+def _segments(sched: AvailabilitySchedule):
+    """(start, end, availability, reset) per smooth piece of the horizon."""
     cuts = [0.0, *sorted({p for pair in sched.dropouts for p in pair
-                          if 0.0 < p < t_end}), t_end]
+                          if 0.0 < p < sched.horizon}), sched.horizon]
     a, tau = sched.at_times(0.5 * (np.array(cuts[:-1]) + cuts[1:]))
     return list(zip(cuts[:-1], cuts[1:], a.tolist(),
                     np.where(a == 1, tau, 0.0).tolist()))
 
 
-def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
+def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
     """The closed loop on one segment as (rhs, jac, signals).
 
     signals(t, x, bound) maps k times and states (k, n) to the funnel gain
@@ -110,7 +109,7 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
     (k, m), all zero during a dropout; given a bound, a stage with |e_i|^2 >=
     bound raises FunnelViolation.  rhs(t, x) = A x + B u for the same stacks,
     in nf.realization()'s state order (chain, then internal), tested at
-    lim_sq: the stepper rejects a step that leaves the funnel.  jac(t, x) is
+    LIM_SQ: the stepper rejects a step that leaves the funnel.  jac(t, x) is
     df/dx at one time and state, A in a dropout.
     """
     plant = nf.realization()
@@ -164,7 +163,7 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref, lim_sq):
         return phi, n_sq.T, u
 
     def rhs(t, x):
-        return x @ AT + law(t, x, lim_sq)[3] @ BT
+        return x @ AT + law(t, x, LIM_SQ)[3] @ BT
 
     def jac(t, x):
         # chain rule through e_(i+1) = phi e^(i) + alpha(|e_i|^2) e_i, with
@@ -190,8 +189,6 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
     and u as one piece per segment, the first led by nf's start.  The
     signals come from each segment's closure, tested like its steps.
     """
-    lim = 1.0 - DOMAIN_MARGIN
-    lim_sq = lim * lim
     cols = [[] for _ in range(7)]
     stats = {"segments": len(sched_segments), "accepted": 0, "rejected": 0}
     x = np.concatenate([nf.chain0.reshape(-1), nf.eta0])
@@ -203,8 +200,7 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
     for k, (lo, hi, a, tau) in enumerate(sched_segments):
         grid = full_grid[np.searchsorted(full_grid, lo, side="right"):
                          np.searchsorted(full_grid, hi, side="left")]
-        rhs, jac, signals = _closed_loop_rhs(nf, funnel, a, tau, y_ref,
-                                             lim_sq)
+        rhs, jac, signals = _closed_loop_rhs(nf, funnel, a, tau, y_ref)
         # an overflowed stage is an infinite norm the funnel test rejects,
         # and a NaN rate or error estimate rejects the step
         try:
@@ -230,7 +226,7 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
             seg_x = np.vstack([x[None], seg_x])
         for col, piece in zip(cols, (
                 np.full(seg_t.size, a), np.full(seg_t.size, tau), seg_t,
-                seg_x, *signals(seg_t, seg_x, lim_sq))):
+                seg_x, *signals(seg_t, seg_x, LIM_SQ))):
             col.append(piece)
         x = seg_x[-1].copy()
     return cols, stats
@@ -265,7 +261,7 @@ def integrate(nf, cc, design, sched: AvailabilitySchedule,
     """
     opts = opts or SimOptions()
     funnel = design.funnel
-    segs = _segments(sched, sched.horizon)
+    segs = _segments(sched)
     # a run that starts in a dropout has no funnel to start inside
     _, n_sq = start_cascade(funnel.phi00 if segs[0][2] else 0.0,
                             y_ref.start_errors(nf))

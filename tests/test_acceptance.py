@@ -130,8 +130,9 @@ def test_acceptance_05_dropout_recovery_run(bench_design, capsys):
         pairs = [(gap, gap + dlen),
                  (gap + dlen + gap, gap + dlen + gap + dlen)]
         sched = AvailabilitySchedule(pairs, horizon=60.0)
-        cc = class_constants(dp.nf)
-        trace = integrate(dp.nf, cc, dp, sched, cos_ref())
+        nf = mass_on_car_normal_form()
+        cc = class_constants(nf)
+        trace = integrate(nf, cc, dp, sched, cos_ref())
         results = [
             verify.funnel_containment(trace),
             verify.input_and_state_bounds(trace, dp),
@@ -148,7 +149,7 @@ def test_acceptance_06_long_loss_run(capsys):
     with verdict(6, capsys):
         start = time.perf_counter()
         nf = mass_on_car_normal_form()
-        design = ManualDesign(FunnelSpec(5.0, 1.0, 0.2, 1.0))
+        design = ManualDesign(FunnelSpec(5.0, 1.0, 0.2))
         pairs = [(5.0 * k, 5.0 * k + 2.0) for k in range(1, 12)]
         sched = AvailabilitySchedule(pairs, horizon=60.0)
         trace = integrate(nf, class_constants(nf), design, sched, cos_ref())
@@ -231,7 +232,7 @@ def test_acceptance_10_chain_only_plant(capsys):
         assert dp.window_min == 0.0
         assert math.isfinite(dp.cert.input_sup)
         # dropouts of ten seconds separated by half-second windows
-        design = ManualDesign(FunnelSpec(1e4, 10.0, 0.5, 10.0))
+        design = ManualDesign(FunnelSpec(1e4, 10.0, 0.5))
         pairs = [(0.5, 10.5), (11.0, 21.0), (21.5, 31.5)]
         sched = AvailabilitySchedule(pairs, horizon=35.0)
         trace = integrate(nf, class_constants(nf), design, sched, cos_ref())

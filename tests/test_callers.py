@@ -13,6 +13,7 @@ import funnelsim
 
 SRC = Path(funnelsim.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
+TOOLS = SRC.parents[1] / "tools"
 
 
 def public_functions(path):
@@ -76,6 +77,28 @@ def uncalled(defining, calling, public=public_functions):
         if not any(re.search(rf"\b{name}\b", text) for text in texts))
 
 
+def dataclass_fields(path):
+    """(class, field) for each field of the @dataclass classes in path."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass" for d in node.decorator_list):
+            yield from ((node.name, item.target.id) for item in node.body
+                        if isinstance(item, ast.AnnAssign))
+
+
+def unread_fields(defining, reading):
+    """Class.field for each dataclass field in the files defining whose
+    name no file in reading loads as an attribute: a name in prose, or on
+    the left of an assignment, stores without reading."""
+    read = {node.attr for p in reading
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for p in defining
+                  for cls, name in dataclass_fields(p) if name not in read)
+
+
 # __init__.py only imports and lists names in __all__
 CALLERS = [p for p in [*SRC.glob("*.py"), *BENCH.glob("*.py")]
            if p.name != "__init__.py"]
@@ -117,3 +140,32 @@ def test_own_class_statement_is_not_a_use(tmp_path):
         'class _Private: pass\n'
         'def f(): raise Raised()\n')
     assert uncalled([lib], [lib], public_classes) == ["Unused"]
+
+
+def test_every_dataclass_field_is_read():
+    # bench/ reads Trace.stats, and tools/ reads NormalForm.transform
+    readers = [*SRC.glob("*.py"), *BENCH.glob("*.py"), *TOOLS.glob("*.py")]
+    assert unread_fields(SRC.glob("*.py"), readers) == []
+
+
+def test_stored_or_named_field_is_not_read(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        'from dataclasses import dataclass\n\n\n'
+        '@dataclass(frozen=True)\n'
+        'class Spec:\n'
+        '    """in_doc is named here."""\n'
+        '    read: float\n'
+        '    in_doc: float\n'
+        '    in_comment: float\n'
+        '    stored: float\n\n\n'
+        '@dataclass\n'
+        'class Bare:\n'
+        '    used: int\n\n\n'
+        'class Plain:\n'
+        '    ignored: int\n\n\n'
+        'def f(spec, bare):\n'
+        '    spec.stored = bare.used  # spec.in_comment\n'
+        '    return spec.read\n')
+    assert unread_fields([lib], [lib]) == [
+        "Spec.in_comment", "Spec.in_doc", "Spec.stored"]

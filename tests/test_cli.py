@@ -750,6 +750,14 @@ class TestSynthesizeCommand:
         assert "DISCREPANCY REPORT" in text
         assert capsys.readouterr().out == text
 
+    def test_report_d_row_is_b(self, tmp_path, capsys):
+        # b is the funnel family's slope constant, the report's d
+        assert cli.main(["synthesize", "--preset", "scenario_a",
+                         "--out", str(tmp_path)]) == 0
+        rows = dict(line.split(" = ") for line in
+                    capsys.readouterr().out.splitlines() if " = " in line)
+        assert rows["d"] == rows["b"]
+
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only: neither the import nor a
         # synthesis may load it
@@ -1169,6 +1177,40 @@ class TestSimulateAndVerify:
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: StepUnderflow")
+
+    def test_manual_d_is_ignored(self, tmp_path):
+        cfg = manual_cfg(t_end=8.0)
+        traces = []
+        for d in (None, 7.0):
+            if d is not None:
+                cfg["design"]["funnel"]["d"] = d
+            out = tmp_path / str(d)
+            assert cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                             "--out", str(out)]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("command, design, gain", [
+        ("simulate", {"manual": True,
+                      "funnel": {"a": 0.5, "b": 1.0, "c": 0.5}}, 1.0),
+        ("synthesize", {"q": 0.9, "phi0_0": 0.03125}, 0.03125)])
+    def test_start_past_the_run_bound_exits_4(self, tmp_path, capsys,
+                                              command, design, gain):
+        # at the start gain, stage 1 has norm 1 - 5e-11: inside the unit
+        # ball, but past the bound 1 - 1e-10 that the stepper holds it to,
+        # so the start check refuses it, not the first rhs call
+        cfg = {"system": {"mode": "normal_form", "R": [[[0.0]]],
+                          "Gamma": [[1.0]], "Q": [[]], "S": [[]], "P": [[]],
+                          "chain0": [[0.99999999995 / gain]]},
+               "reference": {"kind": "constant", "values": [0.0]},
+               "design": design, "sim": {"t_end": 1.0}}
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: InitialConditionViolated: start-up condition failed at "
+            "cascade stage 1: value 9.99999999950e-01 exceeds bound "
+            "9.99999999900e-01"]
 
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         # 1e18 grid points: refused before anything is allocated

@@ -18,7 +18,7 @@ from funnelsim.simulator import ManualDesign, _closed_loop_rhs, integrate
 from funnelsim.sysmodel import NormalForm
 
 # funnel whose gain at t = 0 is exactly 1
-UNIT_GAIN = FunnelSpec(a=0.5, b=1.0, c=0.5, d=1.0)
+UNIT_GAIN = FunnelSpec(a=0.5, b=1.0, c=0.5)
 
 
 def sched_34(horizon=10.0):
@@ -168,8 +168,7 @@ class TestErrorCascade:
         # integrate's start check names the first stage at the boundary
         def start(phi00, chain0):
             nf = dataclasses.replace(chain_plant(r=2), chain0=chain0)
-            design = ManualDesign(FunnelSpec(1.0 / phi00 - 0.2, 1.0, 0.2,
-                                             1.0))
+            design = ManualDesign(FunnelSpec(1.0 / phi00 - 0.2, 1.0, 0.2))
             sched = AvailabilitySchedule([], 1.0)
             integrate(nf, None, design, sched, zero_ref())
 
@@ -181,15 +180,16 @@ class TestErrorCascade:
         assert ei.value.index == "cascade stage 1"
 
     def test_tightened_limit(self):
-        # the closed-loop rhs rejects a stage at its squared limit
-        def rhs_at(e, lim):
+        # the closed-loop rhs rejects a stage at the squared limit LIM_SQ,
+        # 1 - 1e-10 in norm, and accepts one just inside it
+        def rhs_at(e):
             rhs, _, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
-                                         zero_ref(), lim * lim)
+                                         zero_ref())
             return rhs(np.array([0.0]), np.array([[e]]))
 
-        rhs_at(0.95, 0.96)
+        rhs_at(1.0 - 2e-10)
         with pytest.raises(FunnelViolation):
-            rhs_at(0.95, 0.95)
+            rhs_at(1.0 - 1e-10)
 
     def test_vector_stages(self):
         e = np.array([[0.3, -0.4], [0.1, 0.2]])
@@ -238,6 +238,6 @@ class TestControlInput:
 
     def test_boundary_rejected(self):
         rhs, _, _ = _closed_loop_rhs(chain_plant(), UNIT_GAIN, 1, 0.0,
-                                     zero_ref(), 1.0)
+                                     zero_ref())
         with pytest.raises(FunnelViolation):
             rhs(np.array([0.0]), np.array([[1.0]]))

@@ -25,7 +25,6 @@ from funnelsim.errors import (
 )
 from funnelsim.reference import ReferenceSignal
 from funnelsim.simulator import (
-    DOMAIN_MARGIN,
     ManualDesign,
     SimOptions,
     Trace,
@@ -62,7 +61,7 @@ def chain_nf(r=1, m=1, R_blocks=None, chain0=None):
 def scenario_b_setup(horizon=10.0, dropouts=((3.0, 5.0), (8.0, 10.0))):
     nf = mass_on_car_normal_form()
     cc = class_constants(nf)
-    design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2, d=1.0))
+    design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2))
     sched = AvailabilitySchedule(dropouts, horizon)
     y_ref = ReferenceSignal.sinusoid(1.0, 1.0)
     return nf, cc, design, sched, y_ref
@@ -113,8 +112,7 @@ def state_with_stage_norms(nf, phi, ref, level, rng):
 
 def assert_jacobian_matches(nf, funnel, tau, y_ref, t, x, step=1e-9):
     """Analytic df/dx against central differences of the rhs."""
-    lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
-    rhs, jac, _ = _closed_loop_rhs(nf, funnel, 1, tau, y_ref, lim_sq)
+    rhs, jac, _ = _closed_loop_rhs(nf, funnel, 1, tau, y_ref)
     jx = jac(t, x)
     ts, eye = np.array([t]), np.eye(x.size)
     fd_x = np.column_stack([(rhs(ts, (x + step * d)[None])[0]
@@ -325,7 +323,7 @@ class TestJacobian:
         assert_jacobian_matches(nf, funnel, 0.0, y_ref, t, x)
 
     def test_random_plants(self, rng):
-        funnel = FunnelSpec(a=2.0, b=1.0, c=0.05, d=1.0)
+        funnel = FunnelSpec(a=2.0, b=1.0, c=0.05)
         checked = 0
         while checked < 4:
             nf = random_normal_form(rng, m_max=3, r_max=3)
@@ -345,10 +343,9 @@ class TestJacobian:
         # the stepper evaluates its stages as one stack, repeating
         # the same stage times in every Newton iteration
         nf = mass_on_car_normal_form()
-        funnel = FunnelSpec(a=2.0, b=1.0, c=0.05, d=1.0)
+        funnel = FunnelSpec(a=2.0, b=1.0, c=0.05)
         y_ref = ReferenceSignal.sinusoid(1.0, 1.0)
-        rhs, _, _ = _closed_loop_rhs(nf, funnel, 1, 0.5, y_ref,
-                                     (1.0 - DOMAIN_MARGIN) ** 2)
+        rhs, _, _ = _closed_loop_rhs(nf, funnel, 1, 0.5, y_ref)
         for t0 in (1.3, 2.0, 1.3):
             ts = t0 + np.array([0.0, 0.01, 0.02])
             xs = np.array([state_with_stage_norms(
@@ -381,7 +378,7 @@ class TestJacobian:
 
     def test_dropout_jacobian_is_the_plant(self):
         nf = mass_on_car_normal_form()
-        _, jac, _ = _closed_loop_rhs(nf, None, 0, 0.0, None, 1.0)
+        _, jac, _ = _closed_loop_rhs(nf, None, 0, 0.0, None)
         assert np.array_equal(jac(0.3, np.ones(4)), nf.realization().A)
 
 
@@ -415,9 +412,8 @@ class TestEventExactness:
     def test_segments_cut_at_dropout_ends(self):
         # the endpoints at 0 and at the horizon cut nothing
         s = AvailabilitySchedule([(0.0, 1.0), (3.0, 4.0)], 4.0)
-        assert _segments(s, s.horizon) == [(0.0, 1.0, 0, 0.0),
-                                           (1.0, 3.0, 1, 1.0),
-                                           (3.0, 4.0, 0, 0.0)]
+        assert _segments(s) == [(0.0, 1.0, 0, 0.0), (1.0, 3.0, 1, 1.0),
+                                (3.0, 4.0, 0, 0.0)]
 
     def test_breakpoints_sampled_bit_exact(self):
         nf, cc, design, sched, y_ref = scenario_b_setup()
@@ -504,11 +500,9 @@ class TestAccuracy:
         nf, cc, design, sched, y_ref = scenario_b_setup(
             horizon=3.0, dropouts=((1.0, 1.5),))
         tr = integrate(nf, cc, design, sched, y_ref)
-        lim_sq = (1.0 - DOMAIN_MARGIN) ** 2
         x = tr.x[0]
-        for lo, hi, a, tau in _segments(sched, sched.horizon):
-            rhs, _, _ = _closed_loop_rhs(nf, design.funnel, a, tau, y_ref,
-                                         lim_sq)
+        for lo, hi, a, tau in _segments(sched):
+            rhs, _, _ = _closed_loop_rhs(nf, design.funnel, a, tau, y_ref)
             ref = solve_ivp(lambda t, x: rhs(np.array([t]), x[None])[0],
                             (lo, hi), x, method="DOP853", rtol=1e-12,
                             atol=1e-14, dense_output=True)
@@ -538,7 +532,7 @@ class TestFailureModes:
         # a long dropout lets the error drift far outside the restarted
         # funnel; reacquisition is then infeasible and the run aborts
         nf = chain_nf(R_blocks=[[[1.0]]], chain0=[[0.5]])
-        design = ManualDesign(FunnelSpec(a=0.5, b=1.0, c=0.5, d=1.0))
+        design = ManualDesign(FunnelSpec(a=0.5, b=1.0, c=0.5))
         sched = AvailabilitySchedule([(0.5, 8.0)], 9.0)
         y_ref = ReferenceSignal([0.0], [[]], [[]])
         with pytest.raises((FunnelViolation, StepUnderflow)):

@@ -427,7 +427,7 @@ class TestPassRule:
 @pytest.fixture(scope="module")
 def run():
     nf = mass_on_car_normal_form()
-    design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2, d=1.0))
+    design = ManualDesign(FunnelSpec(a=5.0, b=1.0, c=0.2))
     sched = AvailabilitySchedule([(3.0, 4.0)], horizon=8.0)
     y_ref = ReferenceSignal(0.0, 0.5, 1.0)
     trace = integrate(nf, class_constants(nf), design, sched, y_ref)
