@@ -197,7 +197,7 @@ def eta_star_lower_bound(cc: ClassConstants, dropout: float, window: float,
 
     ref_bounds is (sup |y_ref|, sup |stacked reference chain|).  Any ceiling
     at or above .value of the result is admissible.  When none is, raises
-    InfeasibleEtaStar, whose .bounds holds the bounds if they were computed.
+    InfeasibleEtaStar.
     """
     y_sup, chain_sup = ref_bounds
     gain_sum = _gain_sum(cc.r, q)
@@ -223,7 +223,7 @@ def eta_star_lower_bound(cc: ClassConstants, dropout: float, window: float,
     if not math.isfinite(bounds.value):
         raise InfeasibleEtaStar(
             f"self-consistent ceiling denominator is {den:.6e}; "
-            f"dropout/window durations leave no margin", bounds)
+            f"dropout/window durations leave no margin")
     return bounds
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rk import OutOfSteps, Underflow, radau_segment
-from .controller import (LIM_SQ, AvailabilitySchedule, cascade,
-                         check_start, start_cascade)
+from .controller import (DOMAIN_MARGIN, LIM_SQ, AvailabilitySchedule,
+                         cascade, check_start, start_cascade)
 from .design import FunnelSpec
 from .errors import (
     ConfigError,
@@ -104,12 +104,12 @@ def _segments(sched: AvailabilitySchedule):
 def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
     """The closed loop on one segment as (rhs, jac, signals).
 
-    signals(t, x, bound) maps k times and states (k, n) to the funnel gain
+    signals(t, x, check) maps k times and states (k, n) to the funnel gain
     (k,), the squared stage norms (k, r) and u = -sign alpha(|e_r|^2) e_r
-    (k, m), all zero during a dropout; given a bound, a stage with |e_i|^2 >=
-    bound raises FunnelViolation.  rhs(t, x) = A x + B u for the same stacks,
-    in nf.realization()'s state order (chain, then internal), tested at
-    LIM_SQ: the stepper rejects a step that leaves the funnel.  jac(t, x) is
+    (k, m), all zero during a dropout; with check, a stage with |e_i|^2 >=
+    LIM_SQ raises FunnelViolation.  rhs(t, x) = A x + B u for the same
+    stacks, in nf.realization()'s state order (chain, then internal), always
+    checked: the stepper rejects a step that leaves the funnel.  jac(t, x) is
     df/dx at one time and state, A in a dropout.
     """
     plant = nf.realization()
@@ -117,7 +117,7 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
     AT, BT = A.T, B.T
     r, m = nf.r, nf.m
     if a == 0:
-        def signals(t, x, bound=None):
+        def signals(t, x, check=False):
             k = len(x)
             return np.zeros(k), np.zeros((k, r)), np.zeros((k, m))
 
@@ -134,9 +134,9 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
     memo = [(b"", math.nan, None, None)] * 2  # times' bytes, last, phi, ref
     point = [math.nan, b"", None]         # t, x bytes, (phi, stages, n_sq)
 
-    def law(t, x, bound=None):
+    def law(t, x, check=False):
         """Gain (k,), cascade stages (r, k, m), squared norms (r, k) and
-        u (k, m); given a bound, a stage at or past it raises."""
+        u (k, m); with check, a stage at or past LIM_SQ raises."""
         key = t.tobytes()
         for held, end, phi, ref in memo:
             if key == held:
@@ -149,21 +149,21 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
             memo[:] = (key, t[-1], phi, ref), memo[0]
         stages, n_sq = cascade(phi, x[:, :rm].reshape(-1, r, m)
                                .transpose(1, 0, 2) - ref)
-        if bound is not None and np.count_nonzero(n_sq >= bound):
-            i, j = np.argwhere(n_sq >= bound)[0]
+        if check and np.count_nonzero(n_sq >= LIM_SQ):
+            i, j = np.argwhere(n_sq >= LIM_SQ)[0]
             raise FunnelViolation(int(i) + 1, math.sqrt(n_sq[i, j]),
-                                  float(t[j]))
+                                  1.0 - DOMAIN_MARGIN, float(t[j]))
         if len(t) == 1:
             point[:] = t[0], x.tobytes(), (phi, stages, n_sq)
         return phi, stages, n_sq, (-sign / (1.0 - n_sq[-1, :, None])
                                    * stages[-1])
 
-    def signals(t, x, bound=None):
-        phi, _, n_sq, u = law(t, x, bound)
+    def signals(t, x, check=False):
+        phi, _, n_sq, u = law(t, x, check)
         return phi, n_sq.T, u
 
     def rhs(t, x):
-        return x @ AT + law(t, x, LIM_SQ)[3] @ BT
+        return x @ AT + law(t, x, check=True)[3] @ BT
 
     def jac(t, x):
         # chain rule through e_(i+1) = phi e^(i) + alpha(|e_i|^2) e_i, with
@@ -226,7 +226,7 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
             seg_x = np.vstack([x[None], seg_x])
         for col, piece in zip(cols, (
                 np.full(seg_t.size, a), np.full(seg_t.size, tau), seg_t,
-                seg_x, *signals(seg_t, seg_x, LIM_SQ))):
+                seg_x, *signals(seg_t, seg_x, check=True))):
             col.append(piece)
         x = seg_x[-1].copy()
     return cols, stats

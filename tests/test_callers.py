@@ -87,16 +87,31 @@ def dataclass_fields(path):
                         if isinstance(item, ast.AnnAssign))
 
 
+def self_attributes(path):
+    """(class, attribute) for each attribute a class in path assigns
+    through self."""
+    for cls in ast.walk(ast.parse(path.read_text())):
+        if isinstance(cls, ast.ClassDef):
+            yield from ((cls.name, node.attr) for node in ast.walk(cls)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self")
+
+
 def unread_fields(defining, reading):
-    """Class.field for each dataclass field in the files defining whose
-    name no file in reading loads as an attribute: a name in prose, or on
-    the left of an assignment, stores without reading."""
+    """Class.field for each dataclass field, or attribute stored through
+    self, in the files defining whose name no file in reading loads as an
+    attribute: a name in prose, or on the left of an assignment, stores
+    without reading."""
     read = {node.attr for p in reading
             for node in ast.walk(ast.parse(p.read_text()))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
-    return sorted(f"{cls}.{name}" for p in defining
-                  for cls, name in dataclass_fields(p) if name not in read)
+    return sorted({f"{cls}.{name}" for p in defining
+                   for cls, name in [*dataclass_fields(p),
+                                     *self_attributes(p)]
+                   if name not in read})
 
 
 # __init__.py only imports and lists names in __all__
@@ -169,3 +184,18 @@ def test_stored_or_named_field_is_not_read(tmp_path):
         '    return spec.read\n')
     assert unread_fields([lib], [lib]) == [
         "Spec.in_comment", "Spec.in_doc", "Spec.stored"]
+
+
+def test_attribute_stored_through_self_is_not_read(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        'class Failure(Exception):\n'
+        '    """in_doc is named here."""\n\n'
+        '    def __init__(self, x):\n'
+        '        self.read, self.in_doc = x, x\n'
+        '        self.stored = x\n'
+        '        super().__init__(f"failed at {x}")\n\n\n'
+        'def f(err):\n'
+        '    err.stored = err.read\n')
+    assert unread_fields([lib], [lib]) == [
+        "Failure.in_doc", "Failure.stored"]

@@ -1212,6 +1212,25 @@ class TestSimulateAndVerify:
             "cascade stage 1: value 9.99999999950e-01 exceeds bound "
             "9.99999999900e-01"]
 
+    def test_restart_past_the_run_bound_exits_4(self, tmp_path, capsys):
+        # the run starts in a dropout, so the start check holds nothing;
+        # at the restart stage 1 has norm 1 - 5e-11, past the run's bound
+        cfg = {"system": {"mode": "normal_form", "R": [[[0.0]]],
+                          "Gamma": [[1.0]], "Q": [[]], "S": [[]], "P": [[]],
+                          "chain0": [[0.99999999995]]},
+               "reference": {"kind": "constant", "values": [0.0]},
+               "availability": {"dropouts": [[0.0, 0.5]]},
+               "design": {"manual": True,
+                          "funnel": {"a": 0.5, "b": 1.0, "c": 0.5}},
+               "sim": {"t_end": 1.0}}
+        rc = cli.main(["simulate", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: FunnelViolation: cascade stage 1 has norm "
+            "9.99999999950e-01 at or past the bound 9.99999999900e-01 at "
+            "t = 0.5"]
+
     def test_oversized_grid_exits_2(self, tmp_path, capsys):
         # 1e18 grid points: refused before anything is allocated
         cfg = manual_cfg(t_end=1e9)

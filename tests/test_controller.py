@@ -174,10 +174,12 @@ class TestErrorCascade:
 
         with pytest.raises(InitialConditionViolated) as ei:
             start(1.0, [[0.5], [10.0]])
-        assert ei.value.index == "cascade stage 2"
+        assert str(ei.value).startswith(
+            "start-up condition failed at cascade stage 2: ")
         with pytest.raises(InitialConditionViolated) as ei:
             start(2.0, [[0.6], [0.0]])
-        assert ei.value.index == "cascade stage 1"
+        assert str(ei.value).startswith(
+            "start-up condition failed at cascade stage 1: ")
 
     def test_tightened_limit(self):
         # the closed-loop rhs rejects a stage at the squared limit LIM_SQ,

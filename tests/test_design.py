@@ -1,6 +1,8 @@
 """Unit tests for the synthesis pipeline, oracles frozen by hand first."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -190,11 +192,12 @@ class TestEtaStarLowerBound:
         cc = bench_cc()
         with pytest.raises(InfeasibleEtaStar) as ei:
             eta_star_lower_bound(cc, 5.01e-2, 18.8, 0.95, (1.0, 1.0))
-        raw = ei.value.bounds
-        assert raw.regrowth == math.inf
         assert "denominator is -" in str(ei.value)
+        # s enters only the regrowth denominator, so without it the first
+        # two bounds are those of the infeasible point
+        raw = eta_star_lower_bound(dataclasses.replace(cc, s=0.0), 5.01e-2,
+                                   18.8, 0.95, (1.0, 1.0))
         assert 133145.0 >= raw.forcing and 133145.0 >= raw.coasting
-        assert not 133145.0 >= raw.regrowth
         assert 60.0 < raw.forcing < 80.0
         assert 3000.0 < raw.coasting < 6000.0
 
@@ -220,8 +223,11 @@ class TestPhi0Window:
         # upper end falls below this lower end.
         with pytest.raises(EmptyWindow) as ei:
             phi0_window(cc, 133145.0, 5.01e-2, 18.8, 0.95, 1.0)
-        assert ei.value.lo == pytest.approx(lo, rel=1e-12)
-        assert ei.value.hi < lo
+        msg_lo, msg_hi = map(float, re.fullmatch(
+            r"initial funnel value window \[(\S+), (\S+)\] is empty",
+            str(ei.value)).groups())
+        assert msg_lo == pytest.approx(lo, rel=1e-6)
+        assert msg_hi < lo
 
     def test_no_output_coupling(self):
         cc = make_cc(M=1.0, mu=1.0, s=0.5, p=0.0, beta=2.0)
@@ -297,7 +303,7 @@ class TestGainRecursion:
     def test_overflow(self):
         with pytest.raises(CiOverflow) as ei:
             recursion(1.0, 1.0, [[1.5], [0.0]], 0.9)
-        assert ei.value.k == 1
+        assert str(ei.value).startswith("recursion constant c_1 = ")
 
     def test_invalid_q(self):
         with pytest.raises(InvalidQ):

@@ -67,7 +67,8 @@ class TestDecayEnvelope:
     def test_not_hurwitz(self):
         with pytest.raises(NotHurwitz) as ei:
             decay_envelope(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert abs(ei.value.eigenvalue.real) < 1e-9
+        eigenvalue = str(ei.value).rpartition("eigenvalue ")[2]
+        assert abs(complex(eigenvalue).real) < 1e-9
 
     @staticmethod
     def assert_matches_scipy(Q):
@@ -136,7 +137,7 @@ class TestRelativeDegree:
                          np.array([[1.0]]))
         with pytest.raises(AmbiguousZero) as ei:
             relative_degree(sys)
-        assert ei.value.k == 0
+        assert str(ei.value).startswith("coefficient C A^0 B has norm ")
 
     def test_all_zero(self):
         sys = StateSpace(np.array([[1.0]]), np.array([[1e-11]]),
