@@ -65,6 +65,7 @@ H0 = 1e-3                 # first step tried on a segment
 H_MIN = 1e-12             # a rejection below this step raises Underflow
 H_MAX = 1.0               # longest step
 CAUSES = ("rejected_error", "rejected_newton", "rejected_funnel")
+DENSE_BLOCK = 4096        # grid points evaluated at once by _Steps.samples
 
 
 class Underflow(Exception):
@@ -109,12 +110,21 @@ class _Steps:
         j = np.searchsorted(ends, grid)         # the step that crosses g
         inside = grid != ends[j]                # an endpoint is its sample
         j, grid = j[inside], grid[inside]
-        theta = ((grid - t[j]) / h[j])[:, None, None] ** POWERS
-        Q = rows[j, 2 + n:].reshape(-1, STAGES, n)
-        times = np.concatenate([ends, grid])
-        order = np.argsort(times, kind="stable")
-        return times[order], np.vstack(
-            [x[1:], x_end, x[j] + (theta @ Q)[:, 0]])[order]
+        # grid point k follows the j[k] step ends before it, and step end i
+        # follows the grid points crossed by steps 0..i
+        at = np.arange(j.size) + j
+        end_at = np.arange(ends.size)
+        end_at += np.searchsorted(j, end_at, side="right")
+        times = np.empty(ends.size + grid.size)
+        states = np.empty((times.size, n))
+        times[end_at], times[at] = ends, grid
+        states[end_at[:-1]], states[end_at[-1]] = x[1:], x_end
+        for lo in range(0, j.size, DENSE_BLOCK):
+            k, g = j[lo:lo + DENSE_BLOCK], grid[lo:lo + DENSE_BLOCK]
+            theta = ((g - t[k]) / h[k])[:, None, None] ** POWERS
+            Q = rows[k, 2 + n:].reshape(-1, STAGES, n)
+            states[at[lo:lo + DENSE_BLOCK]] = x[k] + (theta @ Q)[:, 0]
+        return times, states
 
 
 def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,

@@ -519,8 +519,8 @@ def cmd_plot_data(trace_path: Path, outdir: Path) -> int:
     ]
     outdir.mkdir(parents=True, exist_ok=True)
     for name, header, cols, blank in files:
-        with open(outdir / name, "w") as fh:
-            fh.write("# " + ",".join(header) + "\n")
+        with open(outdir / name, "wb") as fh:
+            fh.write(("# " + ",".join(header) + "\n").encode())
             write_rows(fh, trace.a, cols, blank, gaps=True)
     print(f"plot data written to {outdir}")
     return 0

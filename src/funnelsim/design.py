@@ -301,7 +301,8 @@ def gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
         demand = (1.0 + mu0) if k == 1 else mu_k
         norm_sq = float(init_sq[k - 1])
         comp = min(1.0 - norm_sq, 1.0 / (1.0 + demand), 1.0 - q * q)
-        if not comp > 0.0:      # the cap c_k = sqrt(1 - comp) reached 1
+        # c_k = sqrt(1 - comp) reached 1, or rounds to 1 with comp^2 = 0
+        if not comp > 0.0 or comp * comp == 0.0:
             raise CiOverflow(k, math.sqrt(1.0 - comp))
         comps.append(comp)
         caps.append(math.sqrt(1.0 - comp))

@@ -8,9 +8,7 @@ stepper in _rk.py, fed the analytic Jacobian, rejects any step that drives a
 cascade stage against the funnel boundary.  Runs are deterministic.
 """
 
-import itertools
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -285,7 +283,8 @@ def csv_number(v) -> str:
 
 
 def write_rows(fh, a, cols, blank=(), flag=None, gaps=False) -> None:
-    """One line per sample i: row i of every column, comma-separated.
+    """One line per sample i to the binary handle fh: row i of every
+    column, comma-separated.
 
     cols hold N rows each, 1-D or 2-D.  A cell holds CSV_NUMBER % v, or the
     availability a[i] as 0 or 1 at row position flag; the cells at the
@@ -297,8 +296,12 @@ def write_rows(fh, a, cols, blank=(), flag=None, gaps=False) -> None:
     for lo in range(0, avail.size, 1024):     # rows in bounded blocks
         v = np.column_stack([c[lo:lo + 1024] for c in cols])
         n, k = v.shape
-        # a 20-byte slot per cell, one for the gap; zero bytes are cut
-        out = np.zeros((n, k + 1, 20), np.uint8)
+        # a 20-byte slot per cell, one for the gap; zero bytes are cut.
+        # Each block rewrites every cell slot whole and leaves bytes 1-19
+        # of the gap slot zero, so the first block's buffer serves them all
+        if lo == 0:
+            buf = np.zeros((n, k + 1, 20), np.uint8)
+        out = buf[:n]
         # CSV_NUMBER % v byte for byte: the digits round m = |v| 10^s, with
         # 10^s as at most two exact factors or divisors from _TEN, so m is
         # off by under 3e-4; NaN, inf and m within 1e-3 of a tie or outside
@@ -330,7 +333,7 @@ def write_rows(fh, a, cols, blank=(), flag=None, gaps=False) -> None:
         out[:, :k, 19] = ord(",")
         out[:, k - 1, 19] = ord("\n")
         out[:, k, 0] = gap[lo:lo + n] * ord("\n")
-        fh.write(out[out != 0].tobytes().decode())
+        fh.write(out.tobytes().translate(None, b"\0"))
 
 
 def _csv_header(m: int, r: int, kdim: int) -> list:
@@ -351,8 +354,8 @@ def write_csv(trace: Trace, path) -> None:
     cols = (trace.t, trace.a, trace.tau, trace.phi, trace.psi, trace.y,
             trace.e_norm, trace.stage_norms, trace.u, trace.u_norm,
             trace.eta, trace.eta_norm)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         write_rows(fh, trace.a, cols, blank=(4,), flag=1)
 
 
@@ -373,19 +376,22 @@ def read_csv(path) -> Trace:
         kdim = sum(1 for n in names if re.fullmatch(r"eta_\d+", n))
         if m < 1 or r < 1 or names != _csv_header(m, r, kdim):
             raise ConfigError(f"{path}: unrecognized trace header")
-        fed = itertools.count()     # loadtxt skips blank lines: count them
-        lines = map(operator.itemgetter(0), zip(fh, fed))
+        # loadtxt skips blank lines, so they are counted here; told the
+        # line count, it also allocates its rows once instead of growing
+        body, n = fh.tell(), sum(1 for _ in fh)
+        fh.seek(body)
         try:
-            with warnings.catch_warnings():   # a header-only file is valid
-                warnings.filterwarnings("ignore", "loadtxt: input contained")
+            # a header-only file is valid, a blank line is refused below
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", ".*contained no data")
                 data = np.loadtxt(
-                    lines, delimiter=",", comments=None, ndmin=2,
+                    fh, delimiter=",", comments=None, ndmin=2,
+                    max_rows=max(n, 1),
                     # a must be an integer; an empty psi marks a dropout
                     converters={1: int, 4: lambda v: float(v or -1.0)},
                 ).reshape(-1, len(names))
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed trace body: {exc}") from None
-    n = next(fed)
     if len(data) != n:
         raise ConfigError(f"{path}: blank line in the trace body")
     if not np.all((data[:, 1] == 0) | (data[:, 1] == 1)):

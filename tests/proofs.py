@@ -3,7 +3,8 @@
 The open-loop growth bound, the cascade's bounded-amplification lemma, the
 proof's composed rho map, the impulse-response coefficients of a plant, the
 physical mass-on-car model the companion realization is checked against,
-and the Radau IIA tableau the stepper holds.
+the Radau IIA tableau the stepper holds, and its dense output merged by
+one gather and a stable sort.
 No command runs them; the acceptance criteria and the verify tests do.
 Each check reports through the same verdict rule as the trace checks,
 `verify._worst`, so a NaN margin fails.  Algebraic identities evaluated
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from funnelsim._rk import POWERS, STAGES
 from funnelsim.controller import alpha, cascade
 from funnelsim.design import partial_geometric_sum
 from funnelsim.sysmodel import StateSpace, _chain_coefficients
@@ -93,6 +95,24 @@ def radau_iia(s: int):
     d = np.linalg.solve(nodes ** (k[:, None] - 1), (k == 1) / -mu)
     weights = mu * np.linalg.solve(A.T, d)
     return nodes, A, mu, weights
+
+
+def sorted_samples(steps, grid, t_end, x_end):
+    """What _rk._Steps.samples returns, built the direct way: every grid
+    point's polynomial evaluated in one gather, appended to the step ends
+    and put in time order by a stable argsort."""
+    n, rows = steps.n, steps.rows[:steps.count]
+    t, h, x = rows[:, 0], rows[:, 1], rows[:, 2:2 + n]
+    ends = np.append(t[1:], t_end)
+    j = np.searchsorted(ends, grid)
+    inside = grid != ends[j]
+    j, grid = j[inside], grid[inside]
+    theta = ((grid - t[j]) / h[j])[:, None, None] ** POWERS
+    Q = rows[j, 2 + n:].reshape(-1, STAGES, n)
+    times = np.concatenate([ends, grid])
+    order = np.argsort(times, kind="stable")
+    return times[order], np.vstack(
+        [x[1:], x_end, x[j] + (theta @ Q)[:, 0]])[order]
 
 
 def coasting_bound_check(trace, cc) -> CheckResult:

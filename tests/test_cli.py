@@ -940,6 +940,22 @@ class TestSynthesizeCommand:
         assert rc == 3
         assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
 
+    @pytest.mark.parametrize("r", [5, 6])
+    def test_underflowing_cap_complement_exits_3(self, tmp_path, capsys, r):
+        # from relative degree 5 the complement 1 - c_4^2 is so small that
+        # its square underflows, and the next stage slope divided by 0: a
+        # raw ZeroDivisionError that exited 4
+        system = {"mode": "normal_form", "R": [[[0.0]]] * r,
+                  "Gamma": [[1.0]], "Q": [[-1.0]], "S": [[0.5]],
+                  "P": [[0.5]]}
+        cfg = synthesis_cfg(system, None, None)
+        rc = cli.main(["synthesize", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: CiOverflow: recursion constant c_4 = 1.000000e+00 is "
+            "not < 1"]
+
     def test_underflowing_dropout_target_exits_3(self, tmp_path, capsys):
         # q / A_r underflows to 0, and the dropout supremum took
         # math.log(0), a raw ValueError that exited 2
@@ -1401,6 +1417,25 @@ class TestPlotData:
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_drawn_doubles_match_field_formatting(self, tmp_path, vals):
         self.check_plot_data(tmp_path, vals)
+
+    # wide cells: signs, three-digit exponents, NaN, inf and doubles
+    # near a tie, which CSV_NUMBER % v writes itself
+    WIDE = (-1.7976931348623157e308, np.nan, -np.inf, np.inf, -5e-324,
+            1000000000005.0, -9.9999999999995e99, -2.157131824925e-30)
+    NARROW = (0.5, 2.0, 0.1, 0.0, 976.7743761695)
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    def test_last_block_after_wider_cells(self, tmp_path, rows):
+        # the writer fills one buffer block after block, so a short last
+        # block of narrow positive cells follows full blocks of wide ones;
+        # the availability pattern blanks psi and sets the flag in each
+        last = (rows - 1) // 1024 * 1024
+        vals = np.resize(self.WIDE, rows)
+        vals[last:] = np.resize(self.NARROW, rows - last)
+        self.check_plot_data(tmp_path, vals)
+        tr = test_simulator.TestCsv.edge_value_trace(vals)
+        assert (tmp_path / "trace.csv").read_text() == (
+            test_simulator.TestCsv.csv_text(tr))
 
     def test_empty_trace(self, sim_dir, tmp_path):
         header = (sim_dir / "trace.csv").read_text().splitlines()[0]

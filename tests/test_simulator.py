@@ -4,6 +4,7 @@ exactness, trace output."""
 import csv
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from funnelsim.sysmodel import (
 )
 
 from conftest import coast, random_normal_form
-from proofs import mass_on_car, radau_iia
+from proofs import mass_on_car, radau_iia, sorted_samples
 
 
 def chain_nf(r=1, m=1, R_blocks=None, chain0=None):
@@ -248,6 +249,65 @@ class TestStepper:
         assert stats["rejected"] == (stats["rejected_error"]
                                      + stats["rejected_newton"]
                                      + stats["rejected_funnel"])
+
+
+def recorded_steps(count, n, seed=0):
+    """A _Steps block of count uneven steps from t = 0 with random states
+    and polynomial coefficients, recorded without integrating; returns it
+    and the last step's end."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.5e-3, 1.5e-3, count)
+    t = np.concatenate([[0.0], np.cumsum(h[:-1])])
+    steps = _rk._Steps(n)
+    for t_k, h_k in zip(t, h):
+        steps.add(t_k, h_k, rng.standard_normal(n),
+                  rng.standard_normal((_rk.STAGES, n)))
+    return steps, t[-1] + h[-1]
+
+
+class TestDenseOutput:
+    """_Steps.samples places each sample at its computed position and
+    evaluates the grid DENSE_BLOCK points at a time; proofs.sorted_samples,
+    one gather and a stable argsort, is what it must match bit for bit."""
+
+    # grid points of each case, spread evenly inside the steps' span
+    INNER = {"grid_on_step_ends": 398, "empty_grid": 0, "one_step": 7,
+             "grid_past_one_block": 2 * _rk.DENSE_BLOCK + 1}
+
+    @pytest.mark.parametrize("case", INNER)
+    def test_matches_sorted_merge(self, case):
+        steps, t_end = recorded_steps(1 if case == "one_step" else 50, 3)
+        ends = np.append(steps.rows[1:steps.count, 0], t_end)
+        inner = np.linspace(0.0, t_end, self.INNER[case] + 2)[1:-1]
+        grid = (np.union1d(inner, ends[:-1:3])
+                if case == "grid_on_step_ends" else inner)
+        if case == "grid_on_step_ends":
+            assert np.isin(ends, grid).sum() == 17
+        x_end = np.array([0.5, -0.0, 2.0])
+        got = steps.samples(grid, t_end, x_end)
+        want = sorted_samples(steps, grid, t_end, x_end)
+        assert got[0].size == steps.count + np.setdiff1d(grid, ends).size
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g.view(np.uint64),
+                                          w.view(np.uint64))
+
+    def test_workspace_is_bounded_by_the_output(self):
+        # 2,000 steps and 200,000 grid points of n = 4: the samples hold
+        # 7.7 MiB, and the work beside them may take as much again, not
+        # one gather of every grid point's coefficients (50 MiB)
+        steps, t_end = recorded_steps(2000, 4)
+        grid = np.linspace(0.0, t_end, 200_002)[1:-1]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            times, states = steps.samples(grid, t_end, np.zeros(4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        output = times.nbytes + states.nbytes
+        assert times.size == 202_000
+        assert peak - output <= output
 
 
 class TestJacobianAfterRejection:
