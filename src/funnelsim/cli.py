@@ -1,9 +1,9 @@
 """Configuration-driven command line: synthesize, simulate, verify, reproduce.
 
 Configs are JSON checked against one table of the keys each section reads
-and their types (unknown keys and non-finite literals are rejected).  Two
-built-in presets drive the benchmark plant: ``scenario_a`` synthesizes a
-design and schedules dropouts just inside its certified limits;
+and their types (unknown keys are rejected; a number is a finite double).
+Two built-in presets drive the benchmark plant: ``scenario_a`` synthesizes
+a design and schedules dropouts just inside its certified limits;
 ``scenario_b`` skips synthesis and runs a user funnel against long
 dropouts.  Exit codes: 0 success, 1 verification failure, 2 configuration
 error, 3 synthesis infeasibility, 4 integration failure or any other
@@ -92,7 +92,8 @@ PAIRS, SECTION = "a list of [start, end] number pairs", "an object"
 
 
 def _number(x) -> bool:
-    return type(x) in (int, float)      # bool is no number
+    # bool is no number; an int of any size compares exactly, inf and NaN fail
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def _list_of(ok):
@@ -110,8 +111,7 @@ _IS = {
     NUM: _number,
     POS: lambda v: _number(v) and v > 0,
     START: lambda v: _number(v) and v >= 0,
-    COUNT: lambda v: (type(v) is int or type(v) is float
-                      and v.is_integer()) and v >= 0,
+    COUNT: lambda v: _number(v) and v >= 0 and v % 1 == 0,
     VEC: _vec,
     MAT: _matrix,
     MATS: _list_of(_matrix),
@@ -203,10 +203,6 @@ def _walk(sec: dict, path: str = "", kind: str = "") -> None:
             _walk(value, at + key, kind)
 
 
-def _reject_nonfinite(token):
-    raise ValueError(f"non-finite literal {token!r} is not allowed")
-
-
 def load_config(path=None, preset=None) -> dict:
     if (path is None) == (preset is None):
         raise ConfigError("exactly one of --config and --preset is required")
@@ -215,8 +211,7 @@ def load_config(path=None, preset=None) -> dict:
             raise ConfigError(f"unknown preset {preset!r}")
         cfg = copy.deepcopy(PRESETS[preset])
     else:
-        cfg = json.loads(Path(path).read_text(),
-                         parse_constant=_reject_nonfinite)
+        cfg = json.loads(Path(path).read_text())
     if not _IS[SECTION](cfg):
         raise ConfigError(f"a config must be {SECTION}")
     _walk({"design": {}, **cfg})    # no design section is a synthesized one

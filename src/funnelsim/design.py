@@ -286,8 +286,8 @@ def gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
     the inherited slope demand, and the post-dropout margin q.
     """
     _check_q(q)
-    if phi00 <= 0.0:
-        raise ValueError("initial funnel gain must be positive")
+    if not 0.0 < phi00 < math.inf:
+        raise ValueError("initial funnel gain must lie in (0, inf)")
     init, init_sq = start
     r = init.shape[0]
     mu0 = d * (1.0 + phi00) / phi00
@@ -511,8 +511,8 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     gain_sum = _gain_sum(nf.r, q)
     if not (0.0 < theta < 1.0):
         raise ValueError("safety factor theta must lie in (0, 1)")
-    if not settle_factor > 0.0:
-        raise ValueError("settle factor must be positive")
+    if not 0.0 < settle_factor < math.inf:
+        raise ValueError("settle factor must lie in (0, inf)")
     e_derivs0 = y_ref.start_errors(nf)
     cc = class_constants(nf)
 

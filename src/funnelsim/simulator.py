@@ -42,8 +42,8 @@ class SimOptions:
 
     def __post_init__(self):
         for key in ("rtol", "atol", "grid_dt"):
-            if not getattr(self, key) > 0.0:      # NaN fails too
-                raise ConfigError(f"SimOptions.{key} must be positive")
+            if not 0.0 < getattr(self, key) < math.inf:     # NaN fails too
+                raise ConfigError(f"SimOptions.{key} must lie in (0, inf)")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line behavior: configs, schedules, commands, exit codes."""
 
+import builtins
 import contextlib
 import copy
 import io
@@ -105,12 +106,14 @@ ARRAY_SECTIONS = {
                          "omegas": [[1.0]]},
     "": {},
 }
-# every key of cli._READS whose value may be a number array, with its
-# section, a kind that reads it and its type
+# every key of cli._READS with its section, a kind that reads it and its type
+TABLE_KEYS = [(section, kind, key, want)
+              for section, (_, _, kinds) in cli._READS.items()
+              for kind, reads in kinds.items()
+              for key, want in {**reads[0], **reads[1]}.items()]
+# one entry for each key whose value may be a number array
 ARRAY_KEYS = list({key: (section, kind, key, want)
-                   for section, (_, _, kinds) in cli._READS.items()
-                   for kind, reads in kinds.items()
-                   for key, want in {**reads[0], **reads[1]}.items()
+                   for section, kind, key, want in TABLE_KEYS
                    if want in DRAFT}.values())
 ARRAY_IDS = [key for _, _, key, _ in ARRAY_KEYS]
 
@@ -174,6 +177,87 @@ def array_cfg(section, kind, key, value):
     cfg = manual_cfg(t_end=0.1)
     cfg[section] = dict(ARRAY_SECTIONS[kind], **{key: value})
     return cfg
+
+
+# Loadable configs that set every numeric key of cli._READS between them,
+# each in a section of the kind that reads it.
+NUMBER_BASES = [
+    {"system": {"mode": "state_space", "A": [[0.0, 1.0], [-1.0, -1.0]],
+                "B": [[0.0], [1.0]], "C": [[1.0, 0.0]], "x0": [0.0, 0.0]},
+     "reference": {"kind": "sinusoid", "amplitude": 1.0, "omega": 1.0,
+                   "phase": 0.0, "offset": 0.0},
+     "availability": {"dropouts": [[1.0, 1.5]]},
+     "design": {"manual": True, "eta_star": 1e6,
+                "funnel": {"a": 5.0, "b": 1.0, "c": 0.2, "d": 1.0}},
+     "sim": {"t_end": 1.0, "rtol": 1e-8, "atol": 1e-10, "grid_dt": 1e-3}},
+    {"system": {"mode": "normal_form", "R": [[[0.0]], [[0.0]]],
+                "Gamma": [[1.0]], "Q": [[-1.0]], "S": [[0.5]], "P": [[0.5]],
+                "chain0": [[0.0], [0.0]], "eta0": [0.0]},
+     "reference": {"kind": "sum_of_sinusoids", "amplitudes": [[1.0, 0.2]],
+                   "omegas": [[1.0, 3.0]], "phases": [[0.0, 0.5]],
+                   "offset": [0.1]},
+     "availability": {"generator": {"kind": "periodic", "dropout": 0.01,
+                                    "window": 30.0, "start": 30.0,
+                                    "count": 2}},
+     "design": {"q": 0.95, "theta": 0.9, "eta_star": 1e6, "phi0_0": 1e-3,
+                "rho_factor": 0.99, "funnel": {"b": 2.0, "c": 1e-4}},
+     "sim": {"t_end": 1.0}},
+    {"system": {"mode": "mass_on_car"},
+     "reference": {"kind": "constant", "values": [1.0]},
+     "availability": {"generator": {"kind": "from_design",
+                                    "dropout_factor": 0.95,
+                                    "window_factor": 1.02, "start": 1.0,
+                                    "count": 2}},
+     "design": {"q": 0.95},
+     "sim": {"t_end": 1.0}},
+]
+# the classes an error line may name for each non-zero exit but 1
+EXIT_CATEGORIES = {2: (ConfigError, ValueError, OSError),
+                   3: errors.ModelError, 4: errors.RunError}
+NUMERIC = {cli.NUM, cli.POS, cli.START, cli.COUNT, cli.VEC, cli.MAT,
+           cli.MATS, cli.NUM_OR_VEC, cli.PAIRS}
+# JSON numbers no double holds, and the tokens json reads as inf and NaN
+OUT_OF_RANGE = ["1e400", "-1e400", "9" * 400, "-" + "9" * 400, "Infinity",
+                "-Infinity", "NaN"]
+PLACEHOLDER = "an out-of-range literal"
+
+
+def section_at(cfg, path):
+    """The section of cfg at a dotted path of cli._READS; {} if absent."""
+    for key in filter(None, path.split(".")):
+        cfg = cfg.get(key, {})
+    return cfg
+
+
+def kind_of(cfg, path):
+    """The kind cli._walk gives the section of cfg at path."""
+    field = cli._READS[path][0]
+    sec = section_at(cfg, path)
+    if field == "manual":
+        return "manual" if sec.get("manual", False) else "synthesized"
+    if field is not None:
+        return sec[field]
+    return kind_of(cfg, path.rpartition(".")[0]) if path else ""
+
+
+def number_positions(value, at=()):
+    """Index paths of the numbers in value."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from number_positions(item, at + (i,))
+    else:
+        yield at
+
+
+NUMBER_READS = [read for read in TABLE_KEYS if read[3] in NUMERIC]
+# every numeric key of cli._READS with the first base config whose section
+# has a kind that reads it (None if there is none), and the key's type
+NUMBER_KEYS = [
+    (next((base for base in NUMBER_BASES if section_at(base, section)
+           and kind_of(base, section) == kind), None), section, key, want)
+    for section, kind, key, want in NUMBER_READS]
+NUMBER_IDS = [f"{section}.{key}" + (f"-{kind}" if kind else "")
+              for section, kind, key, _ in NUMBER_READS]
 
 
 class TestConfig:
@@ -259,8 +343,10 @@ class TestConfig:
     def test_nonfinite_literal_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"system": {"mode": "mass_on_car"}, '
-                     '"sim": {"t_end": Infinity}}')
-        with pytest.raises(ValueError):
+                     '"reference": {"kind": "constant", "values": [0.0]}, '
+                     '"design": {"q": 0.95}, "sim": {"t_end": Infinity}}')
+        with pytest.raises(ConfigError,
+                           match="^sim.t_end must be a positive number$"):
             cli.load_config(path=str(p))
 
     def test_missing_file_exit_code(self, tmp_path):
@@ -318,6 +404,40 @@ class TestConfig:
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: ConfigError: {section}.{key} must be {want}"]
+
+    def test_number_bases_cover_the_table(self, tmp_path):
+        # a numeric key added to cli._READS needs a place in NUMBER_BASES
+        for base in NUMBER_BASES:
+            assert cli.load_config(path=write_cfg(tmp_path, base)) == base
+        for base, section, key, _ in NUMBER_KEYS:
+            assert base is not None and key in section_at(base, section), (
+                f"no base config sets {section}.{key}")
+
+    @pytest.mark.parametrize("base, section, key, want", NUMBER_KEYS,
+                             ids=NUMBER_IDS)
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys, base,
+                                         section, key, want):
+        # 1e400 and big integers passed the table (1e400 gave rho = inf,
+        # a big integer an untyped OverflowError), and the non-finite
+        # tokens failed in the JSON parse hook, naming no key
+        spots = list(number_positions(section_at(base, section)[key]))
+        for i, literal in enumerate(OUT_OF_RANGE):
+            # one entry of a list or matrix, a different one each literal
+            cfg = copy.deepcopy(base)
+            holder, at = section_at(cfg, section), key
+            for index in spots[i % len(spots)]:
+                holder, at = holder[at], index
+            holder[at] = PLACEHOLDER
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg).replace(json.dumps(PLACEHOLDER),
+                                                    literal))
+            for command in ("synthesize", "simulate", "verify"):
+                capsys.readouterr()
+                rc = cli.main([command, "--config", str(path),
+                               "--out", str(tmp_path)])
+                assert (rc, capsys.readouterr().err.splitlines()) == (
+                    2, [f"error: ConfigError: {section}.{key} must be "
+                        f"{want}"]), (command, literal)
 
     @pytest.mark.parametrize("section, value, key", [
         ("system", {"mode": "mass_on_car", "chain0": [[1.0, 2.0, 3.0]]},
@@ -997,7 +1117,12 @@ class TestSynthesizeCommand:
         assert rc in (0, 2, 3, 4)
         err = capsys.readouterr().err.splitlines()
         if rc:
+            # one line naming a class of the exit's category; exit 4 from
+            # the catch-all would name an untyped error
             assert len(err) == 1 and err[0].startswith("error: "), err
+            name = err[0].split(":")[1].strip()
+            cls = getattr(errors, name, None) or getattr(builtins, name)
+            assert issubclass(cls, EXIT_CATEGORIES[rc]), err
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=200)

@@ -483,13 +483,20 @@ class TestSynthesize:
         with pytest.raises(InvalidQ):
             synthesize(mass_on_car_normal_form(), cos_ref(), 1.2)
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_settle_factor(self, factor):
         # 0 made the settling time zero and divided by it; -1 gave a funnel
-        # that misses its required level
+        # that misses its required level, inf a design with settle = inf
         with pytest.raises(ValueError, match="settle factor"):
             synthesize(mass_on_car_normal_form(), cos_ref(), 0.95,
                        settle_factor=factor)
+
+    @pytest.mark.parametrize("phi00", [0.0, -1.0, math.nan, math.inf])
+    def test_start_gain_outside_0_inf(self, phi00):
+        # inf ended in CiOverflow with c_1 = inf
+        with pytest.raises(ValueError, match="initial funnel gain"):
+            synthesize(mass_on_car_normal_form(), cos_ref(), 0.95,
+                       phi00=phi00)
 
     def test_trivial_internal_dynamics_defaults(self, rng):
         nf = random_normal_form(rng, m_max=1, r_max=2, with_internal=0)

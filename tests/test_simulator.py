@@ -629,7 +629,10 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("key, value", [
         ("rtol", 0.0), ("rtol", -1.0), ("rtol", np.nan), ("atol", 0.0),
-        ("atol", -1e-10), ("grid_dt", 0.0), ("grid_dt", -1e-3)])
+        ("atol", -1e-10), ("grid_dt", 0.0), ("grid_dt", -1e-3),
+        # inf rtol ended in StepUnderflow at t = 0, inf atol accepted
+        # every step
+        ("rtol", np.inf), ("atol", np.inf), ("grid_dt", np.inf)])
     def test_nonpositive_options_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             SimOptions(**{key: value})

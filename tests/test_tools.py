@@ -1,6 +1,7 @@
 """Command-line checks of the scripts under tools/."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,18 @@ def test_ab_integrate_refuses_fewer_than_two_pairs(pairs, capsys):
         load("ab_integrate").main(["old", "new", "--pairs", pairs])
     assert ei.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_design_digest_counts(monkeypatch):
+    # the tool imports private names of bench/workloads.py; its md5 is not
+    # pinned, since another LAPACK build may round differently
+    monkeypatch.setattr(sys, "path", list(sys.path))    # digest adds bench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        _, counts, forms = load("design_digest").digest(TOOLS.parent)
+    finally:
+        sys.modules.pop("workloads", None)
+    assert (sum(counts.values()), forms) == (400, 359)
+    assert counts == {"AmbiguousZero": 20, "DeltaTooLarge": 118,
+                      "NoRelativeDegree": 21, "NotHurwitz": 41,
+                      "feasible": 200}
