@@ -211,7 +211,11 @@ def load_config(path=None, preset=None) -> dict:
             raise ConfigError(f"unknown preset {preset!r}")
         cfg = copy.deepcopy(PRESETS[preset])
     else:
-        cfg = json.loads(Path(path).read_text())
+        try:    # bad UTF-8 or JSON, an int past the digit limit, deep nesting
+            cfg = json.loads(Path(path).read_text())
+        except (ValueError, RecursionError) as exc:
+            # the digit limit's message goes on to name an interpreter call
+            raise ConfigError(f"{path}: {str(exc).split(';')[0]}") from None
     if not _IS[SECTION](cfg):
         raise ConfigError(f"a config must be {SECTION}")
     _walk({"design": {}, **cfg})    # no design section is a synthesized one

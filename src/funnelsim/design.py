@@ -355,20 +355,16 @@ def refine_funnel(window, required_level: float, settle: float,
                   phi00: float, template=None) -> FunnelSpec:
     """Pick an exponential funnel meeting the gain window and level demand.
 
-    The gain must start at phi00, inside `window`, and reach
+    The gain must start at phi00, inside phi0_window's `window`, and reach
     `required_level` within the settling time `settle`.  A template (b, c)
     pins those two parameters and is validated instead of optimized.
     """
     lo, hi = window
-    if lo > hi:
-        raise EmptyWindow(lo, hi)
     if not (lo * (1.0 - 1e-12) <= phi00 <= hi * (1.0 + 1e-12)):
         raise TemplateRejected(
             f"initial funnel gain {phi00:.6e} outside the admissible window "
             f"[{lo:.6e}, {hi:.6e}]"
         )
-    if required_level < 1.0:
-        raise ValueError("required level is at least 1 by construction")
     if template is not None:
         b, c = float(template[0]), float(template[1])
         if b <= 0.0 or c <= 0.0:
@@ -443,15 +439,12 @@ def input_bound_certificate(cc: ClassConstants, funnel: FunnelSpec,
     gain_at_start = cc.gamma_min * funnel.phi00
     # root of drive * (1 - x^2) = gain * x in (0,1); the scaled form
     # x^2 + k x - 1 = 0 with k = gain/drive avoids cancellation for huge
-    # drive constants, as does its complement.
-    if drive == 0.0:
-        root = 0.0
-        root_comp = 1.0
-    else:
-        k = gain_at_start / drive
-        disc = math.sqrt(k * k + 4.0)
-        root = 2.0 / (k + disc)
-        root_comp = 2.0 * k / (2.0 + k + disc)
+    # drive constants, as does its complement.  drive >= mu0 > 0, as
+    # gain_recursion takes d and phi0(0) positive.
+    k = gain_at_start / drive
+    disc = math.sqrt(k * k + 4.0)
+    root = 2.0 / (k + disc)
+    root_comp = 2.0 * k / (2.0 + k + disc)
     er2 = float(gains.stage_init[r - 1] @ gains.stage_init[r - 1])
     candidates = (er2, root, q * q)
     complements = (1.0 - er2, root_comp, 1.0 - q * q)
@@ -517,18 +510,16 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     cc = class_constants(nf)
 
     dropout_sup = max_dropout_duration(cc, q)
-    if math.isinf(dropout_sup):
-        dropout = (dropout_limit if dropout_limit is not None
-                   else DEFAULT_DROPOUT)
-    elif dropout_limit is not None:
-        if dropout_limit > dropout_sup * (1.0 - 1e-9):
-            raise DeltaTooLarge(
-                f"schedule dropout bound {dropout_limit:.6e} reaches the "
-                f"feasibility supremum {dropout_sup:.6e}"
-            )
-        dropout = dropout_limit
+    if dropout_limit is None:
+        dropout = (DEFAULT_DROPOUT if math.isinf(dropout_sup)
+                   else theta * dropout_sup)
+    elif dropout_limit > dropout_sup * (1.0 - 1e-9):   # never past inf
+        raise DeltaTooLarge(
+            f"schedule dropout bound {dropout_limit:.6e} reaches the "
+            f"feasibility supremum {dropout_sup:.6e}"
+        )
     else:
-        dropout = theta * dropout_sup
+        dropout = dropout_limit
     if dropout <= 0.0:
         raise ValueError("dropout duration must be positive")
 
@@ -549,15 +540,13 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     y_sup, chain_sup, y_max = y_ref.sup_bounds(cc.r)
     eta_bounds = eta_star_lower_bound(cc, dropout, window, q,
                                       (y_sup, chain_sup))
-    if internal_cap is None:
-        cap = eta_bounds.value * (1.0 + 1e-6)
-    else:
-        cap = internal_cap
-        if cap < eta_bounds.value:
-            raise InfeasibleEtaStar(
-                f"requested ceiling {cap:.6e} is below the least admissible "
-                f"value {eta_bounds.value:.6e}"
-            )
+    cap = (eta_bounds.value * (1.0 + 1e-6) if internal_cap is None
+           else internal_cap)
+    if cap < eta_bounds.value:      # only a requested ceiling can be
+        raise InfeasibleEtaStar(
+            f"requested ceiling {cap:.6e} is below the least admissible "
+            f"value {eta_bounds.value:.6e}"
+        )
     if not math.isfinite(cap) or cap <= 0.0:
         raise InfeasibleEtaStar(
             f"internal ceiling {cap!r} is not a positive finite number"
@@ -569,30 +558,25 @@ def synthesize(nf: NormalForm, y_ref: ReferenceSignal, q: float, *,
     settle = settle_factor * window
     start = start_cascade(start_gain, e_derivs0)
 
-    if funnel_template is not None:
-        gains = gain_recursion(start_gain, float(funnel_template[0]), start, q)
+    # The slope constant feeds the recursion whose level demand feeds the
+    # slope back; iterate to the (monotone) fixed point.  A template pins
+    # the slope, so its first round is the last.
+    b = B_SEED if funnel_template is None else float(funnel_template[0])
+    for iterations in range(1, 61):
+        gains = gain_recursion(start_gain, b, start, q)
         funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
-                               settle, template=funnel_template,
-                               phi00=start_gain)
-        iterations = 1
+                               settle, start_gain, funnel_template)
+        if funnel_template is not None:
+            break
+        b_next = max(B_SEED, funnel.b)
+        if b_next <= b * (1.0 + 1e-12):
+            funnel = FunnelSpec(a=funnel.a, b=b, c=funnel.c)
+            break
+        b = b_next
     else:
-        # The slope constant feeds the recursion whose level demand feeds
-        # the slope back; iterate to the (monotone) fixed point.
-        b = B_SEED
-        gains = funnel = None
-        for iterations in range(1, 61):
-            gains = gain_recursion(start_gain, b, start, q)
-            funnel = refine_funnel((gain_lo, gain_hi), gains.required_level,
-                                   settle, phi00=start_gain)
-            b_next = max(B_SEED, funnel.b)
-            if b_next <= b * (1.0 + 1e-12):
-                funnel = FunnelSpec(a=funnel.a, b=b, c=funnel.c)
-                break
-            b = b_next
-        else:
-            raise InfeasibleRefinement(
-                "funnel slope iteration did not settle in 60 rounds"
-            )
+        raise InfeasibleRefinement(
+            "funnel slope iteration did not settle in 60 rounds"
+        )
 
     stage_norms, eta0_norm = check_start(start[1], nf.eta0, cap)
 

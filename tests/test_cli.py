@@ -349,6 +349,25 @@ class TestConfig:
                            match="^sim.t_end must be a positive number$"):
             cli.load_config(path=str(p))
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"sim": {"t_end": ' + "1" * 5000 + "}}",
+        '{"sim": {"t_end": ',
+        "\xff\xfe",
+    ], ids=["deep-nesting", "5000-digit-int", "truncated", "not-utf8"])
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, text):
+        # these ended in RecursionError (exit 4), a digit-limit ValueError
+        # naming no key, JSONDecodeError and UnicodeDecodeError
+        p = tmp_path / "cfg.json"
+        p.write_bytes(text.encode("latin-1"))
+        rc = cli.main(["synthesize", "--config", str(p),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: ConfigError: {p}: ")
+        assert "set_int_max_str_digits" not in err[0]
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = cli.main(["synthesize", "--config", str(tmp_path / "none.json"),
                        "--out", str(tmp_path)])

@@ -9,6 +9,7 @@ import pytest
 
 from funnelsim.controller import start_cascade
 from funnelsim.design import (
+    B_SEED,
     Certificate,
     DesignParams,
     EtaStarBounds,
@@ -343,10 +344,6 @@ class TestRefineFunnel:
         with pytest.raises(TemplateRejected):
             refine_funnel((0.5, 1.0), 2.0, 1.0, phi00=0.1)
 
-    def test_empty_window(self):
-        with pytest.raises(EmptyWindow):
-            refine_funnel((2.0, 1.0), 2.0, 1.0, phi00=1.0)
-
     def test_family_membership(self, rng):
         # Emitted funnels are nondecreasing with slope below b(1 + phi0).
         for _ in range(10):
@@ -523,6 +520,15 @@ class TestSynthesize:
         with pytest.raises(DeltaTooLarge):
             synthesize(mass_on_car_normal_form(), cos_ref(), 0.95,
                        availability_floor=1.0)
+
+    def test_template_is_one_round(self):
+        # a template pins the slope: one round of the slope iteration, with
+        # the template's b kept below the seed the designed funnel starts at
+        dp = synthesize(mass_on_car_normal_form(), cos_ref(), 0.95,
+                        theta=0.9, funnel_template=(0.8, 1e-4))
+        assert dp.iterations == 1
+        assert dp.funnel.b == 0.8 < B_SEED
+        assert dp.gains.slope_gain == 0.8 * (1.0 + dp.gain_hi) / dp.gain_hi
 
     def test_ceiling_override_too_small(self):
         with pytest.raises(InfeasibleEtaStar):

@@ -1,6 +1,7 @@
 """Command-line checks of the scripts under tools/."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +24,21 @@ def test_ab_integrate_refuses_fewer_than_two_pairs(pairs, capsys):
         load("ab_integrate").main(["old", "new", "--pairs", pairs])
     assert ei.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_ab_integrate_same_checkout(tmp_path, monkeypatch, capsys):
+    # both workers import funnelsim through the private cli._build_run and
+    # cli._sim_options; one checkout against itself must agree bit for bit
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    out = tmp_path / "ab.json"
+    load("ab_integrate").main([str(TOOLS.parent)] * 2 + [
+        "--pairs", "2", "--case", "stiff_loop:0", "--accuracy",
+        "--json", str(out)])
+    rep = json.loads(out.read_text())["stiff_loop:0"]
+    assert rep["counts_identical"] and rep["endpoints_identical"]
+    assert rep["max_rel_deviation"] == 0.0
+    assert rep["old_accuracy"] == rep["new_accuracy"]
+    assert "stiff_loop:0: counts identical True" in capsys.readouterr().out
 
 
 def test_design_digest_counts(monkeypatch):

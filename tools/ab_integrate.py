@@ -95,6 +95,7 @@ class Side:
     def close(self):
         self.proc.stdin.close()
         self.proc.wait()
+        self.proc.stdout.close()
 
 
 # --- pairs: both sides, interleaved --------------------------------------
