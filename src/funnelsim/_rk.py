@@ -76,7 +76,11 @@ class Underflow(Exception):
 
 
 class OutOfSteps(Underflow):
-    """Internal: the step budget ran out; carries the current point."""
+    """Internal: the step budget ran out; carries point and statistics."""
+
+    def __init__(self, t, x, stats):
+        super().__init__(t, x)
+        self.stats = stats
 
 
 def _rms(v):
@@ -160,7 +164,7 @@ def radau_segment(rhs, jac, t0, t1, x0, *, rtol, atol, grid,
     just_rejected = False
     while t < t1:
         if stats["accepted"] + stats["rejected"] >= max_steps:
-            raise OutOfSteps(t, x)
+            raise OutOfSteps(t, x, stats)
         last = t + h >= t1
         h = t1 - t if last else h
         ch = C_NODES * h

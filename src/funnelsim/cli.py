@@ -312,7 +312,8 @@ def _schedule_limits(cfg: dict):
     if gen is not None and gen["kind"] == "periodic":
         window, start = gen["window"], gen.get("start", gen["window"])
         return gen["dropout"], min(window, start) if start > 0 else window
-    lengths, windows = AvailabilitySchedule.spans(sec.get("dropouts", []))
+    lengths, windows = AvailabilitySchedule(sec.get("dropouts", []),
+                                            math.inf).spans()
     return max(lengths, default=None), min(windows.values(), default=None)
 
 
@@ -413,23 +414,22 @@ def cmd_synthesize(cfg: dict, outdir: Path) -> int:
 
 
 def _build_run(cfg: dict):
-    """Plant, reference, design, horizon and schedule of a run."""
+    """Plant, reference, design and schedule of a run (with its horizon)."""
     nf = build_system(cfg)
     y_ref = build_reference(cfg)
     design = build_design(cfg, nf, y_ref)
-    horizon = _horizon(cfg)
     dp = None if isinstance(design, ManualDesign) else design
-    return nf, y_ref, design, horizon, build_schedule(cfg, horizon, dp)
+    return nf, y_ref, design, build_schedule(cfg, _horizon(cfg), dp)
 
 
 def _run_simulation(cfg: dict):
-    nf, y_ref, design, horizon, sched = _build_run(cfg)
+    nf, y_ref, design, sched = _build_run(cfg)
     if not isinstance(design, ManualDesign):
         for note in sched.check_against_design(design.dropout, design.window):
             log.warning("%s", note)
     cc = class_constants(nf)
     trace = integrate(nf, cc, design, sched, y_ref, opts=_sim_options(cfg))
-    return trace, design, cc, horizon
+    return trace, design, cc, sched.horizon
 
 
 def cmd_simulate(cfg: dict, outdir: Path) -> int:
@@ -465,8 +465,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     if trace.samples == 0:
         raise ConfigError(f"{path}: trace has no samples")
     # what simulate would refuse is refused here too
-    nf, _, design, horizon, _ = _build_run(cfg)
-    ok = _check_trace(trace, design, class_constants(nf), horizon,
+    nf, _, design, sched = _build_run(cfg)
+    ok = _check_trace(trace, design, class_constants(nf), sched.horizon,
                       _out_path(outdir, cfg, "report", "verify_report.txt"))
     return 0 if ok else 1
 

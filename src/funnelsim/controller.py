@@ -26,7 +26,7 @@ DOMAIN_MARGIN = 1e-10     # stages must stay below 1 - this during availability
 LIM_SQ = (1.0 - DOMAIN_MARGIN) ** 2     # the squared stage norm bound
 
 
-def _dropout_pairs(pairs, horizon=np.inf):
+def _dropout_pairs(pairs, horizon):
     """pairs as float (start, end) tuples, or ConfigError naming the first
     dropout that is empty or reversed, leaves [0, horizon] or overlaps."""
     out = []
@@ -81,11 +81,10 @@ class AvailabilitySchedule:
     def reset_time(self, t: float) -> float:
         return float(self.at_times(t)[1])
 
-    @staticmethod
-    def spans(pairs):
+    def spans(self):
         """Dropout lengths and {i: window before dropout i}; the lead-in
         [0, start] is window 0 unless the schedule starts in a dropout."""
-        pairs = _dropout_pairs(pairs)      # as a schedule checks them
+        pairs = self.dropouts
         windows = {0: pairs[0][0]} if pairs and pairs[0][0] > 0.0 else {}
         for i in range(1, len(pairs)):
             windows[i] = pairs[i][0] - pairs[i - 1][1]
@@ -100,7 +99,7 @@ class AvailabilitySchedule:
         deliberately stress the controller beyond its certificate.
         """
         notes = []
-        lengths, windows = self.spans(self.dropouts)
+        lengths, windows = self.spans()
         for i, length in enumerate(lengths):
             if length > dropout_bound * (1.0 + 1e-12):
                 notes.append(

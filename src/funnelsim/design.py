@@ -259,8 +259,7 @@ class GainConstants:
     settling time.
     """
 
-    slope_gain: float           # growth constant of the shifted funnel
-    stage_slopes: tuple         # indices 0..r-1
+    stage_slopes: tuple         # indices 0..r-1; 0 is the funnel's mu0
     stage_caps: tuple           # indices 0..r-1, all < 1
     stage_cap_complements: tuple  # 1 - cap^2, kept in stable form
     stage_init: tuple           # cascade vectors 1..r at t = 0
@@ -309,8 +308,7 @@ def gain_recursion(phi00: float, d: float, start, q: float) -> GainConstants:
     level = 1.0 + caps[r - 1] / comps[r - 1]
     for i in range(1, r):
         level += caps[i] + caps[i - 1] / comps[i - 1]
-    return GainConstants(slope_gain=mu0,
-                         stage_slopes=tuple(slopes), stage_caps=tuple(caps),
+    return GainConstants(stage_slopes=tuple(slopes), stage_caps=tuple(caps),
                          stage_cap_complements=tuple(comps),
                          stage_init=tuple(init), required_level=level)
 
@@ -403,7 +401,6 @@ class Certificate:
     """Uniform input bound and the constants it is assembled from."""
 
     ref_sup: float              # worst reference derivative sup, orders 0..r
-    floor: float                # infimum of the funnel radius
     internal_sup: float         # uniform bound on the internal state
     drive_bound: float          # aggregate drive constant on the last stage
     root: float                 # balance point of drive against gain
@@ -423,13 +420,13 @@ def input_bound_certificate(cc: ClassConstants, funnel: FunnelSpec,
     cap through the gain function.
     """
     r = cc.r
-    floor = funnel.c
+    floor = funnel.c            # infimum of the funnel radius
     psi0 = 1.0 / funnel.phi00
     internal_sup = max(internal_cap,
                        cc.M * internal_cap
                        + cc.p * cc.M / cc.mu * (psi0 + ref_sup))
-    drive = (_stage_slope(0.0, gains.slope_gain, gains.stage_slopes[r - 1],
-                          gains.stage_caps[r - 1],
+    mu = gains.stage_slopes
+    drive = (_stage_slope(0.0, mu[0], mu[r - 1], gains.stage_caps[r - 1],
                           gains.stage_cap_complements[r - 1])
              + ref_sup / floor + cc.s / floor * internal_sup)
     for i in range(1, r + 1):
@@ -453,11 +450,9 @@ def input_bound_certificate(cc: ClassConstants, funnel: FunnelSpec,
     cap_comp = complements[pick]
     if not cap_comp > 0.0:      # the last stage starts or balances at 1
         raise DegenerateCertificate(drive, gain_at_start)
-    return Certificate(ref_sup=ref_sup, floor=floor,
-                       internal_sup=internal_sup, drive_bound=drive,
-                       root=root, last_cap=cap,
-                       last_cap_complement=cap_comp,
-                       input_sup=cap / cap_comp)
+    return Certificate(ref_sup=ref_sup, internal_sup=internal_sup,
+                       drive_bound=drive, root=root, last_cap=cap,
+                       last_cap_complement=cap_comp, input_sup=cap / cap_comp)
 
 
 @dataclass
@@ -643,7 +638,7 @@ def design_report(dp: DesignParams) -> str:
         ("phi0_0", dp.funnel.phi00),
         ("a", dp.funnel.a), ("b", dp.funnel.b), ("c", dp.funnel.c),
         ("d", dp.funnel.b),
-        ("mu0", dp.gains.slope_gain),
+        ("mu0", dp.gains.stage_slopes[0]),
         ("mu0_tight", dp.funnel.slope_gain_tight),
     ]
     for k in range(1, cc.r):
@@ -653,7 +648,7 @@ def design_report(dp: DesignParams) -> str:
     rows.append((f"c_{cc.r}", dp.cert.last_cap))
     rows += [
         ("chi", dp.gains.required_level),
-        ("Y_max", dp.cert.ref_sup), ("lambda", dp.cert.floor),
+        ("Y_max", dp.cert.ref_sup), ("lambda", dp.funnel.c),
         ("eta_bar", dp.cert.internal_sup),
         ("C_tilde", dp.cert.drive_bound), ("epsilon", dp.cert.root),
         ("U_max", dp.cert.input_sup),

@@ -11,6 +11,7 @@ cascade stage against the funnel boundary.  Runs are deterministic.
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,20 +103,19 @@ def _segments(sched: AvailabilitySchedule):
 def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
     """The closed loop on one segment as (rhs, jac, signals).
 
-    signals(t, x, check) maps k times and states (k, n) to the funnel gain
-    (k,), the squared stage norms (k, r) and u = -sign alpha(|e_r|^2) e_r
-    (k, m), all zero during a dropout; with check, a stage with |e_i|^2 >=
-    LIM_SQ raises FunnelViolation.  rhs(t, x) = A x + B u for the same
-    stacks, in nf.realization()'s state order (chain, then internal), always
-    checked: the stepper rejects a step that leaves the funnel.  jac(t, x) is
-    df/dx at one time and state, A in a dropout.
+    signals(t, x) maps k times and states (k, n) to the funnel gain (k,),
+    the squared stage norms (k, r) and u = -sign alpha(|e_r|^2) e_r (k, m),
+    all zero during a dropout.  rhs(t, x) = A x + B u for the same stacks,
+    in nf.realization()'s state order (chain, then internal).  jac(t, x) is
+    df/dx at one time and state, A in a dropout.  Each raises FunnelViolation
+    for a stage with |e_i|^2 >= LIM_SQ, which the stepper rejects.
     """
     plant = nf.realization()
     A, B = plant.A, plant.B
     AT, BT = A.T, B.T
     r, m = nf.r, nf.m
     if a == 0:
-        def signals(t, x, check=False):
+        def signals(t, x):
             k = len(x)
             return np.zeros(k), np.zeros((k, r)), np.zeros((k, m))
 
@@ -132,9 +132,9 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
     memo = [(b"", math.nan, None, None)] * 2  # times' bytes, last, phi, ref
     point = [math.nan, b"", None]         # t, x bytes, (phi, stages, n_sq)
 
-    def law(t, x, check=False):
+    def law(t, x):
         """Gain (k,), cascade stages (r, k, m), squared norms (r, k) and
-        u (k, m); with check, a stage at or past LIM_SQ raises."""
+        u (k, m); a stage at or past LIM_SQ raises."""
         key = t.tobytes()
         for held, end, phi, ref in memo:
             if key == held:
@@ -147,7 +147,7 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
             memo[:] = (key, t[-1], phi, ref), memo[0]
         stages, n_sq = cascade(phi, x[:, :rm].reshape(-1, r, m)
                                .transpose(1, 0, 2) - ref)
-        if check and np.count_nonzero(n_sq >= LIM_SQ):
+        if np.count_nonzero(n_sq >= LIM_SQ):
             i, j = np.argwhere(n_sq >= LIM_SQ)[0]
             raise FunnelViolation(int(i) + 1, math.sqrt(n_sq[i, j]),
                                   1.0 - DOMAIN_MARGIN, float(t[j]))
@@ -156,12 +156,12 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
         return phi, stages, n_sq, (-sign / (1.0 - n_sq[-1, :, None])
                                    * stages[-1])
 
-    def signals(t, x, check=False):
-        phi, _, n_sq, u = law(t, x, check)
+    def signals(t, x):
+        phi, _, n_sq, u = law(t, x)
         return phi, n_sq.T, u
 
     def rhs(t, x):
-        return x @ AT + law(t, x, check=True)[3] @ BT
+        return x @ AT + law(t, x)[3] @ BT
 
     def jac(t, x):
         # chain rule through e_(i+1) = phi e^(i) + alpha(|e_i|^2) e_i, with
@@ -183,12 +183,12 @@ def _closed_loop_rhs(nf, funnel, a, tau, y_ref):
 def _run_segments(nf, funnel, sched_segments, y_ref, opts):
     """Integrate across smooth segments, at most MAX_STEPS step attempts.
 
-    Returns (cols, stats): cols holds the columns a, tau, t, x, phi, n_sq
-    and u as one piece per segment, the first led by nf's start.  The
-    signals come from each segment's closure, tested like its steps.
+    Returns (cols, stats): cols holds the columns t, x, phi, n_sq and u as
+    one piece per segment, the first led by nf's start.  The signals come
+    from each segment's closure, tested like its steps.
     """
-    cols = [[] for _ in range(7)]
-    stats = {"segments": len(sched_segments), "accepted": 0, "rejected": 0}
+    cols = [[] for _ in range(5)]
+    stats = Counter(segments=len(sched_segments), accepted=0, rejected=0)
     x = np.concatenate([nf.chain0.reshape(-1), nf.eta0])
     n = sched_segments[-1][1] / opts.grid_dt
     if n > MAX_GRID_ROWS:
@@ -208,41 +208,41 @@ def _run_segments(nf, funnel, sched_segments, y_ref, opts):
                     grid=grid, max_steps=(MAX_STEPS - stats["accepted"]
                                           - stats["rejected"]))
         except OutOfSteps as stop:
+            stats.update(stop.stats)
             raise IntegrationStalled(
                 f"step budget of {MAX_STEPS} attempts exhausted in segment "
-                f"{k} at t = {stop.t:.9g}, state {stop.x.tolist()}") from None
+                f"{k} at t = {stop.t:.9g}, state {stop.x.tolist()}: "
+                "{accepted} accepted steps, {rejected_error} error, "
+                "{rejected_newton} Newton and {rejected_funnel} funnel "
+                "rejections".format_map(stats)) from None
         except Underflow as uf:
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 phi, n_sq, _ = signals(np.array([uf.t]), uf.x[None])
             raise StepUnderflow(k, uf.t, uf.x.tolist(), math.sqrt(n_sq[0, -1]),
                                 float(phi[0])) from None
-        for key, count in seg_stats.items():
-            stats[key] = stats.get(key, 0) + count
+        stats.update(seg_stats)
         if k == 0:
             seg_t = np.concatenate([[lo], seg_t])
             seg_x = np.vstack([x[None], seg_x])
-        for col, piece in zip(cols, (
-                np.full(seg_t.size, a), np.full(seg_t.size, tau), seg_t,
-                seg_x, *signals(seg_t, seg_x, check=True))):
+        for col, piece in zip(cols, (seg_t, seg_x, *signals(seg_t, seg_x))):
             col.append(piece)
         x = seg_x[-1].copy()
     return cols, stats
 
 
-def _build_trace(nf, y_ref, cols, stats) -> Trace:
-    """Join a run's columns into its trace; in a dropout tau = t, psi = -1."""
+def _build_trace(nf, y_ref, sched, cols, stats) -> Trace:
+    """Join a run's columns into its trace; a and tau at each sample come
+    from the schedule, and psi is -1 in a dropout."""
     # popped, so that each column's pieces are freed once it is joined
-    a, tau, t, x, phi, n_sq, u = (np.concatenate(cols.pop(0))
-                                  for _ in range(7))
-    avail = a == 1
-    psi = np.divide(1.0, phi, out=np.full(t.size, -1.0), where=avail)
+    t, x, phi, n_sq, u = (np.concatenate(cols.pop(0)) for _ in range(5))
+    a, tau = sched.at_times(t)
+    psi = np.divide(1.0, phi, out=np.full(t.size, -1.0), where=a == 1)
     m, rm = nf.m, nf.r * nf.m
     e = x[:, :m] - y_ref.derivatives(t, 0)[0]
-    return Trace(t=t, x=x, a=a, tau=np.where(avail, tau, t), phi=phi,
-                 psi=psi, y=x[:, :m], e_norm=np.linalg.norm(e, axis=1),
-                 stage_norms=np.sqrt(n_sq), u=u,
-                 u_norm=np.linalg.norm(u, axis=1), eta=x[:, rm:],
+    return Trace(t=t, x=x, a=a, tau=tau, phi=phi, psi=psi, y=x[:, :m],
+                 e_norm=np.linalg.norm(e, axis=1), stage_norms=np.sqrt(n_sq),
+                 u=u, u_norm=np.linalg.norm(u, axis=1), eta=x[:, rm:],
                  eta_norm=np.linalg.norm(x[:, rm:], axis=1), r=nf.r, m=m,
                  internal_dim=nf.internal_dim, stats=stats)
 
@@ -255,7 +255,8 @@ def integrate(nf, cc, design, sched: AvailabilitySchedule,
     the feasibility conditions checked at synthesis time: cascade stages
     strictly inside the unit ball at the initial funnel gain, internal state
     within its ceiling.  While the output is lost the input is zero, so a
-    schedule with the one dropout (0, horizon] gives an open-loop run.
+    schedule with the one dropout (0, horizon] gives an open-loop run.  cc
+    is accepted and not read.
     """
     opts = opts or SimOptions()
     funnel = design.funnel
@@ -265,7 +266,7 @@ def integrate(nf, cc, design, sched: AvailabilitySchedule,
                             y_ref.start_errors(nf))
     check_start(n_sq, nf.eta0, design.internal_cap)
     cols, stats = _run_segments(nf, funnel, segs, y_ref, opts)
-    return _build_trace(nf, y_ref, cols, stats)
+    return _build_trace(nf, y_ref, sched, cols, stats)
 
 
 CSV_NUMBER = "%.11e"

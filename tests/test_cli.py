@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -811,6 +812,12 @@ class TestScheduleBuilding:
         longest, shortest = cli._schedule_limits(cfg)
         assert longest == 1.0
         assert shortest == 2.0          # leading window [0, 2] is shortest
+
+    def test_limits_refuse_a_negative_start(self):
+        # the limits' schedule has no horizon of its own
+        with pytest.raises(ConfigError, match=re.escape(
+                "dropout 0 leaves the horizon [0, inf]")):
+            cli._schedule_limits({"availability": {"dropouts": [[-1, 2]]}})
 
     def test_limits_absent_without_schedule(self):
         assert cli._schedule_limits({}) == (None, None)

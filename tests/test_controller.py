@@ -1,11 +1,13 @@
 """Controller-side semantics: schedules, reset clock, cascade, input law."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from funnelsim import cli
 from funnelsim.controller import AvailabilitySchedule, cascade
 from funnelsim.design import FunnelSpec
 from funnelsim.errors import (
@@ -127,9 +129,13 @@ class TestSchedule:
     @pytest.mark.parametrize("pairs", [
         [(2.0, 2.0)], [(3.0, 2.0)], [(-1.0, 2.0)], [(1.0, 2.0), (2.0, 3.0)]])
     def test_spans_checks_pairs(self, pairs):
-        # as the schedule does, without a horizon
-        with pytest.raises(ConfigError):
-            AvailabilitySchedule.spans(pairs)
+        # spans reads a built schedule's checked pairs; the limits synthesis
+        # reads come from a schedule over [0, inf], refused alike
+        with pytest.raises(ConfigError) as built:
+            AvailabilitySchedule(pairs, math.inf)
+        with pytest.raises(ConfigError) as limits:
+            cli._schedule_limits({"availability": {"dropouts": pairs}})
+        assert str(limits.value) == str(built.value)
 
     def test_design_conformance_warnings(self):
         # the notes are returned, not warned: the CLI logs each one once

@@ -271,7 +271,7 @@ class TestGainRecursion:
         # 0.95 + 0 + 1 + 0.95/(1 - 0.9025) = 11.693589743589744 by direct
         # decimal arithmetic.
         g = recursion(1.0, 0.5, [[0.5], [0.0]], 0.95)
-        assert g.slope_gain == pytest.approx(1.0, rel=1e-15)
+        assert g.stage_slopes[0] == pytest.approx(1.0, rel=1e-15)
         assert g.stage_caps[1] == pytest.approx(0.95, rel=1e-15)
         assert g.required_level == pytest.approx(11.693589743589744,
                                                  rel=1e-12)
@@ -403,7 +403,8 @@ class TestInputBoundCertificate:
             cert.last_cap / cert.last_cap_complement, rel=1e-12)
         assert cert.last_cap >= dp.q
         assert cert.internal_sup >= dp.internal_cap
-        assert cert.floor == dp.funnel.c
+        # the certificate's floor lambda is the funnel's c, reported once
+        assert f"\nlambda = {dp.funnel.c!r}\n" in design_report(dp)
         assert math.isfinite(cert.input_sup)
 
     def test_benchmark_certificate_by_value(self):
@@ -423,7 +424,7 @@ class TestInputBoundCertificate:
         # and each chain block R_i
         c, comp = g.stage_caps[r - 1], g.stage_cap_complements[r - 1]
         pull = c / comp
-        drive = (g.slope_gain * (1.0 + pull)
+        drive = (g.stage_slopes[0] * (1.0 + pull)
                  + (1.0 + c * c) / comp ** 2 * (g.stage_slopes[r - 1] + pull)
                  + ref + cc.s / floor * eta_sup)
         for norm, ci, comp_i in zip(cc.r_norms, g.stage_caps,
@@ -528,7 +529,8 @@ class TestSynthesize:
                         theta=0.9, funnel_template=(0.8, 1e-4))
         assert dp.iterations == 1
         assert dp.funnel.b == 0.8 < B_SEED
-        assert dp.gains.slope_gain == 0.8 * (1.0 + dp.gain_hi) / dp.gain_hi
+        assert dp.gains.stage_slopes[0] == (0.8 * (1.0 + dp.gain_hi)
+                                            / dp.gain_hi)
 
     def test_ceiling_override_too_small(self):
         with pytest.raises(InfeasibleEtaStar):

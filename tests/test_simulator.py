@@ -494,6 +494,29 @@ class TestEventExactness:
         assert np.all(tr.phi[tr.a == 0] == 0.0)
         assert np.all(tr.psi[tr.a == 0] == -1.0)
 
+    @pytest.mark.parametrize("horizon, dropouts", [
+        (6.0, ((0.0, 1.0), (3.0, 4.0))),
+        (10.0, ((3.0, 5.0), (8.0, 10.0))),
+        (4.0, ((1.0, 2.0), (2.0005, 3.0)))],
+        ids=["lost_at_start", "lost_to_horizon", "window_under_grid_dt"])
+    def test_a_and_tau_are_the_schedule_s(self, horizon, dropouts):
+        nf, cc, design, sched, y_ref = scenario_b_setup(horizon, dropouts)
+        tr = integrate(nf, cc, design, sched, y_ref)
+        a, tau = sched.at_times(tr.t)
+        assert tr.a.dtype == a.dtype == np.int64
+        assert np.array_equal(tr.a, a)
+        assert np.array_equal(tr.tau, tau)
+        # left-continuous, as the schedule states: a dropout's start is
+        # still available with the last reset, its end lost with tau = t;
+        # a dropout from t = 0 is lost at 0
+        last_end = 0.0
+        for lo, hi in dropouts:
+            i, j = np.searchsorted(tr.t, (lo, hi))
+            assert (tr.t[i], tr.t[j]) == (lo, hi)
+            assert (tr.a[i], tr.tau[i]) == (int(lo > 0.0), last_end)
+            assert (tr.a[j], tr.tau[j]) == (0, hi)
+            last_end = hi
+
     def test_uniform_grid_present(self):
         nf, cc, design, sched, y_ref = scenario_b_setup(horizon=2.0,
                                                         dropouts=())
@@ -621,11 +644,15 @@ class TestFailureModes:
         monkeypatch.setattr(simulator, "MAX_STEPS", 120)
         with pytest.raises(IntegrationStalled) as ei:
             integrate(nf, cc, design, sched, y_ref)
-        msg = str(ei.value)
-        assert msg.startswith(
-            "step budget of 120 attempts exhausted in segment 1 at t = ")
-        assert 3.0 < float(msg.split("t = ")[1].split(",")[0]) < 5.0
-        assert len(msg.split("state ")[1].split(",")) == 4
+        t, x, *counts = re.fullmatch(
+            r"step budget of 120 attempts exhausted in segment 1 at t = "
+            r"(\S+), state \[([^]]*)\]: (\d+) accepted steps, (\d+) error, "
+            r"(\d+) Newton and (\d+) funnel rejections",
+            str(ei.value)).groups()
+        assert 3.0 < float(t) < 5.0
+        assert len(x.split(", ")) == 4
+        # the message counts every attempt of the run, over both segments
+        assert sum(map(int, counts)) == 120
 
     @pytest.mark.parametrize("key, value", [
         ("rtol", 0.0), ("rtol", -1.0), ("rtol", np.nan), ("atol", 0.0),

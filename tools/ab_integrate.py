@@ -66,7 +66,9 @@ def _worker(root):
         except EOFError:
             return
         cfg = _config(cli, case)
-        nf, y_ref, design, _, sched = cli._build_run(cfg)
+        # an older checkout's _build_run also returns the horizon, before
+        # the schedule
+        nf, y_ref, design, *_, sched = cli._build_run(cfg)
         cc, opts = class_constants(nf), cli._sim_options(cfg)
         if tol is not None:
             opts = dataclasses.replace(opts, rtol=tol[0], atol=tol[1])
